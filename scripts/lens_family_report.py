@@ -13,7 +13,7 @@ import argparse
 
 from zgdual.complexes import five_complex_report, homology
 from zgdual.dual_form import is_anti_self_dual, obstruction_check, recognize_dual_form
-from zgdual.lens import lens_asd_transform, lens_complex
+from zgdual.lens import asd_status, lens_asd_transform, lens_complex
 
 
 def main():
@@ -30,14 +30,11 @@ def main():
         view = recognize_dual_form(A)
         rep = obstruction_check(view)
         h3 = homology(A, 3, "integral").free_rank
-        if n % 2 == 0:
-            status = "obstructed"
-        elif n % 4 == 1:
+        status = asd_status(n)
+        if status == "anti-self-dual":
             t = lens_asd_transform(n)
-            ok = is_anti_self_dual(recognize_dual_form(t.complex))
-            status = "anti-self-dual" if ok else "FAILED"
-        else:
-            status = "unknown"
+            if not is_anti_self_dual(recognize_dual_form(t.complex)):
+                status = "FAILED"
         print(
             f"{n:>4}  {str(member):>5}  {str(view is not None):>8}  {view.j_rank:>6}  "
             f"{h3:>4}  {str(rep.obstructed):>10}  {status:>14}"

@@ -10,9 +10,7 @@ from zgdual.group_core import (
     FiniteGroup,
     GroupRingElement,
     GroupTableError,
-    augmentation,
     cyclic_group,
-    gr_involute,
     gr_mul,
     group_from_table,
     norm_element,
@@ -45,7 +43,6 @@ from zgdual.dual_form import (
     DualFormView,
     NormalizedDuality,
     ObstructionReport,
-    asd_check,
     assemble_dual_form,
     is_anti_self_dual,
     normalize_duality,
@@ -58,11 +55,10 @@ from zgdual.dual_form import (
 )
 from zgdual.lens import (
     LensInstance,
+    asd_status,
     asd_unit,
     lens_asd_transform,
     lens_complex,
     lens_duality_map,
     lens_instance,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -51,10 +51,6 @@ def _verdict(name: str, ok: bool, info=None, witness=None) -> dict:
     return out
 
 
-def _group_info_str(info) -> str:
-    return str(info)
-
-
 def _load_complex(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -75,9 +71,7 @@ def _write_complex(path: str, C) -> None:
 
 
 def _poly_or_terms(e) -> str:
-    from zgdual.group_core import cyclic_group
-
-    if e.group.mul_table == cyclic_group(e.group.order).mul_table:
+    if e.group.is_cyclic:
         return serialize.poly_string(e)
     return json.dumps(e.terms())
 
@@ -102,10 +96,10 @@ def _cmd_check(args, report):
         verdicts.append(_verdict("exact_at_degree_1", rep.exact_at_1))
         verdicts.append(_verdict("exact_at_degree_4", rep.exact_at_4))
         verdicts.append(
-            _verdict("bottom_end_is_Z", rep.bottom.ok, info=_group_info_str(rep.bottom.group_info))
+            _verdict("bottom_end_is_Z", rep.bottom.ok, info=str(rep.bottom.group_info))
         )
         verdicts.append(
-            _verdict("top_end_is_Z", rep.top.ok, info=_group_info_str(rep.top.group_info))
+            _verdict("top_end_is_Z", rep.top.ok, info=str(rep.top.group_info))
         )
         verdicts.append(_verdict("euler_characteristic_zero", rep.euler == 0, info=str(rep.euler)))
         gate = rep.is_member
@@ -269,10 +263,11 @@ def _cmd_lens(args, report):
     n = args.n
     if n < 2:
         raise UsageError("lens spaces need n >= 2")
-    if args.asd and (n % 4 != 1 or n < 5):
+    status = lens.asd_status(n)
+    if args.asd and status != "anti-self-dual":
         raise UsageError(f"--asd needs n = 4k+1 with k >= 1; n={n}")
     verdicts = report["verdicts"]
-    instance = lens.lens_instance(n, with_asd=True if args.asd else None)
+    instance = lens.lens_instance(n)
     A = instance.complex
     verdicts.append(_verdict("complex_valid", complexes.validate_complex(A).ok))
     verdicts.append(_verdict("algebraic_5_complex", complexes.five_complex_report(A).is_member))
@@ -286,12 +281,6 @@ def _cmd_lens(args, report):
             info=f"end scalars {phi_rep.end_scalars}",
         )
     )
-    if n % 2 == 0:
-        status = "obstructed"
-    elif n % 4 == 1 and n >= 5:
-        status = "anti-self-dual"
-    else:
-        status = "unknown"
     report["asd_status"] = status
     out_complex = A
     if instance.asd is not None:
@@ -301,11 +290,11 @@ def _cmd_lens(args, report):
         verdicts.append(_verdict("asd_check", dual_form.is_anti_self_dual(vprime)))
         verdicts.append(_verdict("asd_homotopy_verified", True, info=f"diagonal sign {asd.diagonal_sign}"))
         report["asd_data"] = {
-            "k": instance.k,
-            "alpha": _poly_or_terms(instance.alpha),
-            "beta": _poly_or_terms(instance.beta),
-            "beta_inv": _poly_or_terms(instance.beta_inv),
-            "x": _poly_or_terms(instance.x),
+            "k": (n - 1) // 4,
+            "alpha": _poly_or_terms(asd.unit.alpha),
+            "beta": _poly_or_terms(asd.unit.beta),
+            "beta_inv": _poly_or_terms(asd.unit.beta_inv),
+            "x": _poly_or_terms(asd.x),
         }
         if args.asd:
             out_complex = asd.complex

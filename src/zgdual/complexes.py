@@ -86,13 +86,12 @@ class ChainComplex:
 class ValidationReport:
     """Outcome of validate_complex; failures carry the offending degree."""
 
-    shape_ok: bool
     compositions: tuple[tuple[int, bool], ...]  # (middle degree, boundary.boundary == 0)
     failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return self.shape_ok and all(flag for _, flag in self.compositions)
+        return all(flag for _, flag in self.compositions)
 
 
 def validate_complex(C: ChainComplex) -> ValidationReport:
@@ -105,7 +104,7 @@ def validate_complex(C: ChainComplex) -> ValidationReport:
         comps.append((i, ok))
         if not ok:
             failures.append(f"boundary({i}) . boundary({i + 1}) is nonzero at degree {i}")
-    return ValidationReport(shape_ok=True, compositions=tuple(comps), failures=tuple(failures))
+    return ValidationReport(compositions=tuple(comps), failures=tuple(failures))
 
 
 def euler_characteristic(C: ChainComplex) -> int:
@@ -339,10 +338,6 @@ def five_complex_report(C: ChainComplex) -> FiveComplexReport:
     return FiveComplexReport(valid, length_ok, exact1, exact4, bottom, top, euler_characteristic(C))
 
 
-def is_five_complex(C: ChainComplex) -> bool:
-    return five_complex_report(C).is_member
-
-
 # -- chain maps and homotopies -----------------------------------------
 
 
@@ -367,10 +362,6 @@ class ChainMap:
                     f"component {i} has shape {f.rows}x{f.cols}, expected "
                     f"{self.target.ranks[i]}x{self.source.ranks[i]}"
                 )
-
-    def component(self, i: int) -> GRMatrix:
-        return self.components[i]
-
 
 def identity_map(C: ChainComplex) -> ChainMap:
     return ChainMap(C, C, tuple(GRMatrix.identity(C.group, r) for r in C.ranks))

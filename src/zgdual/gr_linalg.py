@@ -195,22 +195,6 @@ class GRMatrix:
         )
 
 
-def gr_compose(A: GRMatrix, B: GRMatrix) -> GRMatrix:
-    return A @ B
-
-
-def dual_matrix(A: GRMatrix) -> GRMatrix:
-    return A.dual()
-
-
-def expand_regular(A: GRMatrix) -> IntegerMatrix:
-    return A.expand()
-
-
-def augment_matrix(A: GRMatrix) -> IntegerMatrix:
-    return A.augmented()
-
-
 def _fold_columns(group: FiniteGroup, X: IntegerMatrix, gr_cols: int) -> GRMatrix:
     # inverse of the coefficient-stacking used by expand(): row block j of X
     # holds the coefficient vector of entry (j, l)

@@ -35,7 +35,8 @@ class FiniteGroup:
     """A finite group given by its multiplication table on indices 0..N-1.
 
     ``mul_table[i][j]`` is the index of g_i * g_j.  ``inv_table[i]`` is the
-    index of the two-sided inverse of g_i.
+    index of the two-sided inverse of g_i.  ``is_cyclic`` is True exactly
+    when the table is the standard cyclic one, element i standing for t^i.
     """
 
     order: int
@@ -43,28 +44,22 @@ class FiniteGroup:
     inv_table: tuple[int, ...]
     identity_index: int
     associativity_verified: bool = field(default=True, compare=False)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.mul_table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inv_table[i]
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
+    is_cyclic: bool = field(default=False, compare=False)
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
+
+
+def _cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     """The cyclic group of order n, element i standing for t^i."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     inv = tuple((n - i) % n for i in range(n))
-    return FiniteGroup(order=n, mul_table=mul, inv_table=inv, identity_index=0)
+    return FiniteGroup(order=n, mul_table=_cyclic_table(n), inv_table=inv, identity_index=0, is_cyclic=True)
 
 
 def group_from_table(mul_table) -> FiniteGroup:
@@ -129,6 +124,7 @@ def group_from_table(mul_table) -> FiniteGroup:
         inv_table=tuple(inv),
         identity_index=identity,
         associativity_verified=verified,
+        is_cyclic=table == _cyclic_table(n),
     )
 
 
@@ -245,14 +241,6 @@ def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
                 if bj:
                     c[row[j]] += ai * bj
     return GroupRingElement(a.group, tuple(c))
-
-
-def gr_involute(a: GroupRingElement) -> GroupRingElement:
-    return a.involute()
-
-
-def augmentation(a: GroupRingElement) -> int:
-    return a.augmentation()
 
 
 def norm_element(group: FiniteGroup) -> GroupRingElement:

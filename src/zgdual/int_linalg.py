@@ -228,10 +228,6 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     return SmithDecomposition(U=Um, D=D, V=Vm, diagonal=diagonal)
 
 
-def rank(A: IntegerMatrix) -> int:
-    return smith_normal_form(A).rank
-
-
 def determinant(A: IntegerMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     if A.rows != A.cols:
@@ -379,10 +375,6 @@ def lll_reduce(rows: list[list[int]], delta=(3, 4)) -> ReducedLattice:
                 size_reduce(k, l)
             k += 1
     return ReducedLattice(b, d, lam)
-
-
-def lll_reduce_rows(rows: list[list[int]], delta=(3, 4)) -> list[list[int]]:
-    return lll_reduce(rows, delta).basis
 
 
 def babai_nearest(red: ReducedLattice, target: list[int]) -> list[int]:

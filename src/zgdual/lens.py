@@ -95,6 +95,18 @@ class AsdUnit:
     beta_inv: GroupRingElement
 
 
+def asd_status(n: int) -> str:
+    """The anti-self-duality status of L(n;1,1): "obstructed" for even n
+    (the parity obstruction), "anti-self-dual" for n = 4k+1 with k >= 1
+    (the representative of lens_asd_transform), "unknown" otherwise.
+    """
+    if n % 2 == 0:
+        return "obstructed"
+    if n % 4 == 1 and n >= 5:
+        return "anti-self-dual"
+    return "unknown"
+
+
 def asd_unit(n: int) -> AsdUnit:
     """The unit beta and antisymmetric form alpha for n = 4k+1.
 
@@ -102,7 +114,7 @@ def asd_unit(n: int) -> AsdUnit:
     beta (1 - t^-1) == alpha, Sigma beta == Sigma,
     alpha (t^{1+k} + t^{1-k}) == t^2 - 1, and beta beta_inv == 1.
     """
-    if n < 5 or n % 4 != 1:
+    if asd_status(n) != "anti-self-dual":
         raise ValueError(f"anti-self-dual units exist for n = 4k+1, k >= 1; got n={n}")
     k = (n - 1) // 4
     G = cyclic_group(n)
@@ -201,41 +213,16 @@ def lens_asd_transform(n: int) -> AsdTransform:
 
 @dataclass(frozen=True)
 class LensInstance:
-    """A lens complex with its duality map and optional anti-self-dual data."""
+    """A lens complex with its duality map and, for n = 4k+1, the
+    anti-self-dual transform."""
 
     n: int
     complex: ChainComplex
     phi: ChainMap
-    k: int | None = None
-    alpha: GroupRingElement | None = None
-    beta: GroupRingElement | None = None
-    beta_inv: GroupRingElement | None = None
-    x: GroupRingElement | None = None
     asd: AsdTransform | None = None
 
 
-def lens_instance(n: int, with_asd: bool | None = None) -> LensInstance:
-    """Build L(n;1,1); include the anti-self-dual transform when n = 4k+1.
-
-    ``with_asd=None`` means "when available"; True insists (and raises for
-    other n); False skips the construction.
-    """
-    A = lens_complex(n)
-    phi = lens_duality_map(n)
-    eligible = n % 4 == 1 and n >= 5
-    if with_asd is True and not eligible:
-        raise ValueError(f"n={n} is not of the form 4k+1")
-    if with_asd is False or not eligible:
-        return LensInstance(n=n, complex=A, phi=phi)
-    asd = lens_asd_transform(n)
-    return LensInstance(
-        n=n,
-        complex=A,
-        phi=phi,
-        k=(n - 1) // 4,
-        alpha=asd.unit.alpha,
-        beta=asd.unit.beta,
-        beta_inv=asd.unit.beta_inv,
-        x=asd.x,
-        asd=asd,
-    )
+def lens_instance(n: int) -> LensInstance:
+    """Build L(n;1,1); include the anti-self-dual transform when n = 4k+1."""
+    asd = lens_asd_transform(n) if asd_status(n) == "anti-self-dual" else None
+    return LensInstance(n=n, complex=lens_complex(n), phi=lens_duality_map(n), asd=asd)

@@ -34,8 +34,7 @@ def canonical_dumps(obj) -> str:
 
 
 def group_to_json(group: FiniteGroup) -> dict:
-    cyc = cyclic_group(group.order)
-    if cyc.mul_table == group.mul_table:
+    if group.is_cyclic:
         return {"type": "cyclic", "order": group.order}
     return {"type": "table", "mul": [list(row) for row in group.mul_table]}
 
@@ -60,7 +59,7 @@ def element_to_json(e: GroupRingElement) -> list:
 def element_from_json(group: FiniteGroup, terms) -> GroupRingElement:
     """Term-list form; cyclic groups also accept polynomial strings."""
     if isinstance(terms, str):
-        if cyclic_group(group.order).mul_table != group.mul_table:
+        if not group.is_cyclic:
             raise ValueError("polynomial strings are only defined for cyclic groups")
         return parse_poly(group, terms)
     return GroupRingElement.from_terms(group, [(int(c), int(i)) for c, i in terms])

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from zgdual.cli import main
-from zgdual.complexes import validate_complex
+from zgdual.complexes import ChainComplex, validate_complex
+from zgdual.group_core import GroupRingElement
+from zgdual.gr_linalg import GRMatrix
 from zgdual.lens import lens_complex, lens_duality_map
 from zgdual.serialize import (
     canonical_dumps,
@@ -180,6 +182,27 @@ class TestDualformCommand:
         result = complex_from_json(json.loads(out_file.read_text()))
         assert validate_complex(result).ok
         assert result.ranks == (2, 4, 6, 6, 4, 2)
+
+    def test_twisted_lens_assembly_round_trip(self, capsys, tmp_path):
+        # the tail and dual head of this stage-6 complex differ by a unit
+        # twist, so assembly needs a non-identity chain isomorphism
+        A = lens_complex(5)
+        G = A.group
+        u = GRMatrix.one_by_one(GroupRingElement.basis(G, 1))
+        u_inv = GRMatrix.one_by_one(GroupRingElement.basis(G, 4))
+        d1, d2, *rest = A.differentials
+        twisted = ChainComplex(G, A.ranks, (d1 @ u_inv, u @ d2, *rest), A.top_generator, A.bottom_generator)
+        path = tmp_path / "twisted5.json"
+        path.write_text(canonical_dumps(complex_to_json(twisted)))
+        out_file = tmp_path / "assembled.json"
+        code, out, _ = run(capsys, "dualform", str(path), "--assemble", "-o", str(out_file), "--json")
+        assert code == 0
+        assert json.loads(out)["assembled"] is True
+        code, out, _ = run(capsys, "check", str(out_file), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert all(v["pass"] for v in report["verdicts"])
+        assert report["dual_form"]["recognized"] is True
 
     def test_pipeline_requires_membership(self, capsys, tmp_path):
         data = complex_to_json(lens_complex(3))

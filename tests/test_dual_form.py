@@ -65,6 +65,16 @@ def twisted_lens(n):
     return ChainComplex(G, A.ranks, tuple(diffs), A.top_generator, A.bottom_generator)
 
 
+def stage6_segments(C):
+    """The tail and the dual head of the stage-6 complex of C."""
+    pipe = to_dual_form_stage6(C)
+    return tail_segment(pipe.complex), dual_head_segment(pipe.complex)
+
+
+def identity_triple(segment):
+    return tuple(GRMatrix.identity(segment.group, r) for r in segment.ranks)
+
+
 class TestStabilize:
     def test_zero_is_identity(self):
         A = lens_complex(5)
@@ -324,6 +334,29 @@ class TestChainIsomorphismSolver:
         assert iso is not None
         for i in (1, 2):
             assert twisted_head.boundary(i) @ iso.h[i] == iso.h[i - 1] @ tail.boundary(i)
+        # decided by the second trial, the Babai point nearest the identity
+        assert solve_chain_isomorphism(tail, twisted_head, budget=1) is None
+        iso = solve_chain_isomorphism(tail, twisted_head, budget=2)
+        assert iso is not None
+        assert iso.h != identity_triple(tail)
+
+    # The search tries the identity, then the Babai point nearest the
+    # identity; every instance here is decided by one of those two trials.
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_lens_identity_within_one_trial(self, n):
+        tail, head = stage6_segments(lens_complex(n))
+        iso = solve_chain_isomorphism(tail, head, budget=1)
+        assert iso is not None
+        assert iso.h == identity_triple(tail)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_twisted_lens_needs_the_second_trial(self, n):
+        tail, head = stage6_segments(twisted_lens(n))
+        assert solve_chain_isomorphism(tail, head, budget=1) is None
+        iso = solve_chain_isomorphism(tail, head, budget=2)
+        assert iso is not None
+        assert iso.h != identity_triple(tail)
 
     def test_shape_mismatch(self):
         p5 = to_dual_form_stage6(lens_complex(5))

@@ -12,6 +12,7 @@ from zgdual.group_core import GroupRingElement, cyclic_group, gr_mul, norm_eleme
 from zgdual.gr_linalg import GRMatrix
 from zgdual.int_linalg import AbelianGroupInfo
 from zgdual.lens import (
+    asd_status,
     asd_unit,
     lens_asd_transform,
     lens_complex,
@@ -177,19 +178,26 @@ class TestLensInstance:
     def test_plain(self):
         inst = lens_instance(6)
         assert inst.asd is None
-        assert inst.beta is None
+        assert asd_status(6) == "obstructed"
 
     def test_with_asd(self):
         inst = lens_instance(13)
-        assert inst.k == 3
         assert inst.asd is not None
-        assert gr_mul(inst.beta, inst.beta_inv) == GroupRingElement.one(inst.complex.group)
+        # alpha = t^{k+1} + t^k - t^-k - t^-(k+1) with k = 3
+        assert inst.asd.unit.alpha.terms() == [[1, 3], [1, 4], [-1, 9], [-1, 10]]
+        unit = inst.asd.unit
+        assert gr_mul(unit.beta, unit.beta_inv) == GroupRingElement.one(inst.complex.group)
 
     def test_three_mod_four_has_no_construction(self):
         inst = lens_instance(7)
         assert inst.asd is None
-        with pytest.raises(ValueError):
-            lens_instance(7, with_asd=True)
+        assert asd_status(7) == "unknown"
+
+    def test_asd_status_rule(self):
+        for n in range(2, 40):
+            expected = "obstructed" if n % 2 == 0 else "anti-self-dual" if n % 4 == 1 else "unknown"
+            assert asd_status(n) == expected
+            assert (lens_instance(n).asd is not None) == (expected == "anti-self-dual")
 
     def test_homology_spec_values(self):
         inst = lens_instance(5)

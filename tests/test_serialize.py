@@ -38,6 +38,23 @@ class TestGroupJson:
         with pytest.raises(ValueError):
             group_from_json({"type": "free"})
 
+    def test_standard_cyclic_table_serializes_as_cyclic(self):
+        table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+        G = group_from_json({"type": "table", "mul": table})
+        assert G.is_cyclic
+        assert group_to_json(G) == {"type": "cyclic", "order": 4}
+        A = matrix_from_json(G, {"rows": 1, "cols": 1, "entries": [["1 - t^3"]]})
+        assert A == GRMatrix.one_by_one(GroupRingElement.from_terms(G, [(1, 0), (-1, 3)]))
+
+    def test_relabelled_cyclic_table_is_not_standard(self):
+        # C_4 with the labels of t and t^2 swapped: isomorphic, not the t^i table
+        p = [0, 2, 1, 3]
+        G = group_from_json({"type": "table", "mul": [[p[(p[i] + p[j]) % 4] for j in range(4)] for i in range(4)]})
+        assert not G.is_cyclic
+        assert group_to_json(G)["type"] == "table"
+        with pytest.raises(ValueError):
+            matrix_from_json(G, {"rows": 1, "cols": 1, "entries": [["1 - t"]]})
+
 
 class TestMatrixJson:
     def test_round_trip_with_zero_shape(self):
