@@ -103,16 +103,14 @@ def _cmd_check(args, report):
         )
         verdicts.append(_verdict("euler_characteristic_zero", rep.euler == 0, info=str(rep.euler)))
         gate = rep.is_member
-        view = dual_form.recognize_dual_form(C)
-        if view is not None:
-            report["dual_form"] = {"recognized": True, "j_rank": view.j_rank, "form_rank": view.form_rank}
-        else:
-            report["dual_form"] = {
-                "recognized": False,
-                "reasons": list(dual_form.dual_form_mismatch_reasons(C)),
-            }
+    view = dual_form.recognize_dual_form(C)
+    if view is not None:
+        report["dual_form"] = {"recognized": True, "j_rank": view.j_rank, "form_rank": view.form_rank}
     else:
-        report["dual_form"] = {"recognized": False, "reasons": ["complex does not have six modules"]}
+        report["dual_form"] = {
+            "recognized": False,
+            "reasons": list(dual_form.dual_form_mismatch_reasons(C)),
+        }
     return EXIT_OK if gate else EXIT_CHECK_FAILED
 
 
@@ -123,7 +121,14 @@ def _cmd_homology(args, report):
         raise UsageError(f"degree out of range 0..{C.top_degree}")
     table = {}
     for d in degrees:
-        info = complexes.homology(C, d, args.coefficients)
+        try:
+            info = complexes.homology(C, d, args.coefficients)
+        except ValueError as exc:
+            # the first degree, in ascending order, whose maps do not compose to 0
+            report["verdicts"].append(
+                _verdict("homology_computed", False, info=args.coefficients, witness=[str(exc)])
+            )
+            return EXIT_CHECK_FAILED
         table[str(d)] = str(info)
     report["homology"] = {"coefficients": args.coefficients, "groups": table}
     report["verdicts"].append(_verdict("homology_computed", True, info=args.coefficients))

@@ -18,20 +18,29 @@ boundary map to its integer matrix on Z-bases (homology of the universal
 cover), "trivial" applies the augmentation entrywise (homology of the base).
 Augmented ends are never included: degree 0 is a cokernel, the top degree a
 kernel, exactly as for the raw complex.
+
+Each complex expands and reduces every differential at most once: the
+integer matrices, their Smith forms and the d.d == 0 checks are memoized
+on the instance (never across instances), and homology, the end reports,
+dual-form recognition, the obstruction and the normalizer's lifts all read
+that one memo.  Smith forms carry transforms only where a reader needs
+them: the U row of boundary(1), the V columns of boundary(top), the lifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import gcd
 
 from zgdual.group_core import FiniteGroup
-from zgdual.gr_linalg import GRMatrix
+from zgdual.gr_linalg import GRMatrix, fold_columns, stack_columns
 from zgdual.int_linalg import (
     AbelianGroupInfo,
     IntegerMatrix,
-    homology_pair,
-    kernel_basis,
+    SmithDecomposition,
+    back_substitute,
+    homology_from_invariants,
     smith_normal_form,
 )
 
@@ -74,6 +83,83 @@ class ChainComplex:
             raise ValueError(f"no boundary map at degree {i}")
         return self.differentials[i - 1]
 
+    @cached_property
+    def _memo(self) -> dict:
+        # lives in the instance __dict__, outside the fields: eq, hash,
+        # replace() and every constructor start a new complex without it
+        return {}
+
+    def integer_matrix(self, i: int, coefficients: str = "integral") -> IntegerMatrix:
+        """boundary(i) on Z-bases, built once: expanded for "integral"
+        coefficients, augmented for "trivial".  i = 0 and i = top_degree + 1
+        give the empty maps F_0 -> 0 and 0 -> F_top.
+        """
+        if coefficients not in COEFFS:
+            raise ValueError(f"coefficients must be one of {COEFFS}")
+        if not 0 <= i <= self.top_degree + 1:
+            raise ValueError(f"no boundary map at degree {i}")
+        key = ("matrix", i, coefficients)
+        M = self._memo.get(key)
+        if M is None:
+            scale = self.group.order if coefficients == "integral" else 1
+            if i == 0:
+                M = IntegerMatrix(0, self.ranks[0] * scale, ())
+            elif i > self.top_degree:
+                n = self.ranks[-1] * scale
+                M = IntegerMatrix(n, 0, tuple(() for _ in range(n)))
+            elif coefficients == "integral":
+                M = self.boundary(i).expand()
+            else:
+                M = self.boundary(i).augmented()
+            self._memo[key] = M
+        return M
+
+    def reduction(self, i: int, coefficients: str = "integral", transforms: bool = False) -> SmithDecomposition:
+        """Smith normal form of integer_matrix(i), computed once.
+
+        With ``transforms`` the full U and V are kept; a decomposition with
+        transforms also answers every later transform-free request.
+        """
+        memo = self._memo
+        snf = memo.get(("full", i, coefficients))
+        if snf is None and not transforms:
+            snf = memo.get(("diagonal", i, coefficients))
+        if snf is None:
+            snf = smith_normal_form(self.integer_matrix(i, coefficients), transforms=transforms)
+            memo[("full" if transforms else "diagonal", i, coefficients)] = snf
+        return snf
+
+    def composition_zero(self, i: int, coefficients: str = "integral") -> bool:
+        """boundary(i) . boundary(i+1) == 0, for 1 <= i < top_degree.
+
+        Integral: the product over Z[G], which vanishes exactly when the
+        expanded product does (expansion is a faithful ring map).  Trivial:
+        the product of the augmented matrices.
+        """
+        if not 1 <= i < self.top_degree:
+            raise ValueError(f"no composition at degree {i}")
+        key = ("composition", i, coefficients)
+        ok = self._memo.get(key)
+        if ok is None:
+            if coefficients == "integral":
+                ok = (self.boundary(i) @ self.boundary(i + 1)).is_zero
+            else:
+                ok = (self.integer_matrix(i, coefficients) @ self.integer_matrix(i + 1, coefficients)).is_zero
+            self._memo[key] = ok
+        return ok
+
+    def solve_boundary(self, i: int, B: GRMatrix):
+        """An X over Z[G] with boundary(i) @ X == B, or None when none exists.
+
+        solve_gr_linear against boundary(i), back-substituted through the
+        memoized reduction of its expansion.
+        """
+        d = self.boundary(i)
+        if B.group != self.group or B.rows != d.rows:
+            raise ValueError(f"right-hand side does not match boundary({i})")
+        X = back_substitute(self.reduction(i, transforms=True), stack_columns(B))
+        return None if X is None else fold_columns(self.group, X, d.cols)
+
     def with_generators(self, top, bottom) -> ChainComplex:
         return replace(
             self,
@@ -99,8 +185,7 @@ def validate_complex(C: ChainComplex) -> ValidationReport:
     comps = []
     failures = []
     for i in range(1, C.top_degree):
-        prod = C.boundary(i) @ C.boundary(i + 1)
-        ok = prod.is_zero
+        ok = C.composition_zero(i)
         comps.append((i, ok))
         if not ok:
             failures.append(f"boundary({i}) . boundary({i + 1}) is nonzero at degree {i}")
@@ -134,36 +219,30 @@ def dualize_complex(C: ChainComplex) -> ChainComplex:
     )
 
 
-# -- integer matrices of a complex ------------------------------------
-
-
-def _degree_matrices(C: ChainComplex, degree: int, coefficients: str):
-    """(incoming, outgoing) integer matrices at ``degree``; ends are empty maps."""
-    if coefficients not in COEFFS:
-        raise ValueError(f"coefficients must be one of {COEFFS}")
-    if not 0 <= degree <= C.top_degree:
-        raise ValueError(f"degree {degree} out of range 0..{C.top_degree}")
-    scale = C.group.order if coefficients == "integral" else 1
-
-    def mat(i):
-        d = C.boundary(i)
-        return d.expand() if coefficients == "integral" else d.augmented()
-
-    n_here = C.ranks[degree] * scale
-    if degree < C.top_degree:
-        incoming = mat(degree + 1)
-    else:
-        incoming = IntegerMatrix(n_here, 0, tuple(() for _ in range(n_here)))
-    if degree > 0:
-        outgoing = mat(degree)
-    else:
-        outgoing = IntegerMatrix(0, n_here, ())
-    return incoming, outgoing
+# -- homology ------------------------------------------------------------
 
 
 def homology(C: ChainComplex, degree: int, coefficients: str = "integral") -> AbelianGroupInfo:
-    incoming, outgoing = _degree_matrices(C, degree, coefficients)
-    return homology_pair(incoming, outgoing)
+    """ker(boundary(degree)) / im(boundary(degree+1)) by the rank identity
+    of int_linalg.homology_from_invariants, from C's memoized reductions.
+
+    Raises ValueError when the two maps at the spot do not compose to zero
+    (see ChainComplex.composition_zero); other spots still answer.
+    """
+    if coefficients not in COEFFS:
+        raise ValueError(f"coefficients must be one of {COEFFS}")
+    T = C.top_degree
+    if not 0 <= degree <= T:
+        raise ValueError(f"degree {degree} out of range 0..{T}")
+    if 0 < degree < T and not C.composition_zero(degree, coefficients):
+        raise ValueError(
+            f"boundary({degree}) . boundary({degree + 1}) is nonzero at degree {degree}: "
+            "not a complex at this spot"
+        )
+    middle = C.ranks[degree] * (C.group.order if coefficients == "integral" else 1)
+    outgoing_rank = C.reduction(degree, coefficients).rank if degree > 0 else 0
+    incoming = C.reduction(degree + 1, coefficients).diagonal if degree < T else ()
+    return homology_from_invariants(middle, outgoing_rank, incoming)
 
 
 def cohomology(C: ChainComplex, degree: int, coefficients: str = "integral") -> AbelianGroupInfo:
@@ -220,24 +299,17 @@ def _blocks_constant(vec, rank, N):
 
 def bottom_end_report(C: ChainComplex) -> EndReport:
     """coker(boundary(1)) with its G-action; derives or validates the certificate."""
-    G = C.group
-    N = G.order
+    N = C.group.order
     r0 = C.ranks[0]
-    n0 = r0 * N
-    if C.top_degree >= 1:
-        E = C.boundary(1).expand()
-    else:
-        E = IntegerMatrix(n0, 0, tuple(() for _ in range(n0)))
-    zero_out = IntegerMatrix(0, n0, ())
-    info = homology_pair(E, zero_out)
+    snf = C.reduction(1, transforms=True)
+    info = homology_from_invariants(r0 * N, 0, snf.diagonal)
     is_z = info == AbelianGroupInfo.free(1)
 
     generator = None
     trivial = False
     if is_z:
-        snf = smith_normal_form(E)
-        w = list(snf.U.entries[snf.rank])
-        b = _blocks_constant(w, r0, N)
+        # the row of U past the rank is the functional spanning coker = Z
+        b = _blocks_constant(snf.U.entries[snf.rank], r0, N)
         trivial = b is not None
         if trivial:
             generator = _normalize_sign(b)
@@ -246,8 +318,8 @@ def bottom_end_report(C: ChainComplex) -> EndReport:
     if C.bottom_generator is not None:
         b = C.bottom_generator
         cert_valid = gcd(*b, 0) == 1 if b else False
-        if C.top_degree >= 1 and cert_valid:
-            aug = C.boundary(1).augmented()
+        if cert_valid:
+            aug = C.integer_matrix(1, "trivial")
             cert_valid = all(
                 sum(b[i] * aug.entries[i][k] for i in range(r0)) == 0 for k in range(aug.cols)
             )
@@ -258,24 +330,19 @@ def bottom_end_report(C: ChainComplex) -> EndReport:
 
 def top_end_report(C: ChainComplex) -> EndReport:
     """ker(boundary(top)) with its G-action; derives or validates the certificate."""
-    G = C.group
-    N = G.order
+    N = C.group.order
     T = C.top_degree
     rt = C.ranks[T]
-    nt = rt * N
-    if T >= 1:
-        E = C.boundary(T).expand()
-    else:
-        E = IntegerMatrix(0, nt, ())
-    K = kernel_basis(E)
-    info = AbelianGroupInfo.free(K.cols)
-    is_z = K.cols == 1
+    snf = C.reduction(T, transforms=True)
+    nullity = rt * N - snf.rank
+    info = AbelianGroupInfo.free(nullity)
+    is_z = nullity == 1
 
     generator = None
     trivial = False
     if is_z:
-        u = [K.entries[i][0] for i in range(nt)]
-        m = _blocks_constant(u, rt, N)
+        # the column of V past the rank spans the (pure) kernel
+        m = _blocks_constant(snf.V.column(snf.rank), rt, N)
         trivial = m is not None
         if trivial:
             generator = _normalize_sign(m)
@@ -284,8 +351,8 @@ def top_end_report(C: ChainComplex) -> EndReport:
     if C.top_generator is not None:
         m = C.top_generator
         cert_valid = gcd(*m, 0) == 1 if m else False
-        if T >= 1 and cert_valid:
-            aug = C.boundary(T).augmented()
+        if cert_valid:
+            aug = C.integer_matrix(T, "trivial")
             cert_valid = all(
                 sum(aug.entries[i][j] * m[j] for j in range(rt)) == 0 for i in range(aug.rows)
             )
@@ -331,10 +398,11 @@ def five_complex_report(C: ChainComplex) -> FiveComplexReport:
     valid = validate_complex(C).ok
     if not (length_ok and valid):
         return FiveComplexReport(valid, length_ok, False, False, None, None, euler_characteristic(C))
-    exact1 = homology(C, 1, "integral").is_trivial
-    exact4 = homology(C, 4, "integral").is_trivial
+    # the ends first: their reductions keep transforms, which homology reuses
     bottom = bottom_end_report(C)
     top = top_end_report(C)
+    exact1 = homology(C, 1, "integral").is_trivial
+    exact4 = homology(C, 4, "integral").is_trivial
     return FiveComplexReport(valid, length_ok, exact1, exact4, bottom, top, euler_characteristic(C))
 
 

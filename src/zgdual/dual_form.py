@@ -39,14 +39,8 @@ from zgdual.complexes import (
     validate_complex,
     verify_homotopy,
 )
-from zgdual.gr_linalg import GRMatrix, invert_gr_matrix, solve_gr_linear
-from zgdual.int_linalg import (
-    IntegerMatrix,
-    babai_nearest,
-    kernel_basis,
-    lll_reduce,
-    smith_normal_form,
-)
+from zgdual.gr_linalg import GRMatrix, invert_gr_matrix
+from zgdual.int_linalg import IntegerMatrix, babai_nearest, kernel_basis, lll_reduce
 
 
 # -- stabilization and simple homotopy moves ---------------------------
@@ -317,12 +311,11 @@ def recognize_dual_form(C: ChainComplex):
     """The DualFormView of C, or None when C is not in dual form."""
     if dual_form_mismatch_reasons(C):
         return None
-    G = C.group
     d1 = C.boundary(1)
     d2 = C.boundary(2)
     d3 = C.boundary(3)
-    j_rank = G.order * C.ranks[2] - smith_normal_form(d2.expand()).rank
-    form_rank = smith_normal_form(d3.expand()).rank
+    j_rank = C.group.order * C.ranks[2] - C.reduction(2).rank
+    form_rank = C.reduction(3).rank
     return DualFormView(base=C, d1=d1, d2=d2, d3=d3, j_rank=j_rank, form_rank=form_rank)
 
 
@@ -394,8 +387,8 @@ def _diag_aug_residue(A: GRMatrix) -> int:
     return total % order
 
 
-def _solve_or_fail(A: GRMatrix, B: GRMatrix, what: str) -> GRMatrix:
-    X = solve_gr_linear(A, B)
+def _solve_or_fail(C: ChainComplex, i: int, B: GRMatrix, what: str) -> GRMatrix:
+    X = C.solve_boundary(i, B)
     if X is None:
         raise ValueError(f"lift {what} is unsolvable; the input is not a duality equivalence "
                          "over an algebraic 5-complex in dual form")
@@ -434,10 +427,11 @@ def normalize_duality(view: DualFormView, phi: ChainMap) -> NormalizedDuality:
     one1 = GRMatrix.identity(G, r1)
     p0, p1, p2, p3, p4, p5 = phi.components
 
-    I0 = _solve_or_fail(d1, one0 - p0, "I0")
-    I1 = _solve_or_fail(d2, one1 - p1 - I0 @ d1, "I1")
-    I4_dual = _solve_or_fail(d1, -one0 - p5.dual(), "I4*")
-    I3_dual = _solve_or_fail(d2, -one1 - p4.dual() - I4_dual @ d1, "I3*")
+    # the lifts solve against boundary(1) and boundary(2), reduced once on C
+    I0 = _solve_or_fail(C, 1, one0 - p0, "I0")
+    I1 = _solve_or_fail(C, 2, one1 - p1 - I0 @ d1, "I1")
+    I4_dual = _solve_or_fail(C, 1, -one0 - p5.dual(), "I4*")
+    I3_dual = _solve_or_fail(C, 2, -one1 - p4.dual() - I4_dual @ d1, "I3*")
     I4 = I4_dual.dual()
     I3 = I3_dual.dual()
     I2 = GRMatrix.zeros(G, r2, r2)

@@ -195,9 +195,22 @@ class GRMatrix:
         )
 
 
-def _fold_columns(group: FiniteGroup, X: IntegerMatrix, gr_cols: int) -> GRMatrix:
-    # inverse of the coefficient-stacking used by expand(): row block j of X
-    # holds the coefficient vector of entry (j, l)
+def stack_columns(B: GRMatrix) -> IntegerMatrix:
+    """Integer coordinates of the Z[G]-columns of B, stacked as in expand().
+
+    Row block i holds the coefficient vectors of row i, so for any A,
+    expand(A) @ stack_columns(X) == stack_columns(A @ X).
+    """
+    N = B.group.order
+    rows = []
+    for i in range(B.rows):
+        for a in range(N):
+            rows.append(tuple(B.entries[i][j].coeffs[a] for j in range(B.cols)))
+    return IntegerMatrix(B.rows * N, B.cols, tuple(rows)) if rows else IntegerMatrix(0, B.cols, ())
+
+
+def fold_columns(group: FiniteGroup, X: IntegerMatrix, gr_cols: int) -> GRMatrix:
+    """Inverse of stack_columns: the gr_cols x X.cols matrix over Z[G]."""
     N = group.order
     grid = []
     for j in range(gr_cols):
@@ -219,18 +232,10 @@ def solve_gr_linear(A: GRMatrix, B: GRMatrix):
     A._check_group(B)
     if A.rows != B.rows:
         raise ValueError(f"A has {A.rows} rows but B has {B.rows}")
-    N = A.group.order
-    E = A.expand()
-    # stack each Z[G] column of B into integer coordinates
-    rows = []
-    for i in range(B.rows):
-        for a in range(N):
-            rows.append(tuple(B.entries[i][j].coeffs[a] for j in range(B.cols)))
-    Bint = IntegerMatrix(B.rows * N, B.cols, tuple(rows)) if rows else IntegerMatrix(0, B.cols, ())
-    X = solve_integer(E, Bint)
+    X = solve_integer(A.expand(), stack_columns(B))
     if X is None:
         return None
-    return _fold_columns(A.group, X, A.cols)
+    return fold_columns(A.group, X, A.cols)
 
 
 def invert_gr_matrix(A: GRMatrix):

@@ -5,6 +5,12 @@ Empty matrices (zero rows or columns) are first class: rank-0 modules occur
 at the ends of chain complexes, so all conventions below degrade gracefully.
 For the empty cases: the SNF of a matrix with no nonzero entry has an empty
 invariant-factor list, and a kernel basis of a 0 x n matrix is the identity.
+
+Homology needs no transforms.  At a spot Z^m between two maps with
+outgoing @ incoming == 0, ker/im has free rank m - rank(outgoing) -
+rank(incoming), and its torsion is the invariant factors of incoming that
+exceed 1 (see homology_from_invariants); both come from
+smith_normal_form(..., transforms=False), which skips the U/V bookkeeping.
 """
 
 from __future__ import annotations
@@ -93,6 +99,9 @@ class SmithDecomposition:
 
     ``diagonal`` lists the nonzero invariant factors d_1 | d_2 | ... ; the
     remaining diagonal entries of D are zero, so rank(A) == len(diagonal).
+    A decomposition made with ``transforms=False`` carries no transforms:
+    its U and V are empty 0 x 0 matrices, and only D, ``diagonal`` and
+    ``rank`` describe A.
     """
 
     U: IntegerMatrix
@@ -105,49 +114,61 @@ class SmithDecomposition:
         return len(self.diagonal)
 
 
-def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
+def smith_normal_form(A: IntegerMatrix, transforms: bool = True) -> SmithDecomposition:
     """Diagonalize A by unimodular row/column operations.
 
     Pivoting picks the minimum-absolute-value nonzero entry of the live
     block, which keeps coefficient growth in check on the small dense
-    matrices produced by group-ring expansion.
+    matrices produced by group-ring expansion.  With ``transforms=False``
+    the row and column operations are not recorded: the invariant factors
+    and the rank are the same, U and V come back as 0 x 0 matrices.
+
+    Every row and column operation at step t touches only the live block:
+    entries left of column t and above row t are already zero there.
     """
     m, n = A.rows, A.cols
     M = [list(row) for row in A.entries]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transforms else None
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transforms else None
+    t = 0
 
     def row_axpy(dst, src, q):
         # row dst += q * row src, mirrored on U
         Md, Ms = M[dst], M[src]
-        for j in range(n):
+        for j in range(t, n):
             Md[j] += q * Ms[j]
-        Ud, Us = U[dst], U[src]
-        for j in range(m):
-            Ud[j] += q * Us[j]
+        if U is not None:
+            Ud, Us = U[dst], U[src]
+            for j in range(m):
+                Ud[j] += q * Us[j]
 
     def col_axpy(dst, src, q):
-        for i in range(m):
-            M[i][dst] += q * M[i][src]
-        for i in range(n):
-            V[i][dst] += q * V[i][src]
+        for i in range(t, m):
+            Mi = M[i]
+            Mi[dst] += q * Mi[src]
+        if V is not None:
+            for Vi in V:
+                Vi[dst] += q * Vi[src]
 
     def row_swap(a, b):
         M[a], M[b] = M[b], M[a]
-        U[a], U[b] = U[b], U[a]
+        if U is not None:
+            U[a], U[b] = U[b], U[a]
 
     def col_swap(a, b):
-        for i in range(m):
-            M[i][a], M[i][b] = M[i][b], M[i][a]
-        for i in range(n):
-            V[i][a], V[i][b] = V[i][b], V[i][a]
+        for i in range(t, m):
+            Mi = M[i]
+            Mi[a], Mi[b] = Mi[b], Mi[a]
+        if V is not None:
+            for Vi in V:
+                Vi[a], Vi[b] = Vi[b], Vi[a]
 
     def row_negate(a):
         M[a] = [-v for v in M[a]]
-        U[a] = [-v for v in U[a]]
+        if U is not None:
+            U[a] = [-v for v in U[a]]
 
     limit = min(m, n)
-    t = 0
     while t < limit:
         # locate min-abs nonzero pivot in the live block
         best = None
@@ -207,6 +228,8 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
                 continue
             # column and row are clear; enforce divisibility of the block
             p = M[t][t]
+            if p == 1:
+                break
             bad = None
             for i in range(t + 1, m):
                 Mi = M[i]
@@ -222,9 +245,12 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
         t += 1
 
     diagonal = tuple(M[i][i] for i in range(limit) if M[i][i])
-    D = IntegerMatrix.from_rows(M) if m else IntegerMatrix(0, n, ())
-    Um = IntegerMatrix.from_rows(U) if m else IntegerMatrix(0, 0, ())
-    Vm = IntegerMatrix.from_rows(V) if n else IntegerMatrix(0, 0, ())
+    D = IntegerMatrix(m, n, tuple(map(tuple, M)))
+    if not transforms:
+        empty = IntegerMatrix(0, 0, ())
+        return SmithDecomposition(U=empty, D=D, V=empty, diagonal=diagonal)
+    Um = IntegerMatrix(m, m, tuple(map(tuple, U)))
+    Vm = IntegerMatrix(n, n, tuple(map(tuple, V)))
     return SmithDecomposition(U=Um, D=D, V=Vm, diagonal=diagonal)
 
 
@@ -278,13 +304,23 @@ def solve_integer(A: IntegerMatrix, B: IntegerMatrix):
     """
     if A.rows != B.rows:
         raise ValueError(f"A has {A.rows} rows but B has {B.rows}")
-    snf = smith_normal_form(A)
+    return back_substitute(smith_normal_form(A), B)
+
+
+def back_substitute(snf: SmithDecomposition, B: IntegerMatrix):
+    """solve_integer for the matrix A that ``snf`` decomposes, reusing its
+    transforms (so ``snf`` must be made with transforms=True).
+
+    A @ X == B becomes D @ Y == U @ B with X == V @ Y; free coordinates of
+    Y are zero.
+    """
     r = snf.rank
     C = snf.U @ B
     diag = snf.diagonal
+    rows, cols = snf.D.rows, snf.D.cols
     # rows past the rank must vanish; divisibility on the rest
-    Y = [[0] * B.cols for _ in range(A.cols)]
-    for i in range(A.rows):
+    Y = [[0] * B.cols for _ in range(cols)]
+    for i in range(rows):
         row = C.entries[i]
         if i < r:
             d = diag[i]
@@ -296,7 +332,7 @@ def solve_integer(A: IntegerMatrix, B: IntegerMatrix):
         else:
             if any(row):
                 return None
-    Ym = IntegerMatrix.from_rows(Y) if A.cols else IntegerMatrix(0, B.cols, ())
+    Ym = IntegerMatrix.from_rows(Y) if cols else IntegerMatrix(0, B.cols, ())
     return snf.V @ Ym
 
 
@@ -450,11 +486,31 @@ class AbelianGroupInfo:
         return " + ".join(parts) if parts else "0"
 
 
+def homology_from_invariants(middle: int, outgoing_rank: int, incoming_factors) -> AbelianGroupInfo:
+    """ker(outgoing)/im(incoming) at a spot Z^middle, from two reductions.
+
+    The rank identity: ker(outgoing) is a pure sublattice of rank
+    middle - rank(outgoing), so Z^middle/ker(outgoing) is free and
+    0 -> ker/im -> Z^middle/im -> Z^middle/ker -> 0 splits.  Hence
+
+        free rank = middle - rank(outgoing) - rank(incoming)
+        torsion   = the invariant factors of incoming that exceed 1.
+
+    ``incoming_factors`` are the nonzero invariant factors of incoming, so
+    rank(incoming) == len(incoming_factors).  Neither map needs transforms.
+    """
+    return AbelianGroupInfo(
+        free_rank=middle - outgoing_rank - len(incoming_factors),
+        torsion=tuple(d for d in incoming_factors if d > 1),
+    )
+
+
 def homology_pair(incoming: IntegerMatrix, outgoing: IntegerMatrix) -> AbelianGroupInfo:
     """ker(outgoing)/im(incoming) where outgoing @ incoming == 0.
 
     ``incoming`` maps into the middle module Z^m (m = incoming.rows =
-    outgoing.cols); ``outgoing`` maps out of it.
+    outgoing.cols); ``outgoing`` maps out of it.  Two transform-free SNFs
+    and the rank identity of homology_from_invariants.
     """
     if incoming.rows != outgoing.cols:
         raise ValueError(
@@ -462,12 +518,8 @@ def homology_pair(incoming: IntegerMatrix, outgoing: IntegerMatrix) -> AbelianGr
         )
     if not (outgoing @ incoming).is_zero:
         raise ValueError("outgoing . incoming is nonzero: not a complex at this spot")
-    K = kernel_basis(outgoing)
-    # express im(incoming) in kernel coordinates; K spans a pure lattice so
-    # an integral expression always exists here
-    Y = solve_integer(K, incoming)
-    if Y is None:
-        raise AssertionError("image does not lie in the kernel lattice")
-    snf = smith_normal_form(Y)
-    torsion = tuple(d for d in snf.diagonal if d > 1)
-    return AbelianGroupInfo(free_rank=K.cols - snf.rank, torsion=torsion)
+    return homology_from_invariants(
+        incoming.rows,
+        smith_normal_form(outgoing, transforms=False).rank,
+        smith_normal_form(incoming, transforms=False).diagonal,
+    )

@@ -14,8 +14,11 @@ import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from zgdual.group_core import cyclic_group, group_from_table
+from zgdual.complexes import ChainComplex
+from zgdual.group_core import GroupRingElement, cyclic_group, group_from_table
+from zgdual.gr_linalg import GRMatrix
 from zgdual.int_linalg import IntegerMatrix
+from zgdual.lens import lens_complex
 
 
 # -- groups -------------------------------------------------------------
@@ -104,6 +107,88 @@ def groups():
     return small_groups()
 
 
+# -- complexes ------------------------------------------------------------
+
+
+def twisted_lens(n):
+    """Lens complex with the degree-1 basis scaled by the unit t.
+
+    Chain isomorphic to lens_complex(n) (so still an algebraic 5-complex)
+    but no longer literally in dual form.
+    """
+    A = lens_complex(n)
+    G = A.group
+    u = GRMatrix.one_by_one(GroupRingElement.basis(G, 1))
+    u_inv = GRMatrix.one_by_one(GroupRingElement.basis(G, n - 1))
+    diffs = list(A.differentials)
+    diffs[0] = diffs[0] @ u_inv
+    diffs[1] = u @ diffs[1]
+    return ChainComplex(G, A.ranks, tuple(diffs), A.top_generator, A.bottom_generator)
+
+
+def broken_lens(n):
+    """L(n) with boundary(2) replaced by the dual of boundary(1).
+
+    boundary(1) . boundary(2) and boundary(2) . boundary(3) are nonzero
+    over Z[C_n]; degrees 0, 3, 4 and 5 are still valid spots, and every
+    augmented composition vanishes.
+    """
+    A = lens_complex(n)
+    diffs = list(A.differentials)
+    diffs[1] = diffs[0].dual()
+    return ChainComplex(A.group, A.ranks, tuple(diffs), A.top_generator, A.bottom_generator)
+
+
+def _element_order(G, g):
+    k, x = 1, g
+    while x != G.identity_index:
+        x = G.mul_table[x][g]
+        k += 1
+    return k
+
+
+def subgroup_differentials(G, g, length):
+    """``length`` rank-1 differentials (1 - g), N_g, (1 - g), ... over Z[G].
+
+    N_g = 1 + g + ... + g^(k-1) with k the order of g, so consecutive maps
+    compose to 1 - g^k = 0: this is Z[G] tensored over the cyclic subgroup
+    <g> with its periodic resolution, a complex over any group.
+    """
+    one = GroupRingElement.one(G)
+    gen = GroupRingElement.basis(G, g)
+    norm, power = GroupRingElement.zero(G), one
+    for _ in range(_element_order(G, g)):
+        norm = norm + power
+        power = power * gen
+    pair = (one - gen, norm)
+    return [GRMatrix.one_by_one(pair[i % 2]) for i in range(length)]
+
+
+def sheared_sum_complex(G, g, h, shears, length=5):
+    """The direct sum of the subgroup complexes of g and h, each module's
+    basis changed by the unimodular shear P_i = [[1, s_i], [0, 1]].
+
+    boundary(i) becomes P_(i-1) . boundary(i) . P_i^-1, so the result is
+    isomorphic to the plain sum (same homology) but has dense entries.
+    ``shears`` holds length + 1 elements of Z[G], one per degree.
+    """
+    zero = GroupRingElement.zero(G)
+    one = GroupRingElement.one(G)
+    first = subgroup_differentials(G, g, length)
+    second = subgroup_differentials(G, h, length)
+
+    def shear(s):
+        return GRMatrix.from_rows(G, [[one, s], [zero, one]])
+
+    diffs = []
+    for i in range(length):
+        plain = GRMatrix.from_rows(
+            G, [[first[i].entries[0][0], zero], [zero, second[i].entries[0][0]]]
+        )
+        diffs.append(shear(shears[i]) @ plain @ shear(-shears[i + 1]))
+    return ChainComplex(G, (2,) * (length + 1), tuple(diffs))
+
+
 # -- independent oracles --------------------------------------------------
 
 
@@ -154,6 +239,22 @@ def oracle_homology(incoming: IntegerMatrix, outgoing: IntegerMatrix):
     free = (m - rational_rank(outgoing)) - rational_rank(incoming)
     torsion = sorted(d for d in sympy_invariant_factors(incoming) if d > 1)
     return free, torsion
+
+
+def spot_matrices(C, degree: int, coefficients: str = "integral"):
+    """(incoming, outgoing) integer matrices at ``degree`` of a chain complex.
+
+    Built straight from GRMatrix.expand()/augmented(), never from the
+    complex's own memo; the ends get the empty maps 0 -> F_top and F_0 -> 0.
+    """
+    def mat(i):
+        d = C.boundary(i)
+        return d.expand() if coefficients == "integral" else d.augmented()
+
+    n = C.ranks[degree] * (C.group.order if coefficients == "integral" else 1)
+    incoming = mat(degree + 1) if degree < C.top_degree else IntegerMatrix(n, 0, ((),) * n)
+    outgoing = mat(degree) if degree > 0 else IntegerMatrix(0, n, ())
+    return incoming, outgoing
 
 
 def oracle_group_info(incoming: IntegerMatrix, outgoing: IntegerMatrix):

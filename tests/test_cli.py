@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import broken_lens
 from zgdual.cli import main
 from zgdual.complexes import ChainComplex, validate_complex
 from zgdual.group_core import GroupRingElement
@@ -18,6 +19,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def write_complex(tmp_path, C, name):
+    path = tmp_path / name
+    path.write_text(canonical_dumps(complex_to_json(C)))
+    return str(path)
 
 
 def write_lens(tmp_path, n, name="lens.json"):
@@ -95,6 +102,24 @@ class TestCheckCommand:
         assert code == 1
         assert "FAIL" in out
 
+    def test_six_modules_with_nonzero_compositions_reason(self, capsys, tmp_path):
+        path = write_complex(tmp_path, broken_lens(5), "broken.json")
+        code, out, _ = run(capsys, "check", path, "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["dual_form"]["recognized"] is False
+        reasons = report["dual_form"]["reasons"]
+        assert "compositions are nonzero" in reasons
+        assert "complex does not have six modules" not in reasons
+
+    def test_wrong_length_reason(self, capsys, tmp_path):
+        A = lens_complex(3)
+        short = ChainComplex(A.group, A.ranks[:3], A.differentials[:2], bottom_generator=(1,))
+        path = write_complex(tmp_path, short, "short.json")
+        code, out, _ = run(capsys, "check", path, "--json")
+        assert code == 0
+        assert json.loads(out)["dual_form"]["reasons"] == ["complex does not have six modules"]
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -125,6 +150,24 @@ class TestHomologyCommand:
         path = write_lens(tmp_path, 5)
         code, _, _ = run(capsys, "homology", path, "--degree", "7")
         assert code == 2
+
+    def test_nonzero_composition_is_a_failing_verdict(self, capsys, tmp_path):
+        path = write_complex(tmp_path, broken_lens(5), "broken.json")
+        code, out, err = run(capsys, "homology", path, "--json")
+        assert code == 1
+        assert err == ""
+        report = json.loads(out)
+        assert "homology" not in report
+        (verdict,) = report["verdicts"]
+        assert verdict["name"] == "homology_computed"
+        assert verdict["pass"] is False
+        assert verdict["witness"] == [
+            "boundary(1) . boundary(2) is nonzero at degree 1: not a complex at this spot"
+        ]
+        # a valid spot of the same complex still answers
+        code, out, _ = run(capsys, "homology", path, "--degree", "3", "--json")
+        assert code == 0
+        assert json.loads(out)["homology"]["groups"] == {"3": "0"}
 
 
 class TestObstructionCommand:

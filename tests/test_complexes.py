@@ -1,13 +1,24 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from conftest import make_klein, oracle_group_info
+from conftest import (
+    broken_lens,
+    make_klein,
+    make_quaternion8,
+    make_sym3,
+    oracle_group_info,
+    sheared_sum_complex,
+    spot_matrices,
+    twisted_lens,
+)
 from zgdual.complexes import (
+    COEFFS,
     ChainComplex,
     ChainHomotopy,
     ChainMap,
-    _degree_matrices,
+    bottom_end_report,
     cohomology,
     compose_maps,
     dual_map,
@@ -17,9 +28,11 @@ from zgdual.complexes import (
     homology,
     identity_map,
     is_chain_map,
+    top_end_report,
     validate_complex,
     verify_homotopy,
 )
+from zgdual.dual_form import recognize_dual_form
 from zgdual.group_core import GroupRingElement, cyclic_group, norm_element
 from zgdual.gr_linalg import GRMatrix, solve_gr_linear
 from zgdual.int_linalg import AbelianGroupInfo, kernel_basis
@@ -199,7 +212,7 @@ class TestHomology:
             A = lens_complex(n)
             for coeff in ("integral", "trivial"):
                 for d in range(6):
-                    inc, out = _degree_matrices(A, d, coeff)
+                    inc, out = spot_matrices(A, d, coeff)
                     assert homology(A, d, coeff) == oracle_group_info(inc, out)
 
     def test_degree_out_of_range(self):
@@ -219,6 +232,95 @@ class TestHomology:
         C = ChainComplex(G, (1, 2), (d1,))
         assert homology(C, 0, "integral") == Z
         assert homology(C, 0, "trivial") == Z
+
+
+def nonabelian_complexes():
+    """Sheared subgroup complexes over S3 (a transposition and a 3-cycle)
+    and Q8 (i and j), from conftest.sheared_sum_complex."""
+    out = []
+    for G, g, h in ((make_sym3(), 1, 3), (make_quaternion8(), 2, 4)):
+        shears = [
+            GroupRingElement.from_terms(G, [[k % 3 - 1, k % G.order], [2, (k + g) % G.order]])
+            for k in range(6)
+        ]
+        out.append(sheared_sum_complex(G, g, h, shears))
+    return out
+
+
+def all_homology(C):
+    return [homology(C, d, coeff) for coeff in COEFFS for d in range(C.top_degree + 1)]
+
+
+def fresh_copy(C):
+    return ChainComplex(C.group, C.ranks, C.differentials, C.top_generator, C.bottom_generator)
+
+
+class TestMemoizedReductions:
+    def test_matches_oracle_on_twisted_lens_and_nonabelian_groups(self):
+        for C in [twisted_lens(5), twisted_lens(6)] + nonabelian_complexes():
+            for coeff in COEFFS:
+                for d in range(C.top_degree + 1):
+                    assert homology(C, d, coeff) == oracle_group_info(*spot_matrices(C, d, coeff))
+
+    def test_cached_answer_equals_fresh_copy(self):
+        for C in [lens_complex(7), twisted_lens(5)] + nonabelian_complexes():
+            first = all_homology(C)
+            report = five_complex_report(C)
+            assert all_homology(C) == first
+            assert five_complex_report(C) == report
+            fresh = fresh_copy(C)
+            assert all_homology(fresh) == first
+            assert five_complex_report(fresh_copy(C)) == report
+
+    def test_derived_complexes_never_see_stale_reductions(self):
+        A = lens_complex(5)
+        all_homology(A)
+        five_complex_report(A)
+        recognize_dual_form(A)
+        twisted = replace(A, differentials=twisted_lens(5).differentials)
+        bare = A.with_generators(None, None)
+        dual = dualize_complex(A)
+        for D in (twisted, bare, dual):
+            assert D._memo is not A._memo
+            for i in range(1, 6):
+                assert D.integer_matrix(i) == D.boundary(i).expand()
+                assert D.integer_matrix(i, "trivial") == D.boundary(i).augmented()
+            for coeff in COEFFS:
+                for d in range(6):
+                    assert homology(D, d, coeff) == oracle_group_info(*spot_matrices(D, d, coeff))
+        assert twisted.integer_matrix(1) != A.integer_matrix(1)
+        # the derived certificates of the bare copy come from its own reductions
+        assert top_end_report(bare).generator == (1,)
+        assert bottom_end_report(bare).generator == (1,)
+        assert top_end_report(bare).certificate_valid is None
+
+    def test_raises_at_broken_spots_and_answers_at_valid_ones(self):
+        B = broken_lens(5)
+        assert [i for i, ok in validate_complex(B).compositions if not ok] == [1, 2]
+        for d in (1, 2):
+            with pytest.raises(ValueError, match=f"nonzero at degree {d}"):
+                homology(B, d, "integral")
+        for d in (0, 3, 4, 5):
+            assert homology(B, d, "integral") == oracle_group_info(*spot_matrices(B, d, "integral"))
+        # every augmented composition vanishes, so each trivial spot answers
+        for d in range(6):
+            assert homology(B, d, "trivial") == oracle_group_info(*spot_matrices(B, d, "trivial"))
+
+    def test_solve_boundary_agrees_with_solve_gr_linear(self):
+        rng = random.Random(3)
+        for C in [lens_complex(6), twisted_lens(5)] + nonabelian_complexes():
+            G = C.group
+            for i in range(1, C.top_degree + 1):
+                d = C.boundary(i)
+                X0 = GRMatrix.from_rows(G, [
+                    [GroupRingElement(G, tuple(rng.randint(-2, 2) for _ in range(G.order)))]
+                    for _ in range(d.cols)
+                ])
+                for B in (d @ X0, GRMatrix.identity(G, d.rows)):
+                    X = C.solve_boundary(i, B)
+                    assert X == solve_gr_linear(d, B)
+                    assert X is None or d @ X == B
+                assert C.solve_boundary(i, d @ X0) is not None
 
 
 class TestCohomology:
@@ -307,9 +409,9 @@ class TestChainMaps:
         src, tgt = f.source, f.target
         for d in range(6):
             delta = (f.components[d] - g.components[d]).expand()
-            _, out_s = _degree_matrices(src, d, "integral")
+            _, out_s = spot_matrices(src, d, "integral")
             K = kernel_basis(out_s)
-            inc_t, _ = _degree_matrices(tgt, d, "integral")
+            inc_t, _ = spot_matrices(tgt, d, "integral")
             assert solve_integer(inc_t, delta @ K) is not None
 
 

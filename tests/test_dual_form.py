@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import twisted_lens
 from zgdual.complexes import (
     ChainComplex,
     ChainMap,
@@ -47,22 +48,6 @@ def poly(G, *terms):
 
 def grid(G, rows):
     return GRMatrix.from_rows(G, [[c for c in row] for row in rows])
-
-
-def twisted_lens(n):
-    """Lens complex with the degree-1 basis scaled by the unit t.
-
-    Chain isomorphic to lens_complex(n) (so still an algebraic 5-complex)
-    but no longer literally in dual form.
-    """
-    A = lens_complex(n)
-    G = A.group
-    u = GRMatrix.one_by_one(tpow(G, 1))
-    u_inv = GRMatrix.one_by_one(tpow(G, -1))
-    diffs = list(A.differentials)
-    diffs[0] = diffs[0] @ u_inv
-    diffs[1] = u @ diffs[1]
-    return ChainComplex(G, A.ranks, tuple(diffs), A.top_generator, A.bottom_generator)
 
 
 def stage6_segments(C):

@@ -2,7 +2,17 @@
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_group_info, rational_rank, small_groups, sympy_invariant_factors
+from conftest import (
+    make_quaternion8,
+    make_sym3,
+    oracle_group_info,
+    rational_rank,
+    sheared_sum_complex,
+    small_groups,
+    spot_matrices,
+    sympy_invariant_factors,
+)
+from zgdual.complexes import COEFFS, homology
 from zgdual.group_core import GroupRingElement, norm_element
 from zgdual.gr_linalg import GRMatrix, solve_gr_linear
 from zgdual.int_linalg import (
@@ -107,6 +117,37 @@ def test_snf_invariants(A):
     for x, y in zip(snf.diagonal, snf.diagonal[1:]):
         assert y % x == 0
     assert list(snf.diagonal) == sympy_invariant_factors(A)
+
+
+@settings(max_examples=60)
+@given(int_matrices(max_dim=7, bound=9))
+def test_snf_without_transforms_keeps_the_invariants(A):
+    full = smith_normal_form(A)
+    bare = smith_normal_form(A, transforms=False)
+    assert bare.diagonal == full.diagonal
+    assert bare.rank == full.rank == rational_rank(A)
+    assert bare.D == full.D
+    assert (bare.U.rows, bare.U.cols, bare.V.rows, bare.V.cols) == (0, 0, 0, 0)
+    assert list(bare.diagonal) == sympy_invariant_factors(A)
+
+
+# S3 and Q8 are the non-cyclic groups; C6 keeps a cyclic case with two
+# different subgroup complexes
+SPOT_GROUPS = [make_sym3(), make_quaternion8(), small_groups()[5]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_memoized_homology_matches_oracle_on_sheared_complexes(data):
+    G = data.draw(st.sampled_from(SPOT_GROUPS))
+    g = data.draw(st.integers(0, G.order - 1))
+    h = data.draw(st.integers(0, G.order - 1))
+    length = data.draw(st.integers(1, 5))
+    shears = [data.draw(elements(G)) for _ in range(length + 1)]
+    C = sheared_sum_complex(G, g, h, shears, length)
+    for coeff in COEFFS:
+        for d in range(length + 1):
+            assert homology(C, d, coeff) == oracle_group_info(*spot_matrices(C, d, coeff))
 
 
 @settings(max_examples=60)
