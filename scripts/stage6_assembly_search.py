@@ -2,11 +2,13 @@
 """Record solver outcomes for the final dual-form assembly step.
 
 The reduction pipeline ends with a chain isomorphism between the tail of
-the stage-6 complex and the dual of its head; the isomorphism is found by
-a bounded lattice search, so success is recorded per instance rather than
-assumed.  This script runs the search on the lens family (and on a
-unit-twisted variant that is not in dual form to begin with) and prints
-one golden-result line per instance.
+the stage-6 complex and the dual of its head.  The search tries at most
+--budget candidates: the identity, the affine point id + x that solves the
+chain-map constraints, then the Babai point nearest the identity on the
+LLL-reduced lattice of chain maps.  It can fail, so success is recorded
+per instance rather than assumed.  This script runs the search on the lens
+family (and on a unit-twisted variant that is not in dual form to begin
+with) and prints one golden-result line per instance.
 
 Usage: python scripts/stage6_assembly_search.py [--max-n 7] [--budget 64]
 """

@@ -332,7 +332,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--assemble", action="store_true", help="search for the final chain isomorphism")
-    p.add_argument("--budget", type=int, default=64, help="solver search budget")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=64,
+        help="iso search trials: 1 = identity only, 2 adds the affine point id + x, "
+        "3 or more adds the Babai point nearest the identity",
+    )
 
     p = sub.add_parser("normalize", help="normalize a duality equivalence to +-1 ends")
     p.add_argument("file")

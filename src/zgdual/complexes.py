@@ -249,11 +249,16 @@ def cohomology(C: ChainComplex, degree: int, coefficients: str = "integral") -> 
     """Homology of the dual complex at the mirrored spot.
 
     The dual complex is regraded top-for-bottom, so the classical degree-i
-    cochain position sits at degree top-i of dualize_complex(C).
+    cochain position sits at degree top-i of dualize_complex(C).  The dual
+    is built once per complex and kept in C's memo, so its reductions are
+    computed once too.
     """
     if not 0 <= degree <= C.top_degree:
         raise ValueError(f"degree {degree} out of range 0..{C.top_degree}")
-    return homology(dualize_complex(C), C.top_degree - degree, coefficients)
+    dual = C._memo.get("dual")
+    if dual is None:
+        dual = C._memo["dual"] = dualize_complex(C)
+    return homology(dual, C.top_degree - degree, coefficients)
 
 
 # -- augmented ends ----------------------------------------------------

@@ -40,7 +40,13 @@ from zgdual.complexes import (
     verify_homotopy,
 )
 from zgdual.gr_linalg import GRMatrix, invert_gr_matrix
-from zgdual.int_linalg import IntegerMatrix, babai_nearest, kernel_basis, lll_reduce
+from zgdual.int_linalg import (
+    IntegerMatrix,
+    babai_nearest,
+    back_substitute,
+    lll_reduce,
+    smith_normal_form,
+)
 
 
 # -- stabilization and simple homotopy moves ---------------------------
@@ -518,12 +524,12 @@ def _lattice_offsets(a: ChainComplex, b: ChainComplex):
     return [0, sizes[0], sizes[0] + sizes[1]], sum(sizes)
 
 
-def _chain_map_lattice(a: ChainComplex, b: ChainComplex) -> list[list[int]]:
-    """A Z-basis (flat coordinate vectors) of the chain-map lattice a -> b.
+def _chain_map_constraints(a: ChainComplex, b: ChainComplex) -> IntegerMatrix:
+    """The integer matrix whose kernel is the lattice of chain maps a -> b.
 
-    Unknowns are the Z-coordinates of the three components; the commuting
-    squares are integer-linear constraints, so the lattice is the kernel of
-    one big integer matrix.
+    Unknowns are the Z-coordinates of the three components (flattened as in
+    _flatten_triple); the commuting squares are integer-linear constraints,
+    one row per Z-coordinate of each square's entries.
     """
     G = a.group
     N = G.order
@@ -564,9 +570,7 @@ def _chain_map_lattice(a: ChainComplex, b: ChainComplex) -> list[list[int]]:
                                 row[base + c] -= Rr[c]
                 rows.extend(block_rows)
 
-    constraint = IntegerMatrix.from_rows(rows) if rows else IntegerMatrix(0, total, ())
-    K = kernel_basis(constraint)
-    return [[K.entries[i][col] for i in range(K.rows)] for col in range(K.cols)]
+    return IntegerMatrix.from_rows(rows) if rows else IntegerMatrix(0, total, ())
 
 
 def _unflatten_triple(a: ChainComplex, b: ChainComplex, vec):
@@ -613,11 +617,20 @@ def _try_invert_triple(a, b, comps):
 def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int = 64):
     """Search for mutually inverse chain isomorphisms tail -> head.
 
-    Two candidates are tried, at most ``budget`` of them: the identity, then
-    the chain map nearest the identity (Babai nearest-plane on the
-    LLL-reduced lattice of chain maps tail -> head).  Any budget of 2 or
-    more behaves the same.  Returns a ChainIsoPair or None; None means the
-    search failed, not that no isomorphism exists.
+    At most ``budget`` trials, in this order:
+
+    1. the identity;
+    2. the affine point id + x, where x solves A x == -A vec(id) for the
+       constraint matrix A of chain maps tail -> head (one SNF of A, free
+       coordinates zero);
+    3. the Babai nearest-plane point to the identity on the LLL-reduced
+       kernel of A, read from the same SNF.
+
+    So budget 1 tries the identity only, 2 adds the affine trial, and 3 or
+    more adds Babai.  Every candidate is certified the same way: a chain
+    map whose components all invert over Z[G] with a chain-map inverse.
+    Returns a ChainIsoPair or None; None means the search failed, not that
+    no isomorphism exists.
     """
     if tail.group != head.group or tail.ranks != head.ranks:
         raise ValueError("segments must share the group and the per-degree ranks")
@@ -639,11 +652,18 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
     if found or budget < 2:
         return found
 
-    vectors = _chain_map_lattice(tail, head)
-    if not vectors:
-        return None
-    vec = babai_nearest(lll_reduce(vectors), _flatten_triple(tail, head, ident))
-    return attempt(_unflatten_triple(tail, head, vec))
+    A = _chain_map_constraints(tail, head)
+    snf = smith_normal_form(A)
+    e = _flatten_triple(tail, head, ident)
+    # A (e + x) == 0 always has the solution x = -e, so back_substitute finds one
+    minus_Ae = tuple((-sum(a * v for a, v in zip(row, e)),) for row in A.entries)
+    x = back_substitute(snf, IntegerMatrix(A.rows, 1, minus_Ae))
+    found = attempt(_unflatten_triple(tail, head, [v + xi[0] for v, xi in zip(e, x.entries)]))
+    if found or budget < 3:
+        return found
+
+    nearest = babai_nearest(lll_reduce(snf.kernel_columns()), e)
+    return attempt(_unflatten_triple(tail, head, nearest))
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,16 @@ class SmithDecomposition:
     def rank(self) -> int:
         return len(self.diagonal)
 
+    def kernel_columns(self) -> list[tuple[int, ...]]:
+        """The columns of V past the rank: a Z-basis of ker(A).
+
+        Needs the transforms: a transform-free decomposition raises.
+        """
+        V = self.V
+        if V.cols != self.D.cols:
+            raise ValueError("kernel columns need a decomposition made with transforms")
+        return [V.column(j) for j in range(self.rank, V.cols)]
+
 
 def smith_normal_form(A: IntegerMatrix, transforms: bool = True) -> SmithDecomposition:
     """Diagonalize A by unimodular row/column operations.
@@ -288,9 +298,7 @@ def kernel_basis(A: IntegerMatrix) -> IntegerMatrix:
     The kernel of an integer matrix is saturated, so the basis obtained from
     the SNF right transform spans every integer kernel vector over Z.
     """
-    snf = smith_normal_form(A)
-    r = snf.rank
-    cols = [snf.V.column(j) for j in range(r, A.cols)]
+    cols = smith_normal_form(A).kernel_columns()
     if not cols:
         return IntegerMatrix(A.cols, 0, tuple(() for _ in range(A.cols)))
     grid = tuple(tuple(col[i] for col in cols) for i in range(A.cols))

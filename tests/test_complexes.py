@@ -13,6 +13,7 @@ from conftest import (
     spot_matrices,
     twisted_lens,
 )
+from zgdual import complexes
 from zgdual.complexes import (
     COEFFS,
     ChainComplex,
@@ -35,7 +36,7 @@ from zgdual.complexes import (
 from zgdual.dual_form import recognize_dual_form
 from zgdual.group_core import GroupRingElement, cyclic_group, norm_element
 from zgdual.gr_linalg import GRMatrix, solve_gr_linear
-from zgdual.int_linalg import AbelianGroupInfo, kernel_basis
+from zgdual.int_linalg import AbelianGroupInfo, kernel_basis, smith_normal_form
 from zgdual.lens import lens_asd_transform, lens_complex, lens_duality_map
 
 Z = AbelianGroupInfo.free(1)
@@ -293,6 +294,24 @@ class TestMemoizedReductions:
         assert top_end_report(bare).generator == (1,)
         assert bottom_end_report(bare).generator == (1,)
         assert top_end_report(bare).certificate_valid is None
+
+    def test_cohomology_reuses_one_dual_per_complex(self, monkeypatch):
+        calls = []
+
+        def counting_snf(*args, **kwargs):
+            calls.append(1)
+            return smith_normal_form(*args, **kwargs)
+
+        monkeypatch.setattr(complexes, "smith_normal_form", counting_snf)
+        C = lens_complex(101)
+        spots = [(d, coeff) for d in range(6) for coeff in COEFFS]
+        first = [cohomology(C, d, coeff) for d, coeff in spots]
+        assert calls
+        calls.clear()
+        assert [cohomology(C, d, coeff) for d, coeff in spots] == first
+        assert not calls
+        fresh = dualize_complex(C)
+        assert first == [homology(fresh, 5 - d, coeff) for d, coeff in spots]
 
     def test_raises_at_broken_spots_and_answers_at_valid_ones(self):
         B = broken_lens(5)

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import twisted_lens
+from zgdual import dual_form
 from zgdual.complexes import (
     ChainComplex,
     ChainMap,
@@ -58,6 +59,17 @@ def stage6_segments(C):
 
 def identity_triple(segment):
     return tuple(GRMatrix.identity(segment.group, r) for r in segment.ranks)
+
+
+def assert_mutual_chain_isomorphism(tail, head, iso):
+    """h: tail -> head and k: head -> tail are chain maps, inverse degreewise."""
+    G = tail.group
+    for i in (1, 2):
+        assert head.boundary(i) @ iso.h[i] == iso.h[i - 1] @ tail.boundary(i)
+        assert tail.boundary(i) @ iso.k[i] == iso.k[i - 1] @ head.boundary(i)
+    for h, k in zip(iso.h, iso.k):
+        assert k @ h == GRMatrix.identity(G, h.cols)
+        assert h @ k == GRMatrix.identity(G, h.rows)
 
 
 class TestStabilize:
@@ -319,14 +331,15 @@ class TestChainIsomorphismSolver:
         assert iso is not None
         for i in (1, 2):
             assert twisted_head.boundary(i) @ iso.h[i] == iso.h[i - 1] @ tail.boundary(i)
-        # decided by the second trial, the Babai point nearest the identity
+        # decided by the second trial, the affine point id + x
         assert solve_chain_isomorphism(tail, twisted_head, budget=1) is None
         iso = solve_chain_isomorphism(tail, twisted_head, budget=2)
         assert iso is not None
         assert iso.h != identity_triple(tail)
 
-    # The search tries the identity, then the Babai point nearest the
-    # identity; every instance here is decided by one of those two trials.
+    # The search tries the identity, then the affine point id + x, then the
+    # Babai point nearest the identity; the lens family is decided by the
+    # first trial and its unit twists by the second.
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_lens_identity_within_one_trial(self, n):
@@ -335,13 +348,57 @@ class TestChainIsomorphismSolver:
         assert iso is not None
         assert iso.h == identity_triple(tail)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_twisted_lens_needs_the_second_trial(self, n):
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_twisted_lens_needs_the_second_trial(self, n, monkeypatch):
+        def no_lll(*args, **kwargs):
+            raise AssertionError("the twisted lens search reached LLL")
+
+        monkeypatch.setattr(dual_form, "lll_reduce", no_lll)
         tail, head = stage6_segments(twisted_lens(n))
         assert solve_chain_isomorphism(tail, head, budget=1) is None
         iso = solve_chain_isomorphism(tail, head, budget=2)
         assert iso is not None
         assert iso.h != identity_triple(tail)
+        assert_mutual_chain_isomorphism(tail, head, iso)
+
+    @staticmethod
+    def _elementary_head(row, col, unit):
+        """L(3) stage-6 segments with the head's degree-1 basis changed by
+        U1 = I + unit E_{row,col}: head d1 @ U1 and U1^-1 @ head d2."""
+        tail, head = stage6_segments(lens_complex(3))
+        G = head.group
+        r = head.ranks[1]
+        assert r == 4
+
+        def elementary(e):
+            return GRMatrix.identity(G, r) + GRMatrix.from_rows(
+                G, [[e if (i, j) == (row, col) else GroupRingElement.zero(G) for j in range(r)]
+                    for i in range(r)]
+            )
+
+        U1, U1_inv = elementary(unit), elementary(-unit)
+        assert U1 @ U1_inv == GRMatrix.identity(G, r)
+        moved = ChainComplex(G, head.ranks, (head.boundary(1) @ U1, U1_inv @ head.boundary(2)))
+        assert validate_complex(moved).ok
+        return tail, moved
+
+    def test_affine_trial_finds_what_babai_misses(self):
+        # U1 = I - t^2 E_01: the affine point is an isomorphism, the Babai
+        # point nearest the identity is not
+        tail, head = self._elementary_head(0, 1, -tpow(lens_complex(3).group, 2))
+        assert solve_chain_isomorphism(tail, head, budget=1) is None
+        iso = solve_chain_isomorphism(tail, head, budget=2)
+        assert iso is not None
+        assert_mutual_chain_isomorphism(tail, head, iso)
+
+    def test_babai_fallback_finds_what_the_affine_trial_misses(self):
+        # U1 = I + t E_10: only the third trial, the Babai point, succeeds
+        tail, head = self._elementary_head(1, 0, tpow(lens_complex(3).group, 1))
+        assert solve_chain_isomorphism(tail, head, budget=2) is None
+        iso = solve_chain_isomorphism(tail, head, budget=3)
+        assert iso is not None
+        assert_mutual_chain_isomorphism(tail, head, iso)
+        assert solve_chain_isomorphism(tail, head, budget=64).h == iso.h
 
     def test_shape_mismatch(self):
         p5 = to_dual_form_stage6(lens_complex(5))

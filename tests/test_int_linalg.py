@@ -218,6 +218,15 @@ class TestKernelBasis:
         K = kernel_basis(IntegerMatrix.zeros(0, 4))
         assert K == IntegerMatrix.identity(4)
 
+    def test_kernel_columns_are_the_basis_columns(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            A = rand_matrix(rng, rng.randint(0, 4), rng.randint(1, 5))
+            K = kernel_basis(A)
+            assert smith_normal_form(A).kernel_columns() == [K.column(j) for j in range(K.cols)]
+            with pytest.raises(ValueError):
+                smith_normal_form(A, transforms=False).kernel_columns()
+
 
 class TestHomologyPair:
     def test_cyclic(self):
