@@ -189,9 +189,7 @@ def _cmd_dualform(args, report):
 
 def _cmd_normalize(args, report):
     C = _load_complex(args.file)
-    view = dual_form.recognize_dual_form(C)
-    if view is None:
-        raise UsageError("input complex is not in dual form")
+    view = _require_view(C)
     try:
         with open(args.mapfile, "r", encoding="utf-8") as fh:
             data = json.load(fh)

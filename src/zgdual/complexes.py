@@ -91,23 +91,16 @@ class ChainComplex:
 
     def integer_matrix(self, i: int, coefficients: str = "integral") -> IntegerMatrix:
         """boundary(i) on Z-bases, built once: expanded for "integral"
-        coefficients, augmented for "trivial".  i = 0 and i = top_degree + 1
-        give the empty maps F_0 -> 0 and 0 -> F_top.
+        coefficients, augmented for "trivial"; 1 <= i <= top_degree.
         """
         if coefficients not in COEFFS:
             raise ValueError(f"coefficients must be one of {COEFFS}")
-        if not 0 <= i <= self.top_degree + 1:
+        if not 1 <= i <= self.top_degree:
             raise ValueError(f"no boundary map at degree {i}")
         key = ("matrix", i, coefficients)
         M = self._memo.get(key)
         if M is None:
-            scale = self.group.order if coefficients == "integral" else 1
-            if i == 0:
-                M = IntegerMatrix(0, self.ranks[0] * scale, ())
-            elif i > self.top_degree:
-                n = self.ranks[-1] * scale
-                M = IntegerMatrix(n, 0, tuple(() for _ in range(n)))
-            elif coefficients == "integral":
+            if coefficients == "integral":
                 M = self.boundary(i).expand()
             else:
                 M = self.boundary(i).augmented()

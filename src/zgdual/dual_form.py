@@ -31,6 +31,7 @@ from zgdual.complexes import (
     ChainHomotopy,
     ChainMap,
     compose_maps,
+    dualize_complex,
     five_complex_report,
     homology,
     identity_map,
@@ -39,6 +40,7 @@ from zgdual.complexes import (
     validate_complex,
     verify_homotopy,
 )
+from zgdual.group_core import GroupRingElement
 from zgdual.gr_linalg import GRMatrix, invert_gr_matrix
 from zgdual.int_linalg import (
     IntegerMatrix,
@@ -150,67 +152,36 @@ def _expand_move(C: ChainComplex, position: int, rank: int) -> SimpleMoveResult:
 
 
 def _collapse_move(C: ChainComplex, position: int, rank: int) -> SimpleMoveResult:
-    """Inverse of _expand_move; requires the exact trailing block shape."""
-    G = C.group
-    T = C.top_degree
-    p = position
-    f = rank
-    a = C.ranks[p + 1] - f
-    b = C.ranks[p] - f
-    if a < 0 or b < 0:
-        raise ValueError("collapse rank exceeds the module ranks at the move position")
-
-    d = C.boundary(p + 1)
-    core = GRMatrix(G, b, a, tuple(row[:a] for row in d.entries[:b]))
-    top_right = GRMatrix(G, b, f, tuple(row[a:] for row in d.entries[:b]))
-    bottom_left = GRMatrix(G, f, a, tuple(row[:a] for row in d.entries[b:]))
-    bottom_right = GRMatrix(G, f, f, tuple(row[a:] for row in d.entries[b:]))
-    if not top_right.is_zero or not bottom_left.is_zero:
-        raise ValueError("no identity block to collapse: off-diagonal blocks are nonzero")
-    if bottom_right != GRMatrix.identity(G, f):
-        raise ValueError("no identity block to collapse: trailing block is not the identity")
-
-    diffs = list(C.differentials)
-    diffs[p] = core
-    if p + 2 <= T:
-        up = C.boundary(p + 2)
-        if any(not e.is_zero for row in up.entries[a:] for e in row):
-            raise ValueError("cannot collapse: incoming differential hits the added summand")
-        diffs[p + 1] = GRMatrix(G, a, up.cols, up.entries[:a])
-    if p >= 1:
-        down = C.boundary(p)
-        if any(not e.is_zero for row in down.entries for e in row[b:]):
-            raise ValueError("cannot collapse: outgoing differential reads the added summand")
-        diffs[p - 1] = GRMatrix(G, down.rows, b, tuple(row[:b] for row in down.entries))
-
+    """Inverse of _expand_move: the leading blocks of C, accepted only when
+    expanding them again gives C back exactly.
+    """
+    p, f = position, rank
     ranks = list(C.ranks)
-    ranks[p] = b
-    ranks[p + 1] = a
-    top = C.top_generator
-    bottom = C.bottom_generator
-    if top is not None and p + 1 == T:
-        if any(top[a:]):
-            raise ValueError("cannot collapse: top generator touches the added summand")
-        top = tuple(top[:a])
-    if bottom is not None and p == 0:
-        if any(bottom[b:]):
-            raise ValueError("cannot collapse: bottom generator touches the added summand")
-        bottom = tuple(bottom[:b])
-    new = ChainComplex(G, tuple(ranks), tuple(diffs), top_generator=top, bottom_generator=bottom)
-
-    fwd = []
-    bwd = []
-    for i in range(T + 1):
-        if i in (p, p + 1):
-            r = new.ranks[i]
-            proj = GRMatrix.block(G, [[GRMatrix.identity(G, r), GRMatrix.zeros(G, r, f)]])
-            inc = GRMatrix.block(G, [[GRMatrix.identity(G, r)], [GRMatrix.zeros(G, f, r)]])
-        else:
-            proj = inc = GRMatrix.identity(G, C.ranks[i])
-        fwd.append(proj)
-        bwd.append(inc)
-    record = MoveRecord("collapse", p, f)
-    return SimpleMoveResult(new, ChainMap(C, new, tuple(fwd)), ChainMap(new, C, tuple(bwd)), record)
+    ranks[p] -= f
+    ranks[p + 1] -= f
+    if ranks[p] < 0 or ranks[p + 1] < 0:
+        raise ValueError("collapse rank exceeds the module ranks at the move position")
+    diffs = tuple(
+        GRMatrix(C.group, ranks[i], ranks[i + 1], tuple(row[: ranks[i + 1]] for row in d.entries[: ranks[i]]))
+        for i, d in enumerate(C.differentials)
+    )
+    top, bottom = C.top_generator, C.bottom_generator
+    core = ChainComplex(
+        C.group,
+        tuple(ranks),
+        diffs,
+        top_generator=None if top is None else tuple(top[: ranks[-1]]),
+        bottom_generator=None if bottom is None else tuple(bottom[: ranks[0]]),
+    )
+    expansion = _expand_move(core, p, f)
+    E = expansion.complex
+    if E != C:
+        differs = [f"boundary({i})" for i in range(1, C.top_degree + 1) if E.boundary(i) != C.boundary(i)]
+        differs.append("the top generator" if E.top_generator != C.top_generator else "the bottom generator")
+        raise ValueError(f"cannot collapse: {differs[0]} is not the expansion of its leading blocks")
+    forward = ChainMap(C, core, expansion.backward.components)
+    backward = ChainMap(core, C, expansion.forward.components)
+    return SimpleMoveResult(core, forward, backward, MoveRecord("collapse", p, f))
 
 
 def simple_move(C: ChainComplex, position: int, rank: int, direction: str = "expand") -> SimpleMoveResult:
@@ -410,8 +381,6 @@ def normalize_duality(view: DualFormView, phi: ChainMap) -> NormalizedDuality:
     because the complex is exact at degrees 1 and 4 with Z ends; I2 = 0.
     """
     C = view.base
-    from zgdual.complexes import dualize_complex
-
     if phi.target != C or phi.source != dualize_complex(C):
         raise ValueError("phi must map the dual of the recognized complex to the complex")
     report = is_chain_map(phi)
@@ -509,15 +478,6 @@ def _is_segment_chain_map(a: ChainComplex, b: ChainComplex, comps) -> bool:
     )
 
 
-def _right_mul_block(c) -> list[list[int]]:
-    # integer matrix of x |-> x * c on Z-coordinates of Z[G]
-    G = c.group
-    N = G.order
-    mul = G.mul_table
-    inv = G.inv_table
-    return [[c.coeffs[mul[inv[j]][i]] for j in range(N)] for i in range(N)]
-
-
 def _lattice_offsets(a: ChainComplex, b: ChainComplex):
     N = a.group.order
     sizes = [b.ranks[i] * a.ranks[i] * N for i in range(3)]
@@ -525,14 +485,18 @@ def _lattice_offsets(a: ChainComplex, b: ChainComplex):
 
 
 def _chain_map_constraints(a: ChainComplex, b: ChainComplex) -> IntegerMatrix:
-    """The integer matrix whose kernel is the lattice of chain maps a -> b.
+    """The integer matrix A whose kernel is the lattice of chain maps a -> b.
 
-    Unknowns are the Z-coordinates of the three components (flattened as in
-    _flatten_triple); the commuting squares are integer-linear constraints,
-    one row per Z-coordinate of each square's entries.
+    Unknowns are the Z-coordinates of the three components, flattened as in
+    _flatten; row (deg, p, q, r) is coefficient r of entry (p, q) of
+    D @ h_deg - h_{deg-1} @ d, so A @ _flatten(h) == _flatten(D h - h' d).
+    Left multiplication by D[p][j] is block (p, j) of b.integer_matrix(deg).
+    Right multiplication by c is P expand(c)^T P for the inversion
+    permutation P, since expand(dual(c)) == expand(c)^T; so it is read from
+    a column of a.integer_matrix(deg).
     """
-    G = a.group
-    N = G.order
+    N = a.group.order
+    inv = a.group.inv_table
     offsets, total = _lattice_offsets(a, b)
 
     def var(idx, i, j):
@@ -540,42 +504,27 @@ def _chain_map_constraints(a: ChainComplex, b: ChainComplex) -> IntegerMatrix:
 
     rows = []
     for deg in (1, 2):
-        D = b.boundary(deg)  # maps b_deg -> b_{deg-1}
-        d = a.boundary(deg)
-        # D @ h_deg - h_{deg-1} @ d == 0, entry (p, q) over Z[G]
+        D = b.integer_matrix(deg).entries  # b_deg -> b_{deg-1}
+        d_cols = list(zip(*a.integer_matrix(deg).entries))  # a_deg -> a_{deg-1}
+        width = a.ranks[deg - 1] * N  # the coordinates of one row of h_{deg-1}
+        flip = [j * N + inv[c] for j in range(a.ranks[deg - 1]) for c in range(N)]
         for p in range(b.ranks[deg - 1]):
+            right = var(deg - 1, p, 0)
             for q in range(a.ranks[deg]):
-                block_rows = [[0] * total for _ in range(N)]
-                for j in range(b.ranks[deg]):
-                    if D.entries[p][j].is_zero:
-                        continue
-                    L = GRMatrix.one_by_one(D.entries[p][j]).expand().entries
-                    base = var(deg, j, q)
-                    for r in range(N):
-                        row = block_rows[r]
-                        Lr = L[r]
-                        for c in range(N):
-                            if Lr[c]:
-                                row[base + c] += Lr[c]
-                for j in range(a.ranks[deg - 1]):
-                    if d.entries[j][q].is_zero:
-                        continue
-                    R = _right_mul_block(d.entries[j][q])
-                    base = var(deg - 1, p, j)
-                    for r in range(N):
-                        row = block_rows[r]
-                        Rr = R[r]
-                        for c in range(N):
-                            if Rr[c]:
-                                row[base + c] -= Rr[c]
-                rows.extend(block_rows)
+                for r in range(N):
+                    row = [0] * total
+                    D_row = D[p * N + r]
+                    for j in range(b.ranks[deg]):
+                        base = var(deg, j, q)
+                        row[base : base + N] = D_row[j * N : (j + 1) * N]
+                    d_col = d_cols[q * N + inv[r]]
+                    row[right : right + width] = [-d_col[i] for i in flip]
+                    rows.append(row)
 
     return IntegerMatrix.from_rows(rows) if rows else IntegerMatrix(0, total, ())
 
 
 def _unflatten_triple(a: ChainComplex, b: ChainComplex, vec):
-    from zgdual.group_core import GroupRingElement
-
     G = a.group
     N = G.order
     offsets, _ = _lattice_offsets(a, b)
@@ -592,13 +541,9 @@ def _unflatten_triple(a: ChainComplex, b: ChainComplex, vec):
     return tuple(comps)
 
 
-def _flatten_triple(a: ChainComplex, b: ChainComplex, comps) -> list[int]:
-    out = []
-    for idx in range(3):
-        for i in range(b.ranks[idx]):
-            for j in range(a.ranks[idx]):
-                out.extend(comps[idx].entries[i][j].coeffs)
-    return out
+def _flatten(matrices) -> list[int]:
+    """The Z-coordinates of GRMatrix entries: matrix, row, column, group element."""
+    return [v for M in matrices for row in M.entries for e in row for v in e.coeffs]
 
 
 def _try_invert_triple(a, b, comps):
@@ -654,10 +599,11 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
 
     A = _chain_map_constraints(tail, head)
     snf = smith_normal_form(A)
-    e = _flatten_triple(tail, head, ident)
-    # A (e + x) == 0 always has the solution x = -e, so back_substitute finds one
-    minus_Ae = tuple((-sum(a * v for a, v in zip(row, e)),) for row in A.entries)
-    x = back_substitute(snf, IntegerMatrix(A.rows, 1, minus_Ae))
+    e = _flatten(ident)
+    # A e is the identity's residual D - d, and A (e + x) == 0 always has the
+    # solution x = -e, so back_substitute finds one
+    minus_Ae = _flatten(tail.boundary(k) - head.boundary(k) for k in (1, 2))
+    x = back_substitute(snf, IntegerMatrix(A.rows, 1, tuple((v,) for v in minus_Ae)))
     found = attempt(_unflatten_triple(tail, head, [v + xi[0] for v, xi in zip(e, x.entries)]))
     if found or budget < 3:
         return found

@@ -18,6 +18,7 @@ Conventions, fixed once so non-abelian groups work unchanged:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from zgdual.group_core import FiniteGroup, GroupRingElement
 from zgdual.int_linalg import IntegerMatrix, solve_integer
@@ -172,13 +173,16 @@ class GRMatrix:
         N = G.order
         mul = G.mul_table
         inv = G.inv_table
+        # pick[a] reads the coefficients of g_a * g_b^{-1} for b = 0..N-1;
+        # itemgetter of a single index returns a scalar, and for the trivial
+        # group the one row is the coefficient tuple itself
+        pick = [itemgetter(*itemgetter(*inv)(row)) for row in mul] if N > 1 else [tuple]
         rows = []
-        for i in range(self.rows):
-            for a in range(N):
+        for entry_row in self.entries:
+            for get in pick:
                 row = []
-                for j in range(self.cols):
-                    coeffs = self.entries[i][j].coeffs
-                    row.extend(coeffs[mul[a][inv[b]]] for b in range(N))
+                for e in entry_row:
+                    row.extend(get(e.coeffs))
                 rows.append(tuple(row))
         if not rows:
             return IntegerMatrix(0, self.cols * N, ())

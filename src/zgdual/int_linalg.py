@@ -320,28 +320,25 @@ def back_substitute(snf: SmithDecomposition, B: IntegerMatrix):
     transforms (so ``snf`` must be made with transforms=True).
 
     A @ X == B becomes D @ Y == U @ B with X == V @ Y; free coordinates of
-    Y are zero.
+    Y are zero, so only the first rank columns of V enter the product.
     """
     r = snf.rank
     C = snf.U @ B
     diag = snf.diagonal
-    rows, cols = snf.D.rows, snf.D.cols
     # rows past the rank must vanish; divisibility on the rest
-    Y = [[0] * B.cols for _ in range(cols)]
-    for i in range(rows):
-        row = C.entries[i]
-        if i < r:
-            d = diag[i]
-            for j in range(B.cols):
-                q, rem = divmod(row[j], d)
-                if rem:
-                    return None
-                Y[i][j] = q
-        else:
-            if any(row):
+    if any(any(row) for row in C.entries[r:]):
+        return None
+    Y = []
+    for d, row in zip(diag, C.entries):
+        qs = []
+        for v in row:
+            q, rem = divmod(v, d)
+            if rem:
                 return None
-    Ym = IntegerMatrix.from_rows(Y) if cols else IntegerMatrix(0, B.cols, ())
-    return snf.V @ Ym
+            qs.append(q)
+        Y.append(tuple(qs))
+    V = snf.V
+    return IntegerMatrix(V.rows, r, tuple(row[:r] for row in V.entries)) @ IntegerMatrix(r, B.cols, tuple(Y))
 
 
 @dataclass

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import broken_lens
+from conftest import broken_lens, twisted_lens
 from zgdual.cli import main
 from zgdual.complexes import ChainComplex, validate_complex
 from zgdual.group_core import GroupRingElement
@@ -279,3 +279,11 @@ class TestNormalizeCommand:
         map_path.write_text(canonical_dumps(bogus))
         code, _, _ = run(capsys, "normalize", path, str(map_path), "--json")
         assert code == 1
+
+    def test_not_in_dual_form_names_the_reasons(self, capsys, tmp_path):
+        path = write_complex(tmp_path, twisted_lens(3), "twisted3.json")
+        map_path = tmp_path / "phi.json"
+        map_path.write_text(canonical_dumps(duality_map_to_json(lens_duality_map(3))))
+        code, out, _ = run(capsys, "normalize", path, str(map_path), "--json")
+        assert code == 2
+        assert "boundary(5) is not the dual of boundary(1)" in json.loads(out)["error"]

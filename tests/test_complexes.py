@@ -263,6 +263,13 @@ class TestMemoizedReductions:
                 for d in range(C.top_degree + 1):
                     assert homology(C, d, coeff) == oracle_group_info(*spot_matrices(C, d, coeff))
 
+    def test_integer_matrix_covers_the_boundary_degrees_only(self):
+        C = lens_complex(5)
+        for i in (0, C.top_degree + 1):
+            for coeff in COEFFS:
+                with pytest.raises(ValueError, match=f"no boundary map at degree {i}"):
+                    C.integer_matrix(i, coeff)
+
     def test_cached_answer_equals_fresh_copy(self):
         for C in [lens_complex(7), twisted_lens(5)] + nonabelian_complexes():
             first = all_homology(C)

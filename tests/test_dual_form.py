@@ -1,6 +1,9 @@
+import random
+import re
+
 import pytest
 
-from conftest import twisted_lens
+from conftest import make_dihedral4, make_quaternion8, make_sym3, twisted_lens
 from zgdual import dual_form
 from zgdual.complexes import (
     ChainComplex,
@@ -32,7 +35,7 @@ from zgdual.dual_form import (
 )
 from zgdual.group_core import GroupRingElement, cyclic_group, norm_element
 from zgdual.gr_linalg import GRMatrix
-from zgdual.int_linalg import kernel_basis
+from zgdual.int_linalg import IntegerMatrix, kernel_basis
 from zgdual.lens import lens_asd_transform, lens_complex, lens_duality_map
 
 
@@ -112,6 +115,10 @@ class TestSimpleMove:
             res = simple_move(A, pos, 2, "expand")
             back = simple_move(res.complex, pos, 2, "collapse")
             assert back.complex == A
+            assert back.complex.top_generator == back.complex.bottom_generator == (1,)
+            assert back.forward == ChainMap(res.complex, A, res.backward.components)
+            assert back.backward == ChainMap(A, res.complex, res.forward.components)
+            assert back.record == dual_form.MoveRecord("collapse", pos, 2)
 
     def test_maps_are_chain_maps_and_compose_to_identity(self):
         A = lens_complex(3)
@@ -133,6 +140,38 @@ class TestSimpleMove:
         A = lens_complex(5)
         with pytest.raises(ValueError):
             simple_move(A, 1, 1, "collapse")
+
+    @pytest.mark.parametrize("pos", range(5))
+    def test_collapse_rejects_every_perturbed_expansion(self, pos):
+        # L(4) has rank 1 everywhere, so the added summand is rows/columns 1, 2
+        A = lens_complex(4)
+        C = simple_move(A, pos, 2, "expand").complex
+        t = tpow(A.group, 1)
+
+        def with_entry(i, row, col, value):
+            entries = [list(r) for r in C.boundary(i).entries]
+            entries[row][col] = value
+            diffs = list(C.differentials)
+            diffs[i - 1] = grid(C.group, entries)
+            return ChainComplex(C.group, C.ranks, tuple(diffs), C.top_generator, C.bottom_generator)
+
+        cases = [
+            (with_entry(pos + 1, 0, 1, t), f"boundary({pos + 1})"),  # off-diagonal, top right
+            (with_entry(pos + 1, 2, 0, t), f"boundary({pos + 1})"),  # off-diagonal, bottom left
+            (with_entry(pos + 1, 2, 2, t), f"boundary({pos + 1})"),  # trailing block not the identity
+        ]
+        if pos + 2 <= 5:  # the incoming differential hits the summand
+            cases.append((with_entry(pos + 2, 1, 0, t), f"boundary({pos + 2})"))
+        if pos >= 1:  # the outgoing differential reads the summand
+            cases.append((with_entry(pos, 0, 2, t), f"boundary({pos})"))
+        if pos == 4:
+            cases.append((C.with_generators((1, 0, 1), C.bottom_generator), "the top generator"))
+        if pos == 0:
+            cases.append((C.with_generators(C.top_generator, (1, 1, 0)), "the bottom generator"))
+        for bad, witness in cases:
+            assert bad != C
+            with pytest.raises(ValueError, match=rf"cannot collapse: {re.escape(witness)} is not"):
+                simple_move(bad, pos, 2, "collapse")
 
     def test_position_bounds(self):
         A = lens_complex(3)
@@ -399,6 +438,29 @@ class TestChainIsomorphismSolver:
         assert iso is not None
         assert_mutual_chain_isomorphism(tail, head, iso)
         assert solve_chain_isomorphism(tail, head, budget=64).h == iso.h
+
+    @pytest.mark.parametrize("make_group", [make_sym3, make_quaternion8, make_dihedral4])
+    def test_constraints_give_the_chain_map_residual(self, make_group):
+        # A @ vec(h) == vec(D h_deg - h_{deg-1} d) for any segments and any h
+        G = make_group()
+        rng = random.Random(G.order)
+
+        def rand_matrix(rows, cols):
+            return grid(G, [[GroupRingElement(G, tuple(rng.randint(-2, 2) for _ in range(G.order)))
+                             for _ in range(cols)] for _ in range(rows)])
+
+        def rand_segment(ranks):
+            return ChainComplex(G, ranks, (rand_matrix(ranks[0], ranks[1]), rand_matrix(ranks[1], ranks[2])))
+
+        for _ in range(4):
+            a = rand_segment(tuple(rng.randint(1, 2) for _ in range(3)))
+            b = rand_segment(tuple(rng.randint(1, 2) for _ in range(3)))
+            A = dual_form._chain_map_constraints(a, b)
+            for _ in range(3):
+                h = [rand_matrix(b.ranks[i], a.ranks[i]) for i in range(3)]
+                residual = [b.boundary(k) @ h[k] - h[k - 1] @ a.boundary(k) for k in (1, 2)]
+                vec_h = IntegerMatrix.from_rows([[v] for v in dual_form._flatten(h)])
+                assert A @ vec_h == IntegerMatrix.from_rows([[v] for v in dual_form._flatten(residual)])
 
     def test_shape_mismatch(self):
         p5 = to_dual_form_stage6(lens_complex(5))

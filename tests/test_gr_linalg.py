@@ -127,6 +127,20 @@ class TestExpandRegular:
                 B = rand_gr_matrix(rng, G, 2, 2)
                 assert (A @ B).expand() == A.expand() @ B.expand()
 
+    def test_blocks_follow_the_documented_convention(self, groups):
+        # block[a][b] == coefficient of g_a * g_b^{-1}, the trivial group included
+        rng = random.Random(41)
+        for G in groups:
+            A = rand_gr_matrix(rng, G, 2, 3)
+            E = A.expand()
+            assert (E.rows, E.cols) == (2 * G.order, 3 * G.order)
+            for i in range(2):
+                for j in range(3):
+                    for a in range(G.order):
+                        for b in range(G.order):
+                            g = G.mul_table[a][G.inv_table[b]]
+                            assert E.entries[i * G.order + a][j * G.order + b] == A.entries[i][j].coeffs[g]
+
     def test_expand_dual_is_transpose(self):
         # the chosen block convention makes this exact with no reindexing
         rng = random.Random(59)

@@ -7,6 +7,7 @@ from conftest import oracle_group_info, rational_rank, sympy_invariant_factors
 from zgdual.int_linalg import (
     AbelianGroupInfo,
     IntegerMatrix,
+    back_substitute,
     determinant,
     homology_pair,
     kernel_basis,
@@ -158,6 +159,21 @@ class TestSolveInteger:
         A2 = IntegerMatrix.zeros(2, 0)
         assert solve_integer(A2, IntegerMatrix.zeros(2, 1)) == IntegerMatrix.zeros(0, 1)
         assert solve_integer(A2, IntegerMatrix.from_rows([[1], [0]])) is None
+
+    def test_back_substitute_is_v_times_y_with_free_coordinates_zero(self):
+        rng = random.Random(107)
+        for _ in range(60):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            A = rand_matrix(rng, m, 2, 3) @ rand_matrix(rng, 2, n, 3)  # rank <= 2
+            B = A @ rand_matrix(rng, n, 2, 3)
+            snf = smith_normal_form(A)
+            UB = snf.U @ B
+            Y = IntegerMatrix.from_rows(
+                [[UB.entries[i][j] // snf.diagonal[i] if i < snf.rank else 0 for j in range(2)] for i in range(n)]
+            )
+            X = back_substitute(snf, B)
+            assert X == snf.V @ Y
+            assert A @ X == B
 
     def test_solvable_instances_up_to_10(self):
         rng = random.Random(103)
