@@ -25,6 +25,7 @@ under a "timings" key and never enter the verdict body.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -311,7 +312,10 @@ def _cmd_lens(args, report):
 # -- driver ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in it, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="zgdual",
         description="Exact chain-level duality over integral group rings.",

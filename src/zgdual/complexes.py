@@ -23,8 +23,9 @@ Each complex expands and reduces every differential at most once: the
 integer matrices, their Smith forms and the d.d == 0 checks are memoized
 on the instance (never across instances), and homology, the end reports,
 dual-form recognition, the obstruction and the normalizer's lifts all read
-that one memo.  Smith forms carry transforms only where a reader needs
-them: the U row of boundary(1), the V columns of boundary(top), the lifts.
+that one memo.  Smith forms carry transforms (operation logs) only where a
+reader needs them: the U row of boundary(1), the V column of
+boundary(top) and the lifts, each replayed on just those vectors.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class ChainComplex:
     def reduction(self, i: int, coefficients: str = "integral", transforms: bool = False) -> SmithDecomposition:
         """Smith normal form of integer_matrix(i), computed once.
 
-        With ``transforms`` the full U and V are kept; a decomposition with
+        With ``transforms`` the operation logs are kept; a decomposition with
         transforms also answers every later transform-free request.
         """
         memo = self._memo
@@ -307,7 +308,7 @@ def bottom_end_report(C: ChainComplex) -> EndReport:
     trivial = False
     if is_z:
         # the row of U past the rank is the functional spanning coker = Z
-        b = _blocks_constant(snf.U.entries[snf.rank], r0, N)
+        b = _blocks_constant(snf.U_row(snf.rank), r0, N)
         trivial = b is not None
         if trivial:
             generator = _normalize_sign(b)
@@ -340,7 +341,7 @@ def top_end_report(C: ChainComplex) -> EndReport:
     trivial = False
     if is_z:
         # the column of V past the rank spans the (pure) kernel
-        m = _blocks_constant(snf.V.column(snf.rank), rt, N)
+        m = _blocks_constant(snf.V_column(snf.rank), rt, N)
         trivial = m is not None
         if trivial:
             generator = _normalize_sign(m)

@@ -10,12 +10,18 @@ Homology needs no transforms.  At a spot Z^m between two maps with
 outgoing @ incoming == 0, ker/im has free rank m - rank(outgoing) -
 rank(incoming), and its torsion is the invariant factors of incoming that
 exceed 1 (see homology_from_invariants); both come from
-smith_normal_form(..., transforms=False), which skips the U/V bookkeeping.
+smith_normal_form(..., transforms=False), which keeps no operation log.
+
+Transforms are logs, not matrices.  smith_normal_form reduces sparse rows
+and records its row and column operations; a consumer replays them on the
+vectors it needs (back_substitute on B and Y, the kernel columns, one row
+of U or one column of V).  The dense U and V are built only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -93,175 +99,241 @@ class IntegerMatrix:
         return [list(row) for row in self.entries]
 
 
+# A logged operation is a triple (a, b, q) on lines (rows of A for the row
+# log, columns for the column log): add q times line b to line a when
+# q != 0, swap lines a and b when q == 0, negate line a when a == b.
+
+
+def _add_line(lines, dst, src, q):
+    """lines[dst] += q * lines[src] on sparse lines (dicts index -> nonzero)."""
+    S = lines[src]
+    if S:
+        R = lines[dst]
+        for j, v in S.items():
+            x = R.get(j, 0) + q * v
+            if x:
+                R[j] = x
+            else:
+                del R[j]
+
+
+def _replay(ops, lines, transposed=False):
+    """Apply logged operations to sparse lines in place; returns ``lines``.
+
+    Forward, each operation acts on ``lines`` as it acted on the rows of A:
+    the row log on the rows of B gives U @ B.  With ``transposed`` the
+    transposes act in reverse order: the column log on the rows of Y gives
+    V @ Y, and the row log on the rows of the identity gives U transposed.
+    """
+    for a, b, q in reversed(ops) if transposed else ops:
+        if a == b:
+            lines[a] = {j: -v for j, v in lines[a].items()}
+        elif not q:
+            lines[a], lines[b] = lines[b], lines[a]
+        elif transposed:
+            _add_line(lines, b, a, q)
+        else:
+            _add_line(lines, a, b, q)
+    return lines
+
+
+def _sparse_rows(M: IntegerMatrix) -> list[dict[int, int]]:
+    return [{j: v for j, v in enumerate(row) if v} for row in M.entries]
+
+
+def _dense(lines, width: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(line.get(j, 0) for j in range(width)) for line in lines)
+
+
+def _unit_columns(ops, size: int, first: int, last: int) -> list[tuple[int, ...]]:
+    """Columns first..last-1 of the transposed replay of ``ops`` on I_size:
+    columns of V for the column log, rows of U for the row log.
+    """
+    lines = [{j - first: 1} if first <= j < last else {} for j in range(size)]
+    _replay(ops, lines, transposed=True)
+    return [tuple(line.get(k, 0) for line in lines) for k in range(last - first)]
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular and D diagonal.
 
     ``diagonal`` lists the nonzero invariant factors d_1 | d_2 | ... ; the
     remaining diagonal entries of D are zero, so rank(A) == len(diagonal).
-    A decomposition made with ``transforms=False`` carries no transforms:
-    its U and V are empty 0 x 0 matrices, and only D, ``diagonal`` and
-    ``rank`` describe A.
+
+    The transforms are kept as the logs of the row and the column
+    operations that reduced A (``row_ops``, ``col_ops``).  U and V are
+    built from them only when read; consumers that need a few vectors
+    replay the logs on just those: ``U_row``, ``V_column``,
+    ``kernel_columns`` and ``back_substitute``.  A decomposition made with
+    ``transforms=False`` keeps no log: its U and V are empty 0 x 0
+    matrices, and only D, ``diagonal`` and ``rank`` describe A.
     """
 
-    U: IntegerMatrix
     D: IntegerMatrix
-    V: IntegerMatrix
     diagonal: tuple[int, ...]
+    row_ops: tuple[tuple[int, int, int], ...] | None = None
+    col_ops: tuple[tuple[int, int, int], ...] | None = None
 
     @property
     def rank(self) -> int:
         return len(self.diagonal)
+
+    def _logs(self):
+        if self.row_ops is None:
+            raise ValueError("this needs a decomposition made with transforms")
+        return self.row_ops, self.col_ops
+
+    @cached_property
+    def U(self) -> IntegerMatrix:
+        if self.row_ops is None:
+            return IntegerMatrix(0, 0, ())
+        m = self.D.rows
+        lines = _replay(self.row_ops, [{i: 1} for i in range(m)])
+        return IntegerMatrix(m, m, _dense(lines, m))
+
+    @cached_property
+    def V(self) -> IntegerMatrix:
+        if self.col_ops is None:
+            return IntegerMatrix(0, 0, ())
+        n = self.D.cols
+        lines = _replay(self.col_ops, [{j: 1} for j in range(n)], transposed=True)
+        return IntegerMatrix(n, n, _dense(lines, n))
+
+    def U_row(self, i: int) -> tuple[int, ...]:
+        """Row i of U, by one replay of the row log."""
+        return _unit_columns(self._logs()[0], self.D.rows, i, i + 1)[0]
+
+    def V_column(self, j: int) -> tuple[int, ...]:
+        """Column j of V, by one replay of the column log."""
+        return _unit_columns(self._logs()[1], self.D.cols, j, j + 1)[0]
 
     def kernel_columns(self) -> list[tuple[int, ...]]:
         """The columns of V past the rank: a Z-basis of ker(A).
 
         Needs the transforms: a transform-free decomposition raises.
         """
-        V = self.V
-        if V.cols != self.D.cols:
-            raise ValueError("kernel columns need a decomposition made with transforms")
-        return [V.column(j) for j in range(self.rank, V.cols)]
+        return _unit_columns(self._logs()[1], self.D.cols, self.rank, self.D.cols)
 
 
 def smith_normal_form(A: IntegerMatrix, transforms: bool = True) -> SmithDecomposition:
     """Diagonalize A by unimodular row/column operations.
 
-    Pivoting picks the minimum-absolute-value nonzero entry of the live
-    block, which keeps coefficient growth in check on the small dense
-    matrices produced by group-ring expansion.  With ``transforms=False``
-    the row and column operations are not recorded: the invariant factors
-    and the rank are the same, U and V come back as 0 x 0 matrices.
+    The pivot is the first entry of least absolute value in row-major order
+    of the live block, which keeps coefficient growth in check on the
+    small dense matrices produced by group-ring expansion.  The live block
+    is kept as sparse rows; with ``transforms`` the row and column
+    operations are logged (see SmithDecomposition), without it they are
+    dropped: the invariant factors and the rank are the same.
 
-    Every row and column operation at step t touches only the live block:
-    entries left of column t and above row t are already zero there.
+    At step t, live rows hold no entry left of column t, so every row
+    operation touches only the live block.  Once column t is clear below
+    the pivot, a column operation against column t changes only row t.
     """
     m, n = A.rows, A.cols
-    M = [list(row) for row in A.entries]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transforms else None
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transforms else None
+    rows = _sparse_rows(A)
+    row_ops, col_ops = [], []
     t = 0
 
-    def row_axpy(dst, src, q):
-        # row dst += q * row src, mirrored on U
-        Md, Ms = M[dst], M[src]
-        for j in range(t, n):
-            Md[j] += q * Ms[j]
-        if U is not None:
-            Ud, Us = U[dst], U[src]
-            for j in range(m):
-                Ud[j] += q * Us[j]
-
-    def col_axpy(dst, src, q):
-        for i in range(t, m):
-            Mi = M[i]
-            Mi[dst] += q * Mi[src]
-        if V is not None:
-            for Vi in V:
-                Vi[dst] += q * Vi[src]
-
     def row_swap(a, b):
-        M[a], M[b] = M[b], M[a]
-        if U is not None:
-            U[a], U[b] = U[b], U[a]
+        rows[a], rows[b] = rows[b], rows[a]
+        row_ops.append((a, b, 0))
 
     def col_swap(a, b):
         for i in range(t, m):
-            Mi = M[i]
-            Mi[a], Mi[b] = Mi[b], Mi[a]
-        if V is not None:
-            for Vi in V:
-                Vi[a], Vi[b] = Vi[b], Vi[a]
+            R = rows[i]
+            if a in R or b in R:
+                va, vb = R.pop(a, 0), R.pop(b, 0)
+                if vb:
+                    R[a] = vb
+                if va:
+                    R[b] = va
+        col_ops.append((a, b, 0))
 
-    def row_negate(a):
-        M[a] = [-v for v in M[a]]
-        if U is not None:
-            U[a] = [-v for v in U[a]]
+    def make_pivot_positive():
+        R = rows[t]
+        if R[t] < 0:
+            rows[t] = {j: -v for j, v in R.items()}
+            row_ops.append((t, t, -1))
 
     limit = min(m, n)
     while t < limit:
-        # locate min-abs nonzero pivot in the live block
-        best = None
+        # the first least |entry| in row-major order: the earliest row with
+        # the least row minimum, then its leftmost column with that value
+        best = pi = None
         for i in range(t, m):
-            Mi = M[i]
-            for j in range(t, n):
-                v = Mi[j]
-                if v:
-                    a = -v if v < 0 else v
-                    if best is None or a < best[0]:
-                        best = (a, i, j)
-                        if a == 1:
-                            break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
+            R = rows[i]
+            if R:
+                a = min(map(abs, R.values()))
+                if pi is None or a < best:
+                    best, pi = a, i
+                    if a == 1:
+                        break
+        if pi is None:
             break
-        _, pi, pj = best
+        pj = min(j for j, v in rows[pi].items() if v == best or v == -best)
         if pi != t:
             row_swap(t, pi)
         if pj != t:
             col_swap(t, pj)
-        if M[t][t] < 0:
-            row_negate(t)
+        make_pivot_positive()
 
         while True:
             # clear column t then row t; re-pivot on any nonzero remainder
-            p = M[t][t]
+            p = rows[t][t]
             dirty = False
             for i in range(t + 1, m):
-                v = M[i][t]
+                v = rows[i].get(t)
                 if v:
                     q = v // p
                     if q:
-                        row_axpy(i, t, -q)
-                    if M[i][t]:
+                        _add_line(rows, i, t, -q)
+                        row_ops.append((i, t, -q))
+                    if t in rows[i]:
                         row_swap(t, i)  # remainder is smaller than |p|
-                        if M[t][t] < 0:
-                            row_negate(t)
+                        make_pivot_positive()
                         dirty = True
                         break
             if dirty:
                 continue
-            for j in range(t + 1, n):
-                v = M[t][j]
+            R = rows[t]
+            for j in sorted(R):
+                if j == t:
+                    continue
+                v = R[j]
+                q = v // p
+                if q:
+                    v -= q * p
+                    if v:
+                        R[j] = v
+                    else:
+                        del R[j]
+                    col_ops.append((j, t, -q))
                 if v:
-                    q = v // p
-                    if q:
-                        col_axpy(j, t, -q)
-                    if M[t][j]:
-                        col_swap(t, j)
-                        if M[t][t] < 0:
-                            row_negate(t)
-                        dirty = True
-                        break
+                    col_swap(t, j)
+                    make_pivot_positive()
+                    dirty = True
+                    break
             if dirty:
                 continue
             # column and row are clear; enforce divisibility of the block
-            p = M[t][t]
+            p = rows[t][t]
             if p == 1:
                 break
-            bad = None
-            for i in range(t + 1, m):
-                Mi = M[i]
-                for j in range(t + 1, n):
-                    if Mi[j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, m) if any(v % p for v in rows[i].values())), None)
             if bad is None:
                 break
-            row_axpy(t, bad, 1)
+            _add_line(rows, t, bad, 1)
+            row_ops.append((t, bad, 1))
         t += 1
 
-    diagonal = tuple(M[i][i] for i in range(limit) if M[i][i])
-    D = IntegerMatrix(m, n, tuple(map(tuple, M)))
+    # every row is now empty or holds its diagonal entry alone
+    diagonal = tuple(rows[i][i] for i in range(t))
+    zero = (0,) * n
+    D = IntegerMatrix(m, n, tuple(zero[:i] + (R[i],) + zero[i + 1 :] if R else zero for i, R in enumerate(rows)))
     if not transforms:
-        empty = IntegerMatrix(0, 0, ())
-        return SmithDecomposition(U=empty, D=D, V=empty, diagonal=diagonal)
-    Um = IntegerMatrix(m, m, tuple(map(tuple, U)))
-    Vm = IntegerMatrix(n, n, tuple(map(tuple, V)))
-    return SmithDecomposition(U=Um, D=D, V=Vm, diagonal=diagonal)
+        return SmithDecomposition(D=D, diagonal=diagonal)
+    return SmithDecomposition(D=D, diagonal=diagonal, row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
 def determinant(A: IntegerMatrix) -> int:
@@ -317,28 +389,31 @@ def solve_integer(A: IntegerMatrix, B: IntegerMatrix):
 
 def back_substitute(snf: SmithDecomposition, B: IntegerMatrix):
     """solve_integer for the matrix A that ``snf`` decomposes, reusing its
-    transforms (so ``snf`` must be made with transforms=True).
+    logs (so ``snf`` must be made with transforms=True).
 
-    A @ X == B becomes D @ Y == U @ B with X == V @ Y; free coordinates of
-    Y are zero, so only the first rank columns of V enter the product.
+    A @ X == B becomes D @ Y == U @ B with X == V @ Y.  U @ B is the row
+    log replayed on the rows of B; free coordinates of Y are zero, and
+    V @ Y is the column log replayed backwards on the rows of Y.
     """
+    row_ops, col_ops = snf._logs()
+    if B.rows != snf.D.rows:
+        raise ValueError(f"A has {snf.D.rows} rows but B has {B.rows}")
     r = snf.rank
-    C = snf.U @ B
-    diag = snf.diagonal
+    C = _replay(row_ops, _sparse_rows(B))
     # rows past the rank must vanish; divisibility on the rest
-    if any(any(row) for row in C.entries[r:]):
+    if any(C[r:]):
         return None
     Y = []
-    for d, row in zip(diag, C.entries):
-        qs = []
-        for v in row:
+    for d, line in zip(snf.diagonal, C):
+        quotients = {}
+        for j, v in line.items():
             q, rem = divmod(v, d)
             if rem:
                 return None
-            qs.append(q)
-        Y.append(tuple(qs))
-    V = snf.V
-    return IntegerMatrix(V.rows, r, tuple(row[:r] for row in V.entries)) @ IntegerMatrix(r, B.cols, tuple(Y))
+            quotients[j] = q
+        Y.append(quotients)
+    Y.extend({} for _ in range(snf.D.cols - r))
+    return IntegerMatrix(snf.D.cols, B.cols, _dense(_replay(col_ops, Y, transposed=True), B.cols))
 
 
 @dataclass

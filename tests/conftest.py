@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 from sympy import Matrix, ZZ
@@ -17,7 +18,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from zgdual.complexes import ChainComplex
 from zgdual.group_core import GroupRingElement, cyclic_group, group_from_table
 from zgdual.gr_linalg import GRMatrix
-from zgdual.int_linalg import IntegerMatrix
+from zgdual.int_linalg import IntegerMatrix, kernel_basis, smith_normal_form, solve_integer
 from zgdual.lens import lens_complex
 
 
@@ -110,20 +111,102 @@ def groups():
 # -- complexes ------------------------------------------------------------
 
 
-def twisted_lens(n):
-    """Lens complex with the degree-1 basis scaled by the unit t.
+def twist_degree_one(C, u, u_inv):
+    """C with its degree-1 basis changed by the unit u: d1 @ u^-1 and u @ d2.
 
-    Chain isomorphic to lens_complex(n) (so still an algebraic 5-complex)
-    but no longer literally in dual form.
+    Chain isomorphic to C (so an algebraic 5-complex stays one), but no
+    longer literally in dual form.
     """
-    A = lens_complex(n)
-    G = A.group
-    u = GRMatrix.one_by_one(GroupRingElement.basis(G, 1))
-    u_inv = GRMatrix.one_by_one(GroupRingElement.basis(G, n - 1))
-    diffs = list(A.differentials)
+    diffs = list(C.differentials)
     diffs[0] = diffs[0] @ u_inv
     diffs[1] = u @ diffs[1]
-    return ChainComplex(G, A.ranks, tuple(diffs), A.top_generator, A.bottom_generator)
+    return ChainComplex(C.group, C.ranks, tuple(diffs), C.top_generator, C.bottom_generator)
+
+
+def twisted_lens(n):
+    """Lens complex with the degree-1 basis scaled by the unit t."""
+    A = lens_complex(n)
+    u = GRMatrix.one_by_one(GroupRingElement.basis(A.group, 1))
+    u_inv = GRMatrix.one_by_one(GroupRingElement.basis(A.group, n - 1))
+    return twist_degree_one(A, u, u_inv)
+
+
+def _translates(G, column):
+    """Z-coordinates of column * g for every g in G, column in Z[G]^s."""
+    return [
+        [c for e in column for c in (e * GroupRingElement.basis(G, g)).coeffs]
+        for g in range(G.order)
+    ]
+
+
+def _kernel_generators(d1):
+    """Z[G]-generators of ker d1: Z-basis columns of the kernel, sparsest
+    first, each kept when the Z-span of all G-translates of the kept ones
+    grows (higher rank or smaller index); stops at the whole kernel.
+    """
+    G, N, s = d1.group, d1.group.order, d1.cols
+    K = kernel_basis(d1.expand())
+    order = sorted(range(K.cols), key=lambda c: (sum(1 for x in K.column(c) if x), c))
+    chosen, span, best = [], [], None
+    for c in order:
+        v = K.column(c)
+        column = [GroupRingElement(G, v[j * N : (j + 1) * N]) for j in range(s)]
+        trial = span + _translates(G, column)
+        snf = smith_normal_form(solve_integer(K, IntegerMatrix.from_rows(list(zip(*trial)))))
+        score = (-snf.rank, prod(snf.diagonal))
+        if best is None or score < best:
+            best, span = score, trial
+            chosen.append(column)
+            if score == (-K.cols, 1):
+                return chosen
+    raise ValueError("ker d1 is not generated by its Z-basis columns")
+
+
+def presentation_complex(G, gens):
+    """The algebraic 5-complex of a generating set ``gens`` of G:
+
+        d1 = (1 - g_1, ..., 1 - g_s),  d2 = Z[G]-generators of ker d1,
+        d3 = 0,  d4 = d2*,  d5 = d1*
+
+    with ranks (1, s, k, k, s, 1), in dual form, generators (1,) at both
+    ends.  The construction of the benchmark's non-abelian inputs.
+    """
+    one = GroupRingElement.one(G)
+    d1 = GRMatrix.from_rows(G, [[one - GroupRingElement.basis(G, g) for g in gens]])
+    cols = _kernel_generators(d1)
+    s, k = len(gens), len(cols)
+    d2 = GRMatrix.from_rows(G, [[col[j] for col in cols] for j in range(s)])
+    return ChainComplex(
+        G, (1, s, k, k, s, 1), (d1, d2, GRMatrix.zeros(G, k, k), d2.dual(), d1.dual()), (1,), (1,)
+    )
+
+
+def sym3_presentation():
+    """presentation_complex of S3 on a transposition and a 3-cycle, with
+    the index of the transposition.  Elements are labelled breadth-first
+    from the identity, g acting on the left, as the benchmark labels them.
+    """
+    gens = [(1, 0, 2), (1, 2, 0)]
+    perms = [(0, 1, 2)]
+    for p in perms:
+        for g in gens:
+            h = tuple(g[x] for x in p)
+            if h not in perms:
+                perms.append(h)
+    return presentation_complex(_perm_group(perms), [perms.index(g) for g in gens]), perms.index(gens[0])
+
+
+def twisted_sym3_presentation():
+    """sym3_presentation twisted by diag(g, 1) in degree 1, g the transposition."""
+    C, g = sym3_presentation()
+    G = C.group
+    one, zero = GroupRingElement.one(G), GroupRingElement.zero(G)
+
+    def diag(x):
+        return GRMatrix.from_rows(G, [[x, zero], [zero, one]])
+
+    g_elt = GroupRingElement.basis(G, g)
+    return twist_degree_one(C, diag(g_elt), diag(g_elt.involute()))
 
 
 def broken_lens(n):

@@ -3,7 +3,14 @@ import re
 
 import pytest
 
-from conftest import make_dihedral4, make_quaternion8, make_sym3, twisted_lens
+from conftest import (
+    make_dihedral4,
+    make_quaternion8,
+    make_sym3,
+    sym3_presentation,
+    twisted_lens,
+    twisted_sym3_presentation,
+)
 from zgdual import dual_form
 from zgdual.complexes import (
     ChainComplex,
@@ -399,6 +406,30 @@ class TestChainIsomorphismSolver:
         assert iso is not None
         assert iso.h != identity_triple(tail)
         assert_mutual_chain_isomorphism(tail, head, iso)
+
+    def test_twisted_sym3_presentation_needs_the_second_trial(self, monkeypatch):
+        # a non-abelian input through identity, affine trial and assembly
+        def no_lll(*args, **kwargs):
+            raise AssertionError("the twisted S3 search reached LLL")
+
+        monkeypatch.setattr(dual_form, "lll_reduce", no_lll)
+        plain, _ = sym3_presentation()
+        C = twisted_sym3_presentation()
+        assert five_complex_report(C).is_member
+        pipe = to_dual_form_stage6(C)
+        tail, head = tail_segment(pipe.complex), dual_head_segment(pipe.complex)
+        assert solve_chain_isomorphism(tail, head, budget=1) is None
+        iso = solve_chain_isomorphism(tail, head, budget=2)
+        assert iso is not None
+        assert_mutual_chain_isomorphism(tail, head, iso)
+
+        assembled = assemble_dual_form(pipe.complex, iso)
+        assert [homology(assembled.complex, d) for d in range(6)] == [homology(C, d) for d in range(6)]
+        plain6 = to_dual_form_stage6(plain).complex
+        plain_iso = solve_chain_isomorphism(tail_segment(plain6), dual_head_segment(plain6), budget=1)
+        assert assembled.view.j_rank == assemble_dual_form(plain6, plain_iso).view.j_rank
+        order = C.group.order
+        assert assembled.view.j_rank % order == recognize_dual_form(plain).j_rank % order == order - 1
 
     @staticmethod
     def _elementary_head(row, col, unit):

@@ -1,6 +1,7 @@
 """Property-based tests for the algebraic core."""
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     make_quaternion8,
@@ -17,6 +18,7 @@ from zgdual.group_core import GroupRingElement, norm_element
 from zgdual.gr_linalg import GRMatrix, solve_gr_linear
 from zgdual.int_linalg import (
     IntegerMatrix,
+    back_substitute,
     determinant,
     homology_pair,
     kernel_basis,
@@ -129,6 +131,89 @@ def test_snf_without_transforms_keeps_the_invariants(A):
     assert bare.D == full.D
     assert (bare.U.rows, bare.U.cols, bare.V.rows, bare.V.cols) == (0, 0, 0, 0)
     assert list(bare.diagonal) == sympy_invariant_factors(A)
+
+
+@st.composite
+def sparse_int_matrices(draw, max_dim=8, bound=5):
+    """Integer matrices of every density: all-zero, sparse (about one entry
+    in five nonzero) and dense; 0 x n and m x 0 shapes included."""
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    density = draw(st.sampled_from(("zero", "sparse", "dense")))
+    if density == "zero":
+        return IntegerMatrix.zeros(rows, cols)
+    nonzero = st.integers(-bound, bound).filter(bool)
+
+    def entry():
+        if density == "sparse" and draw(st.integers(0, 4)):
+            return 0
+        return draw(nonzero)
+
+    return IntegerMatrix(rows, cols, tuple(tuple(entry() for _ in range(cols)) for _ in range(rows)))
+
+
+def _grid(rows, cols, values):
+    return IntegerMatrix(rows, cols, tuple(tuple(next(values) for _ in range(cols)) for _ in range(rows)))
+
+
+@st.composite
+def snf_systems(draw):
+    """(A, B_solvable, B_arbitrary): A from sparse_int_matrices, B_solvable
+    = A @ X for a random X, and a random B; both with two columns."""
+    A = draw(sparse_int_matrices())
+    small = st.lists(st.integers(-3, 3), min_size=2 * max(A.rows, A.cols), max_size=2 * max(A.rows, A.cols))
+    X = _grid(A.cols, 2, iter(draw(small)))
+    return A, A @ X, _grid(A.rows, 2, iter(draw(small)))
+
+
+def _zero_system(rows, cols):
+    return IntegerMatrix.zeros(rows, cols), IntegerMatrix.zeros(rows, 2), IntegerMatrix.zeros(rows, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(snf_systems())
+@example(_zero_system(0, 4))
+@example(_zero_system(4, 0))
+@example(_zero_system(3, 5))
+def test_snf_log_replays_match_the_materialized_transforms(system):
+    A, solvable, arbitrary = system
+    snf = smith_normal_form(A)
+    m, n, r = A.rows, A.cols, snf.rank
+    # every replay is read before U and V are built, then compared with them
+    u_rows = [snf.U_row(i) for i in range(m)]
+    v_cols = [snf.V_column(j) for j in range(n)]
+    kernel = snf.kernel_columns()
+    solutions = [back_substitute(snf, B) for B in (solvable, arbitrary)]
+
+    U, V = snf.U, snf.V
+    assert U @ A @ V == snf.D
+    assert u_rows == list(U.entries)
+    assert v_cols == [V.column(j) for j in range(n)]
+    assert kernel == [V.column(j) for j in range(r, n)]
+    assert solutions[0] is not None
+    first_r_columns = IntegerMatrix(n, r, tuple(row[:r] for row in V.entries))
+    for B, X in zip((solvable, arbitrary), solutions):
+        UB = U @ B
+        if any(any(row) for row in UB.entries[r:]) or any(
+            v % d for d, row in zip(snf.diagonal, UB.entries) for v in row
+        ):
+            assert X is None
+            continue
+        Y = IntegerMatrix(r, 2, tuple(tuple(v // d for v in row) for d, row in zip(snf.diagonal, UB.entries)))
+        assert X == first_r_columns @ Y
+        assert A @ X == B
+
+
+@settings(max_examples=30)
+@given(sparse_int_matrices())
+def test_transform_free_snf_keeps_no_log(A):
+    bare = smith_normal_form(A, transforms=False)
+    assert bare.row_ops is None and bare.col_ops is None
+    assert (bare.U.rows, bare.U.cols, bare.V.rows, bare.V.cols) == (0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        bare.kernel_columns()
+    with pytest.raises(ValueError):
+        back_substitute(bare, IntegerMatrix.zeros(A.rows, 1))
 
 
 # S3 and Q8 are the non-cyclic groups; C6 keeps a cyclic case with two
