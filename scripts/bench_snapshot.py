@@ -11,12 +11,12 @@ own process, and writes one JSON file with two sections:
   have identical count sections, so a later change can gate on them.
 * ``end_to_end``: per workload and metric, the median and the quartiles
   of untraced runs, one per seed and each ``run_seconds`` long (from
-  ``BENCHMARK.json``), with every run's value, the seeds and the length.  These are timings: a trend, not a gate.
+  ``BENCHMARK.json``), with every run's value, the seeds and the length.
+  These are timings: a trend, not a gate.
 
 Usage, from anywhere in the checkout:
 
-    python3 scripts/bench_snapshot.py BENCH_6.json [--seeds 1 2 3]
-    python3 scripts/bench_snapshot.py counts.json --counts-only
+    python3 scripts/bench_snapshot.py BENCH_6.json
 
 Only the standard library is used; the metrics and their units are the
 ones ``bench/run.py`` prints (see ``bench/README.md``).
@@ -40,6 +40,7 @@ TIMED_NAMES = ("trace.items_per_s_ratio",)
 # the traced pass is the same whatever the warm-up before it
 TRACE_SECONDS = 2
 TRACE_SEED = 1
+SEEDS = (1, 2, 3)
 
 
 def run_bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -62,12 +63,12 @@ def counts(workload: str) -> dict:
     return {"seed": TRACE_SEED, "failed": result["failed"], "metrics": exact}
 
 
-def end_to_end(workload: str, seeds, seconds: float) -> dict:
-    runs = [run_bench(workload, seed, seconds, trace=0) for seed in seeds]
+def end_to_end(workload: str, seconds: float) -> dict:
+    runs = [run_bench(workload, seed, seconds, trace=0) for seed in SEEDS]
     summary = {}
     for name, metric in runs[0]["metrics"].items():
         values = [r["metrics"][name]["value"] for r in runs]
-        q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        q1, _, q3 = statistics.quantiles(values, n=4)
         summary[name] = {
             "unit": metric["unit"],
             "median": statistics.median(values),
@@ -76,7 +77,7 @@ def end_to_end(workload: str, seeds, seconds: float) -> dict:
             "runs": values,
         }
     return {
-        "seeds": list(seeds),
+        "seeds": list(SEEDS),
         "seconds": seconds,
         "failed": [r["failed"] for r in runs],
         "attempted": [r["attempted"] for r in runs],
@@ -87,17 +88,16 @@ def end_to_end(workload: str, seeds, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", help="the snapshot file to write, e.g. BENCH_6.json")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--counts-only", action="store_true", help="write the count section alone")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     workloads = [w["name"] for w in spec["workloads"]]
 
-    snapshot = {"counts": {w: counts(w) for w in workloads}}
-    if not args.counts_only:
-        snapshot["end_to_end"] = {w: end_to_end(w, args.seeds, spec["run_seconds"]) for w in workloads}
+    snapshot = {
+        "counts": {w: counts(w) for w in workloads},
+        "end_to_end": {w: end_to_end(w, spec["run_seconds"]) for w in workloads},
+    }
     with open(args.output, "w") as f:
         json.dump(snapshot, f, indent=1, sort_keys=True)
         f.write("\n")

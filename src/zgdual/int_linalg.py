@@ -382,8 +382,6 @@ def solve_integer(A: IntegerMatrix, B: IntegerMatrix):
 
     Deterministic: free coordinates of the SNF back-substitution are zero.
     """
-    if A.rows != B.rows:
-        raise ValueError(f"A has {A.rows} rows but B has {B.rows}")
     return back_substitute(smith_normal_form(A), B)
 
 

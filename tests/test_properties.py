@@ -130,6 +130,11 @@ def test_snf_without_transforms_keeps_the_invariants(A):
     assert bare.rank == full.rank == rational_rank(A)
     assert bare.D == full.D
     assert (bare.U.rows, bare.U.cols, bare.V.rows, bare.V.cols) == (0, 0, 0, 0)
+    assert bare.row_ops is None and bare.col_ops is None
+    with pytest.raises(ValueError):
+        bare.kernel_columns()
+    with pytest.raises(ValueError):
+        back_substitute(bare, IntegerMatrix.zeros(A.rows, 1))
     assert list(bare.diagonal) == sympy_invariant_factors(A)
 
 
@@ -202,18 +207,6 @@ def test_snf_log_replays_match_the_materialized_transforms(system):
         Y = IntegerMatrix(r, 2, tuple(tuple(v // d for v in row) for d, row in zip(snf.diagonal, UB.entries)))
         assert X == first_r_columns @ Y
         assert A @ X == B
-
-
-@settings(max_examples=30)
-@given(sparse_int_matrices())
-def test_transform_free_snf_keeps_no_log(A):
-    bare = smith_normal_form(A, transforms=False)
-    assert bare.row_ops is None and bare.col_ops is None
-    assert (bare.U.rows, bare.U.cols, bare.V.rows, bare.V.cols) == (0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        bare.kernel_columns()
-    with pytest.raises(ValueError):
-        back_substitute(bare, IntegerMatrix.zeros(A.rows, 1))
 
 
 # S3 and Q8 are the non-cyclic groups; C6 keeps a cyclic case with two
