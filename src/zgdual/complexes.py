@@ -19,13 +19,14 @@ cover), "trivial" applies the augmentation entrywise (homology of the base).
 Augmented ends are never included: degree 0 is a cokernel, the top degree a
 kernel, exactly as for the raw complex.
 
-Each complex expands and reduces every differential at most once: the
-integer matrices, their Smith forms and the d.d == 0 checks are memoized
-on the instance (never across instances), and homology, the end reports,
-dual-form recognition, the obstruction and the normalizer's lifts all read
-that one memo.  Smith forms carry transforms (operation logs) only where a
-reader needs them: the U row of boundary(1), the V column of
-boundary(top) and the lifts, each replayed on just those vectors.
+Each complex expands and reduces every differential at most once per
+coefficient system: the integer matrices, their Smith forms and the
+d.d == 0 checks are memoized on the instance (never across instances), and
+homology, cohomology, the end reports, dual-form recognition, the
+obstruction and the normalizer's lifts all read that one memo.  Every
+Smith form keeps its operation logs; the readers that need vectors (the U
+row of boundary(1), the V column of boundary(top) and the lifts) replay
+them on just those.
 """
 
 from __future__ import annotations
@@ -108,19 +109,14 @@ class ChainComplex:
             self._memo[key] = M
         return M
 
-    def reduction(self, i: int, coefficients: str = "integral", transforms: bool = False) -> SmithDecomposition:
-        """Smith normal form of integer_matrix(i), computed once.
-
-        With ``transforms`` the operation logs are kept; a decomposition with
-        transforms also answers every later transform-free request.
+    def reduction(self, i: int, coefficients: str = "integral") -> SmithDecomposition:
+        """Smith normal form of integer_matrix(i), computed once per degree
+        and coefficient system; its operation logs serve every reader.
         """
-        memo = self._memo
-        snf = memo.get(("full", i, coefficients))
-        if snf is None and not transforms:
-            snf = memo.get(("diagonal", i, coefficients))
+        key = ("reduction", i, coefficients)
+        snf = self._memo.get(key)
         if snf is None:
-            snf = smith_normal_form(self.integer_matrix(i, coefficients), transforms=transforms)
-            memo[("full" if transforms else "diagonal", i, coefficients)] = snf
+            snf = self._memo[key] = smith_normal_form(self.integer_matrix(i, coefficients))
         return snf
 
     def composition_zero(self, i: int, coefficients: str = "integral") -> bool:
@@ -151,7 +147,7 @@ class ChainComplex:
         d = self.boundary(i)
         if B.group != self.group or B.rows != d.rows:
             raise ValueError(f"right-hand side does not match boundary({i})")
-        X = back_substitute(self.reduction(i, transforms=True), stack_columns(B))
+        X = back_substitute(self.reduction(i), stack_columns(B))
         return None if X is None else fold_columns(self.group, X, d.cols)
 
     def with_generators(self, top, bottom) -> ChainComplex:
@@ -216,12 +212,14 @@ def dualize_complex(C: ChainComplex) -> ChainComplex:
 # -- homology ------------------------------------------------------------
 
 
-def homology(C: ChainComplex, degree: int, coefficients: str = "integral") -> AbelianGroupInfo:
-    """ker(boundary(degree)) / im(boundary(degree+1)) by the rank identity
-    of int_linalg.homology_from_invariants, from C's memoized reductions.
+def _spot(C: ChainComplex, degree: int, coefficients: str, outgoing: int, incoming: int) -> AbelianGroupInfo:
+    """The rank identity of int_linalg.homology_from_invariants at C's
+    module of the given degree, from C's memoized reductions: the rank of
+    boundary(outgoing) and the invariant factors of boundary(incoming).
+    An index outside 1..top_degree stands for a zero map at an end.
 
-    Raises ValueError when the two maps at the spot do not compose to zero
-    (see ChainComplex.composition_zero); other spots still answer.
+    Raises ValueError when the two boundaries at the spot do not compose to
+    zero (see ChainComplex.composition_zero); other spots still answer.
     """
     if coefficients not in COEFFS:
         raise ValueError(f"coefficients must be one of {COEFFS}")
@@ -234,25 +232,28 @@ def homology(C: ChainComplex, degree: int, coefficients: str = "integral") -> Ab
             "not a complex at this spot"
         )
     middle = C.ranks[degree] * (C.group.order if coefficients == "integral" else 1)
-    outgoing_rank = C.reduction(degree, coefficients).rank if degree > 0 else 0
-    incoming = C.reduction(degree + 1, coefficients).diagonal if degree < T else ()
-    return homology_from_invariants(middle, outgoing_rank, incoming)
+    outgoing_rank = C.reduction(outgoing, coefficients).rank if 1 <= outgoing <= T else 0
+    incoming_factors = C.reduction(incoming, coefficients).diagonal if 1 <= incoming <= T else ()
+    return homology_from_invariants(middle, outgoing_rank, incoming_factors)
+
+
+def homology(C: ChainComplex, degree: int, coefficients: str = "integral") -> AbelianGroupInfo:
+    """ker(boundary(degree)) / im(boundary(degree+1)), from C's reductions."""
+    return _spot(C, degree, coefficients, degree, degree + 1)
 
 
 def cohomology(C: ChainComplex, degree: int, coefficients: str = "integral") -> AbelianGroupInfo:
-    """Homology of the dual complex at the mirrored spot.
+    """Homology of dualize_complex(C) at degree top - degree, read from C's
+    own reductions.
 
-    The dual complex is regraded top-for-bottom, so the classical degree-i
-    cochain position sits at degree top-i of dualize_complex(C).  The dual
-    is built once per complex and kept in C's memo, so its reductions are
-    computed once too.
+    The coboundary out of degree i is dual(boundary(i+1)) and the one into
+    it is dual(boundary(i)).  Expansion and augmentation turn the dual into
+    the transpose, which has the same rank and invariant factors (Hatcher,
+    Algebraic Topology, 3.1).  So the free rank is the middle rank minus
+    rank(boundary(i+1)) minus rank(boundary(i)), and the torsion is the
+    invariant factors of boundary(i) above 1.
     """
-    if not 0 <= degree <= C.top_degree:
-        raise ValueError(f"degree {degree} out of range 0..{C.top_degree}")
-    dual = C._memo.get("dual")
-    if dual is None:
-        dual = C._memo["dual"] = dualize_complex(C)
-    return homology(dual, C.top_degree - degree, coefficients)
+    return _spot(C, degree, coefficients, degree + 1, degree)
 
 
 # -- augmented ends ----------------------------------------------------
@@ -300,7 +301,7 @@ def bottom_end_report(C: ChainComplex) -> EndReport:
     """coker(boundary(1)) with its G-action; derives or validates the certificate."""
     N = C.group.order
     r0 = C.ranks[0]
-    snf = C.reduction(1, transforms=True)
+    snf = C.reduction(1)
     info = homology_from_invariants(r0 * N, 0, snf.diagonal)
     is_z = info == AbelianGroupInfo.free(1)
 
@@ -332,7 +333,7 @@ def top_end_report(C: ChainComplex) -> EndReport:
     N = C.group.order
     T = C.top_degree
     rt = C.ranks[T]
-    snf = C.reduction(T, transforms=True)
+    snf = C.reduction(T)
     nullity = rt * N - snf.rank
     info = AbelianGroupInfo.free(nullity)
     is_z = nullity == 1
@@ -397,7 +398,6 @@ def five_complex_report(C: ChainComplex) -> FiveComplexReport:
     valid = validate_complex(C).ok
     if not (length_ok and valid):
         return FiveComplexReport(valid, length_ok, False, False, None, None, euler_characteristic(C))
-    # the ends first: their reductions keep transforms, which homology reuses
     bottom = bottom_end_report(C)
     top = top_end_report(C)
     exact1 = homology(C, 1, "integral").is_trivial

@@ -521,7 +521,7 @@ def _chain_map_constraints(a: ChainComplex, b: ChainComplex) -> IntegerMatrix:
                     row[right : right + width] = [-d_col[i] for i in flip]
                     rows.append(row)
 
-    return IntegerMatrix.from_rows(rows) if rows else IntegerMatrix(0, total, ())
+    return IntegerMatrix(len(rows), total, tuple(map(tuple, rows)))
 
 
 def _unflatten_triple(a: ChainComplex, b: ChainComplex, vec):

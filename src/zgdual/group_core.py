@@ -25,11 +25,6 @@ class GroupTableError(ValueError):
         self.reason = reason
 
 
-# Exhaustive associativity checking is O(N^3); above this order the table is
-# trusted and the group carries associativity_verified=False.
-ASSOCIATIVITY_CHECK_LIMIT = 64
-
-
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group given by its multiplication table on indices 0..N-1.
@@ -43,7 +38,6 @@ class FiniteGroup:
     mul_table: tuple[tuple[int, ...], ...]
     inv_table: tuple[int, ...]
     identity_index: int
-    associativity_verified: bool = field(default=True, compare=False)
     is_cyclic: bool = field(default=False, compare=False)
 
     def __repr__(self):
@@ -67,8 +61,8 @@ def group_from_table(mul_table) -> FiniteGroup:
 
     Each axiom failure raises GroupTableError with a distinct reason, so
     callers can tell a non-Latin-square from a missing identity, a missing
-    inverse, or an associativity failure.  Associativity is checked
-    exhaustively only up to order ASSOCIATIVITY_CHECK_LIMIT.
+    inverse, or an associativity failure.  Every axiom is checked at every
+    order: associativity by Light's test (see _check_associativity).
     """
     table = tuple(tuple(row) for row in mul_table)
     n = len(table)
@@ -83,49 +77,65 @@ def group_from_table(mul_table) -> FiniteGroup:
     for i, row in enumerate(table):
         if set(row) != full:
             raise GroupTableError("latin", f"row {i} is not a permutation (not a Latin square)")
-    for j in range(n):
-        if {table[i][j] for i in range(n)} != full:
+    for j, column in enumerate(zip(*table)):
+        if set(column) != full:
             raise GroupTableError("latin", f"column {j} is not a permutation (not a Latin square)")
 
-    identity = None
-    for e in range(n):
-        if all(table[e][j] == j for j in range(n)) and all(table[i][e] == i for i in range(n)):
-            identity = e
-            break
-    if identity is None:
+    # in a Latin square only the row e with e * 0 == 0 can be an identity,
+    # and only the column j with i * j == e can hold the inverse of i
+    base = tuple(range(n))
+    identity = next(e for e in range(n) if table[e][0] == 0)
+    if table[identity] != base or any(table[i][identity] != i for i in range(n)):
         raise GroupTableError("identity", "no two-sided identity element")
-
-    inv = [None] * n
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] == identity and table[j][i] == identity:
-                inv[i] = j
-                break
-        if inv[i] is None:
+    inv = []
+    for i, row in enumerate(table):
+        j = row.index(identity)
+        if table[j][i] != identity:
             raise GroupTableError("inverse", f"element {i} has no two-sided inverse")
+        inv.append(j)
 
-    verified = n <= ASSOCIATIVITY_CHECK_LIMIT
-    if verified:
-        for a in range(n):
-            ta = table[a]
-            for b in range(n):
-                tab = table[ta[b]]
-                tb = table[b]
-                for c in range(n):
-                    if tab[c] != ta[tb[c]]:
-                        raise GroupTableError(
-                            "associativity",
-                            f"associativity fails at ({a},{b},{c})",
-                        )
-
+    _check_associativity(table, identity)
     return FiniteGroup(
         order=n,
         mul_table=table,
         inv_table=tuple(inv),
         identity_index=identity,
-        associativity_verified=verified,
-        is_cyclic=table == _cyclic_table(n),
+        is_cyclic=all(row == base[i:] + base[:i] for i, row in enumerate(table)),
     )
+
+
+def _check_associativity(table, identity) -> None:
+    """Light's associativity test on a Latin square with an identity.
+
+    The elements s with (x s) y == x (s y) for all x, y are closed under
+    multiplication (Clifford & Preston, Algebraic Theory of Semigroups,
+    1961), and the identity is one of them.  So it suffices to check
+    the s of a generating set: one taken greedily, each element that the
+    identity and the earlier generators do not reach under right
+    multiplication by them becoming the next generator.  That costs
+    O(N^2) per generator.
+    """
+    n = len(table)
+    generators = []
+    reached = {identity}
+    for g in range(n):
+        if g in reached:
+            continue
+        generators.append(g)
+        frontier = list(reached)
+        while frontier:
+            row = table[frontier.pop()]
+            for s in generators:
+                if row[s] not in reached:
+                    reached.add(row[s])
+                    frontier.append(row[s])
+    for s in generators:
+        ts = table[s]
+        for x, tx in enumerate(table):
+            txs = table[tx[s]]
+            if txs != tuple(map(tx.__getitem__, ts)):
+                y = next(y for y in range(n) if txs[y] != tx[ts[y]])
+                raise GroupTableError("associativity", f"associativity fails at ({x},{s},{y})")
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,16 @@ at the ends of chain complexes, so all conventions below degrade gracefully.
 For the empty cases: the SNF of a matrix with no nonzero entry has an empty
 invariant-factor list, and a kernel basis of a 0 x n matrix is the identity.
 
-Homology needs no transforms.  At a spot Z^m between two maps with
+Homology reads no transforms.  At a spot Z^m between two maps with
 outgoing @ incoming == 0, ker/im has free rank m - rank(outgoing) -
 rank(incoming), and its torsion is the invariant factors of incoming that
-exceed 1 (see homology_from_invariants); both come from
-smith_normal_form(..., transforms=False), which keeps no operation log.
+exceed 1 (see homology_from_invariants).
 
 Transforms are logs, not matrices.  smith_normal_form reduces sparse rows
-and records its row and column operations; a consumer replays them on the
-vectors it needs (back_substitute on B and Y, the kernel columns, one row
-of U or one column of V).  The dense U and V are built only when read.
+and always records its row and column operations; a consumer replays them
+on the vectors it needs (back_substitute on B and Y, the kernel columns,
+one row of U or one column of V).  The dense U and V are built only when
+read.  So one decomposition of a matrix serves every reader.
 """
 
 from __future__ import annotations
@@ -165,66 +165,51 @@ class SmithDecomposition:
     operations that reduced A (``row_ops``, ``col_ops``).  U and V are
     built from them only when read; consumers that need a few vectors
     replay the logs on just those: ``U_row``, ``V_column``,
-    ``kernel_columns`` and ``back_substitute``.  A decomposition made with
-    ``transforms=False`` keeps no log: its U and V are empty 0 x 0
-    matrices, and only D, ``diagonal`` and ``rank`` describe A.
+    ``kernel_columns`` and ``back_substitute``.
     """
 
     D: IntegerMatrix
     diagonal: tuple[int, ...]
-    row_ops: tuple[tuple[int, int, int], ...] | None = None
-    col_ops: tuple[tuple[int, int, int], ...] | None = None
+    row_ops: tuple[tuple[int, int, int], ...]
+    col_ops: tuple[tuple[int, int, int], ...]
 
     @property
     def rank(self) -> int:
         return len(self.diagonal)
 
-    def _logs(self):
-        if self.row_ops is None:
-            raise ValueError("this needs a decomposition made with transforms")
-        return self.row_ops, self.col_ops
-
     @cached_property
     def U(self) -> IntegerMatrix:
-        if self.row_ops is None:
-            return IntegerMatrix(0, 0, ())
         m = self.D.rows
         lines = _replay(self.row_ops, [{i: 1} for i in range(m)])
         return IntegerMatrix(m, m, _dense(lines, m))
 
     @cached_property
     def V(self) -> IntegerMatrix:
-        if self.col_ops is None:
-            return IntegerMatrix(0, 0, ())
         n = self.D.cols
         lines = _replay(self.col_ops, [{j: 1} for j in range(n)], transposed=True)
         return IntegerMatrix(n, n, _dense(lines, n))
 
     def U_row(self, i: int) -> tuple[int, ...]:
         """Row i of U, by one replay of the row log."""
-        return _unit_columns(self._logs()[0], self.D.rows, i, i + 1)[0]
+        return _unit_columns(self.row_ops, self.D.rows, i, i + 1)[0]
 
     def V_column(self, j: int) -> tuple[int, ...]:
         """Column j of V, by one replay of the column log."""
-        return _unit_columns(self._logs()[1], self.D.cols, j, j + 1)[0]
+        return _unit_columns(self.col_ops, self.D.cols, j, j + 1)[0]
 
     def kernel_columns(self) -> list[tuple[int, ...]]:
-        """The columns of V past the rank: a Z-basis of ker(A).
-
-        Needs the transforms: a transform-free decomposition raises.
-        """
-        return _unit_columns(self._logs()[1], self.D.cols, self.rank, self.D.cols)
+        """The columns of V past the rank: a Z-basis of ker(A)."""
+        return _unit_columns(self.col_ops, self.D.cols, self.rank, self.D.cols)
 
 
-def smith_normal_form(A: IntegerMatrix, transforms: bool = True) -> SmithDecomposition:
+def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     """Diagonalize A by unimodular row/column operations.
 
     The pivot is the first entry of least absolute value in row-major order
     of the live block, which keeps coefficient growth in check on the
     small dense matrices produced by group-ring expansion.  The live block
-    is kept as sparse rows; with ``transforms`` the row and column
-    operations are logged (see SmithDecomposition), without it they are
-    dropped: the invariant factors and the rank are the same.
+    is kept as sparse rows, and the row and column operations are logged
+    (see SmithDecomposition).
 
     At step t, live rows hold no entry left of column t, so every row
     operation touches only the live block.  Once column t is clear below
@@ -331,8 +316,6 @@ def smith_normal_form(A: IntegerMatrix, transforms: bool = True) -> SmithDecompo
     diagonal = tuple(rows[i][i] for i in range(t))
     zero = (0,) * n
     D = IntegerMatrix(m, n, tuple(zero[:i] + (R[i],) + zero[i + 1 :] if R else zero for i, R in enumerate(rows)))
-    if not transforms:
-        return SmithDecomposition(D=D, diagonal=diagonal)
     return SmithDecomposition(D=D, diagonal=diagonal, row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
@@ -387,17 +370,16 @@ def solve_integer(A: IntegerMatrix, B: IntegerMatrix):
 
 def back_substitute(snf: SmithDecomposition, B: IntegerMatrix):
     """solve_integer for the matrix A that ``snf`` decomposes, reusing its
-    logs (so ``snf`` must be made with transforms=True).
+    logs.
 
     A @ X == B becomes D @ Y == U @ B with X == V @ Y.  U @ B is the row
     log replayed on the rows of B; free coordinates of Y are zero, and
     V @ Y is the column log replayed backwards on the rows of Y.
     """
-    row_ops, col_ops = snf._logs()
     if B.rows != snf.D.rows:
         raise ValueError(f"A has {snf.D.rows} rows but B has {B.rows}")
     r = snf.rank
-    C = _replay(row_ops, _sparse_rows(B))
+    C = _replay(snf.row_ops, _sparse_rows(B))
     # rows past the rank must vanish; divisibility on the rest
     if any(C[r:]):
         return None
@@ -411,7 +393,7 @@ def back_substitute(snf: SmithDecomposition, B: IntegerMatrix):
             quotients[j] = q
         Y.append(quotients)
     Y.extend({} for _ in range(snf.D.cols - r))
-    return IntegerMatrix(snf.D.cols, B.cols, _dense(_replay(col_ops, Y, transposed=True), B.cols))
+    return IntegerMatrix(snf.D.cols, B.cols, _dense(_replay(snf.col_ops, Y, transposed=True), B.cols))
 
 
 @dataclass
@@ -427,7 +409,7 @@ class ReducedLattice:
     lam: list[list[int]]
 
 
-def lll_reduce(rows: list[list[int]], delta=(3, 4)) -> ReducedLattice:
+def lll_reduce(rows: list[list[int]]) -> ReducedLattice:
     """All-integer LLL reduction of linearly independent lattice basis rows.
 
     Produces a basis of the same lattice whose vectors are short and nearly
@@ -437,7 +419,7 @@ def lll_reduce(rows: list[list[int]], delta=(3, 4)) -> ReducedLattice:
     """
     b = [list(r) for r in rows]
     m = len(b)
-    dn, dd = delta
+    dn, dd = 3, 4  # delta = dn / dd
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
@@ -575,7 +557,7 @@ def homology_from_invariants(middle: int, outgoing_rank: int, incoming_factors) 
         torsion   = the invariant factors of incoming that exceed 1.
 
     ``incoming_factors`` are the nonzero invariant factors of incoming, so
-    rank(incoming) == len(incoming_factors).  Neither map needs transforms.
+    rank(incoming) == len(incoming_factors).
     """
     return AbelianGroupInfo(
         free_rank=middle - outgoing_rank - len(incoming_factors),
@@ -587,8 +569,8 @@ def homology_pair(incoming: IntegerMatrix, outgoing: IntegerMatrix) -> AbelianGr
     """ker(outgoing)/im(incoming) where outgoing @ incoming == 0.
 
     ``incoming`` maps into the middle module Z^m (m = incoming.rows =
-    outgoing.cols); ``outgoing`` maps out of it.  Two transform-free SNFs
-    and the rank identity of homology_from_invariants.
+    outgoing.cols); ``outgoing`` maps out of it.  Two SNFs and the rank
+    identity of homology_from_invariants.
     """
     if incoming.rows != outgoing.cols:
         raise ValueError(
@@ -598,6 +580,6 @@ def homology_pair(incoming: IntegerMatrix, outgoing: IntegerMatrix) -> AbelianGr
         raise ValueError("outgoing . incoming is nonzero: not a complex at this spot")
     return homology_from_invariants(
         incoming.rows,
-        smith_normal_form(outgoing, transforms=False).rank,
-        smith_normal_form(incoming, transforms=False).diagonal,
+        smith_normal_form(outgoing).rank,
+        smith_normal_form(incoming).diagonal,
     )

@@ -39,6 +39,18 @@ def _perm_group(perms):
     return group_from_table(table)
 
 
+def c70_loop_table():
+    """The C70 table with the intercalate on rows and columns 1 and 36
+    switched: still a Latin square with identity 0 and two-sided inverses,
+    but (1 * 1) * 2 != 1 * (1 * 2).  Order 70 is above the size at which an
+    O(N^3) associativity scan is cheap.
+    """
+    table = [[(i + j) % 70 for j in range(70)] for i in range(70)]
+    for i in (1, 36):
+        table[i][1], table[i][36] = table[i][36], table[i][1]
+    return table
+
+
 def make_klein():
     return group_from_table(KLEIN_TABLE)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import broken_lens, twisted_lens
+from conftest import broken_lens, c70_loop_table, twisted_lens
 from zgdual.cli import main
 from zgdual.complexes import ChainComplex, validate_complex
 from zgdual.group_core import GroupRingElement
@@ -130,6 +130,16 @@ class TestCheckCommand:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/file.json")
         assert code == 2
+
+    def test_nonassociative_order_70_table_is_a_usage_error(self, capsys, tmp_path):
+        data = complex_to_json(lens_complex(70))
+        data["group"] = {"type": "table", "mul": c70_loop_table()}
+        path = tmp_path / "loop.json"
+        path.write_text(canonical_dumps(data))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert "associativity fails at (1,1,2)" in err
 
 
 class TestHomologyCommand:

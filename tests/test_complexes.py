@@ -33,7 +33,7 @@ from zgdual.complexes import (
     validate_complex,
     verify_homotopy,
 )
-from zgdual.dual_form import recognize_dual_form
+from zgdual.dual_form import normalize_duality, obstruction_check, recognize_dual_form
 from zgdual.group_core import GroupRingElement, cyclic_group, norm_element
 from zgdual.gr_linalg import GRMatrix, solve_gr_linear
 from zgdual.int_linalg import AbelianGroupInfo, kernel_basis, smith_normal_form
@@ -302,23 +302,29 @@ class TestMemoizedReductions:
         assert bottom_end_report(bare).generator == (1,)
         assert top_end_report(bare).certificate_valid is None
 
-    def test_cohomology_reuses_one_dual_per_complex(self, monkeypatch):
+    def test_each_differential_is_reduced_once(self, monkeypatch):
         calls = []
 
-        def counting_snf(*args, **kwargs):
+        def counting_snf(A):
             calls.append(1)
-            return smith_normal_form(*args, **kwargs)
+            return smith_normal_form(A)
 
         monkeypatch.setattr(complexes, "smith_normal_form", counting_snf)
-        C = lens_complex(101)
         spots = [(d, coeff) for d in range(6) for coeff in COEFFS]
-        first = [cohomology(C, d, coeff) for d, coeff in spots]
-        assert calls
-        calls.clear()
-        assert [cohomology(C, d, coeff) for d, coeff in spots] == first
-        assert not calls
-        fresh = dualize_complex(C)
-        assert first == [homology(fresh, 5 - d, coeff) for d, coeff in spots]
+        for n in (6, 7):
+            C = lens_complex(n)
+            calls.clear()
+            assert five_complex_report(C).is_member
+            view = recognize_dual_form(C)
+            obstruction_check(view)
+            all_homology(C)
+            normalize_duality(view, lens_duality_map(n))
+            # five differentials, each in two coefficient systems
+            assert len(calls) == 10
+            calls.clear()
+            got = [cohomology(C, d, coeff) for d, coeff in spots]
+            assert not calls
+            assert got == [homology(dualize_complex(C), 5 - d, coeff) for d, coeff in spots]
 
     def test_raises_at_broken_spots_and_answers_at_valid_ones(self):
         B = broken_lens(5)
@@ -358,11 +364,12 @@ class TestCohomology:
 
     def test_mirrors_homology_of_dual(self):
         # the definitional relation, at the mirrored degree
-        A = lens_complex(4)
-        D = dualize_complex(A)
-        for coeff in ("integral", "trivial"):
-            for d in range(6):
-                assert cohomology(A, d, coeff) == homology(D, 5 - d, coeff)
+        for A in [lens_complex(4), twisted_lens(5)] + nonabelian_complexes():
+            D = dualize_complex(A)
+            T = A.top_degree
+            for coeff in COEFFS:
+                for d in range(T + 1):
+                    assert cohomology(A, d, coeff) == homology(D, T - d, coeff)
 
     def test_trivial_group_matches_classical_cochain(self):
         # over the trivial group cohomology agrees with the classical

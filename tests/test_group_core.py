@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import KLEIN_TABLE, make_klein, make_sym3, small_groups
+from conftest import KLEIN_TABLE, c70_loop_table, make_klein, make_sym3, small_groups
 from zgdual.group_core import (
     GroupRingElement,
     GroupTableError,
@@ -98,18 +98,62 @@ class TestGroupFromTable:
             group_from_table(loop)
         assert err.value.reason == "associativity"
 
+    def test_associativity_verdict_matches_brute_force(self, groups):
+        # relabel each small group and switch one random intercalate: Light's
+        # test over a generating set must agree with the O(N^3) scan
+        rng = random.Random(23)
+        verdicts = []
+        for G in groups:
+            n = G.order
+            for _ in range(6):
+                perm = rng.sample(range(n), n)
+                t = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(n):
+                        t[perm[i]][perm[j]] = perm[G.mul_table[i][j]]
+                quads = [
+                    (r1, r2, c1, c2)
+                    for r1 in range(n) for r2 in range(r1 + 1, n)
+                    for c1 in range(n) for c2 in range(c1 + 1, n)
+                    if t[r1][c1] == t[r2][c2] and t[r1][c2] == t[r2][c1]
+                ]
+                if quads:
+                    r1, r2, c1, c2 = rng.choice(quads)
+                    t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
+                    t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
+                associative = all(
+                    t[t[a][b]][c] == t[a][t[b][c]]
+                    for a in range(n) for b in range(n) for c in range(n)
+                )
+                try:
+                    group_from_table(t)
+                    reason = None
+                except GroupTableError as err:
+                    reason = err.reason
+                if reason in ("identity", "inverse"):
+                    continue
+                assert (reason == "associativity") == (not associative)
+                verdicts.append(associative)
+        assert True in verdicts and False in verdicts
+
     def test_non_square(self):
         with pytest.raises(GroupTableError) as err:
             group_from_table([[0, 1]])
         assert err.value.reason == "shape"
 
-    def test_associativity_trusted_above_limit(self):
-        # order 70 > 64: associativity is not exhaustively checked and the
-        # group records that fact
-        big = group_from_table(cyclic_group(70).mul_table)
-        assert not big.associativity_verified
-        small = group_from_table(cyclic_group(10).mul_table)
-        assert small.associativity_verified
+    def test_associativity_checked_at_order_70(self):
+        loop = c70_loop_table()
+        n = len(loop)
+        # brute force: the switched intercalate breaks associativity
+        assert any(
+            loop[loop[a][b]][c] != loop[a][loop[b][c]]
+            for a in range(n) for b in range(n) for c in range(n)
+        )
+        with pytest.raises(GroupTableError) as err:
+            group_from_table(loop)
+        assert err.value.reason == "associativity"
+        assert str(err.value) == "associativity fails at (1,1,2)"
+        assert group_from_table(cyclic_group(70).mul_table) == cyclic_group(70)
 
 
 class TestGroupRingMultiplication:

@@ -1,6 +1,5 @@
 """Property-based tests for the algebraic core."""
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
@@ -119,23 +118,6 @@ def test_snf_invariants(A):
     for x, y in zip(snf.diagonal, snf.diagonal[1:]):
         assert y % x == 0
     assert list(snf.diagonal) == sympy_invariant_factors(A)
-
-
-@settings(max_examples=60)
-@given(int_matrices(max_dim=7, bound=9))
-def test_snf_without_transforms_keeps_the_invariants(A):
-    full = smith_normal_form(A)
-    bare = smith_normal_form(A, transforms=False)
-    assert bare.diagonal == full.diagonal
-    assert bare.rank == full.rank == rational_rank(A)
-    assert bare.D == full.D
-    assert (bare.U.rows, bare.U.cols, bare.V.rows, bare.V.cols) == (0, 0, 0, 0)
-    assert bare.row_ops is None and bare.col_ops is None
-    with pytest.raises(ValueError):
-        bare.kernel_columns()
-    with pytest.raises(ValueError):
-        back_substitute(bare, IntegerMatrix.zeros(A.rows, 1))
-    assert list(bare.diagonal) == sympy_invariant_factors(A)
 
 
 @st.composite
