@@ -8,7 +8,9 @@ so boundary(5) == dual(boundary(1)) and boundary(4) == dual(boundary(2)).
 The middle map d3 then encodes a G-invariant bilinear form on the dual J of
 ker(d2).  This module provides:
 
-* stabilization and simple homotopy moves (expand/collapse a free summand);
+* stabilization and simple homotopy moves (expand/collapse a free summand
+  after the existing blocks, the equivalences being the inclusion of the
+  leading blocks and the projection onto them);
 * the five-move pipeline taking any algebraic 5-complex to a mirrored
   stage-6 shape, with the middle gluing isomorphism chosen as the identity
   (legitimate because the Euler characteristic forces the two middle ranks
@@ -30,11 +32,9 @@ from zgdual.complexes import (
     ChainComplex,
     ChainHomotopy,
     ChainMap,
-    compose_maps,
     dualize_complex,
     five_complex_report,
     homology,
-    identity_map,
     is_chain_map,
     negate_map,
     validate_complex,
@@ -97,7 +97,10 @@ class SimpleMoveResult:
     record: MoveRecord
 
 
-def _expand_move(C: ChainComplex, position: int, rank: int) -> SimpleMoveResult:
+def _expanded(C: ChainComplex, position: int, rank: int) -> ChainComplex:
+    """C with a free rank-``rank`` summand appended at degrees position+1
+    and position, the new differential block being the identity.
+    """
     G = C.group
     T = C.top_degree
     p = position
@@ -129,30 +132,28 @@ def _expand_move(C: ChainComplex, position: int, rank: int) -> SimpleMoveResult:
         top = tuple(top) + (0,) * f
     if bottom is not None and p == 0:
         bottom = tuple(bottom) + (0,) * f
-    new = ChainComplex(G, tuple(ranks), tuple(diffs), top_generator=top, bottom_generator=bottom)
+    return ChainComplex(G, tuple(ranks), tuple(diffs), top_generator=top, bottom_generator=bottom)
 
-    fwd = []
-    bwd = []
-    for i in range(T + 1):
-        if i in (p, p + 1):
-            inc = GRMatrix.block(
-                G,
-                [[GRMatrix.identity(G, C.ranks[i])], [GRMatrix.zeros(G, f, C.ranks[i])]],
-            )
-            proj = GRMatrix.block(
-                G,
-                [[GRMatrix.identity(G, C.ranks[i]), GRMatrix.zeros(G, C.ranks[i], f)]],
-            )
-        else:
-            inc = proj = GRMatrix.identity(G, C.ranks[i])
-        fwd.append(inc)
-        bwd.append(proj)
-    record = MoveRecord("expand", p, f)
-    return SimpleMoveResult(new, ChainMap(C, new, tuple(fwd)), ChainMap(new, C, tuple(bwd)), record)
+
+def _leading_block_maps(small: ChainComplex, big: ChainComplex) -> tuple[ChainMap, ChainMap]:
+    """The inclusion small -> big of the leading blocks and the projection
+    big -> small onto them."""
+    G = small.group
+    one, z = GroupRingElement.one(G), GroupRingElement.zero(G)
+
+    def leading(rows, cols):  # the identity on the first min(rows, cols) generators
+        grid = tuple(tuple(one if i == j else z for j in range(cols)) for i in range(rows))
+        return GRMatrix(G, rows, cols, grid)
+
+    pairs = tuple(zip(small.ranks, big.ranks))
+    return (
+        ChainMap(small, big, tuple(leading(R, r) for r, R in pairs)),
+        ChainMap(big, small, tuple(leading(r, R) for r, R in pairs)),
+    )
 
 
 def _collapse_move(C: ChainComplex, position: int, rank: int) -> SimpleMoveResult:
-    """Inverse of _expand_move: the leading blocks of C, accepted only when
+    """Inverse of an expansion: the leading blocks of C, accepted only when
     expanding them again gives C back exactly.
     """
     p, f = position, rank
@@ -173,14 +174,12 @@ def _collapse_move(C: ChainComplex, position: int, rank: int) -> SimpleMoveResul
         top_generator=None if top is None else tuple(top[: ranks[-1]]),
         bottom_generator=None if bottom is None else tuple(bottom[: ranks[0]]),
     )
-    expansion = _expand_move(core, p, f)
-    E = expansion.complex
+    E = _expanded(core, p, f)
     if E != C:
         differs = [f"boundary({i})" for i in range(1, C.top_degree + 1) if E.boundary(i) != C.boundary(i)]
         differs.append("the top generator" if E.top_generator != C.top_generator else "the bottom generator")
         raise ValueError(f"cannot collapse: {differs[0]} is not the expansion of its leading blocks")
-    forward = ChainMap(C, core, expansion.backward.components)
-    backward = ChainMap(core, C, expansion.forward.components)
+    backward, forward = _leading_block_maps(core, C)
     return SimpleMoveResult(core, forward, backward, MoveRecord("collapse", p, f))
 
 
@@ -189,13 +188,17 @@ def simple_move(C: ChainComplex, position: int, rank: int, direction: str = "exp
     degrees position+1 and position, the new differential block being the
     identity.  Neighbouring differentials compose with the inclusion and
     projection, so the result is simple homotopy equivalent to the input.
+    The summand follows the existing blocks, so the equivalences are the
+    inclusion of the leading blocks and the projection onto them.
     """
     if not 0 <= position <= C.top_degree - 1:
         raise ValueError(f"move position {position} out of range 0..{C.top_degree - 1}")
     if rank < 0:
         raise ValueError("move rank must be non-negative")
     if direction == "expand":
-        return _expand_move(C, position, rank)
+        new = _expanded(C, position, rank)
+        inclusion, projection = _leading_block_maps(C, new)
+        return SimpleMoveResult(new, inclusion, projection, MoveRecord("expand", position, rank))
     if direction == "collapse":
         return _collapse_move(C, position, rank)
     raise ValueError(f"unknown direction {direction!r}")
@@ -206,6 +209,9 @@ def simple_move(C: ChainComplex, position: int, rank: int, direction: str = "exp
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """``forward``/``backward`` are the inclusion of the input as the
+    leading blocks of the stage-6 complex and the projection onto them."""
+
     complex: ChainComplex
     moves: tuple[MoveRecord, ...]
     forward: ChainMap  # input -> stage-6 complex
@@ -220,7 +226,9 @@ def to_dual_form_stage6(C: ChainComplex) -> PipelineResult:
     the dual of degree 0 at (5,4); then duals of the two enlarged modules at
     (4,3) and (2,1); finally the matched middle pair at (3,2), glued by the
     identity isomorphism (the ranks agree exactly because the Euler
-    characteristic vanishes).
+    characteristic vanishes).  Each move appends after the existing blocks,
+    so the composite equivalences are the leading-block inclusion and
+    projection, built once.
     """
     report = five_complex_report(C)
     if not report.is_member:
@@ -237,16 +245,10 @@ def to_dual_form_stage6(C: ChainComplex) -> PipelineResult:
         (2, middle),
     ]
     current = C
-    moves = []
-    forward = identity_map(C)
-    backward = identity_map(C)
     for position, rank in plan:
-        step = simple_move(current, position, rank, "expand")
-        moves.append(step.record)
-        forward = compose_maps(step.forward, forward)
-        backward = compose_maps(backward, step.backward)
-        current = step.complex
-    return PipelineResult(current, tuple(moves), forward, backward)
+        current = _expanded(current, position, rank)
+    moves = tuple(MoveRecord("expand", position, rank) for position, rank in plan)
+    return PipelineResult(current, moves, *_leading_block_maps(C, current))
 
 
 # -- dual-form recognition ----------------------------------------------

@@ -72,7 +72,7 @@ def group_from_table(mul_table) -> FiniteGroup:
         raise GroupTableError("shape", "multiplication table is not square")
     full = set(range(n))
     for i, row in enumerate(table):
-        if any(not (0 <= v < n) for v in row):
+        if not full.issuperset(row):
             raise GroupTableError("range", f"row {i} contains an out-of-range index")
     for i, row in enumerate(table):
         if set(row) != full:

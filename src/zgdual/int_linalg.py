@@ -66,23 +66,6 @@ class IntegerMatrix:
             grid = ()
         return IntegerMatrix(self.rows, other.cols, grid)
 
-    def __add__(self, other: IntegerMatrix) -> IntegerMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntegerMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
-
-    def __neg__(self) -> IntegerMatrix:
-        return IntegerMatrix(
-            self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries)
-        )
-
-    def __sub__(self, other: IntegerMatrix) -> IntegerMatrix:
-        return self + (-other)
-
     def transpose(self) -> IntegerMatrix:
         if self.rows == 0:
             return IntegerMatrix(self.cols, 0, tuple(() for _ in range(self.cols)))

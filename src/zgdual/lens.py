@@ -32,7 +32,7 @@ from zgdual.complexes import (
     verify_homotopy,
 )
 from zgdual.group_core import FiniteGroup, GroupRingElement, cyclic_group, norm_element
-from zgdual.gr_linalg import GRMatrix, invert_gr_matrix, solve_gr_linear
+from zgdual.gr_linalg import GRMatrix, invert_gr_matrix
 
 
 def _t_power(G: FiniteGroup, e: int) -> GroupRingElement:
@@ -181,7 +181,8 @@ def lens_asd_transform(n: int) -> AsdTransform:
     if not is_chain_map(f).is_chain_map:
         raise AssertionError("the rescaling by beta is not a chain map")
 
-    x_mat = solve_gr_linear(m(unit.alpha), m(unit.beta - GroupRingElement.one(G)))
+    # boundary(3) of A' is alpha, so this reduction is the one its readers reuse
+    x_mat = aprime.solve_boundary(3, m(unit.beta - GroupRingElement.one(G)))
     if x_mat is None:
         raise AssertionError("alpha x = beta - 1 has no solution")
     x = x_mat.entries[0][0]

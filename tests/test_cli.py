@@ -141,6 +141,16 @@ class TestCheckCommand:
         assert out == ""
         assert "associativity fails at (1,1,2)" in err
 
+    def test_out_of_range_table_entry_is_a_usage_error(self, capsys, tmp_path):
+        data = complex_to_json(lens_complex(3))
+        data["group"] = {"type": "table", "mul": [[0, 1, 2], [1, 2, 3], [2, 0, 1]]}
+        path = tmp_path / "range.json"
+        path.write_text(canonical_dumps(data))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert "row 1 contains an out-of-range index" in err
+
 
 class TestHomologyCommand:
     def test_table(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -185,6 +186,11 @@ class TestSimpleMove:
         with pytest.raises(ValueError):
             simple_move(A, 5, 1, "expand")
 
+    def test_unknown_direction(self):
+        A = lens_complex(3)
+        with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+            simple_move(A, 0, 1, "sideways")
+
 
 class TestStageSixPipeline:
     def test_lens_ranks_and_membership(self):
@@ -252,6 +258,32 @@ class TestStageSixPipeline:
             assert is_chain_map(pipe.backward).is_chain_map
             roundtrip = compose_maps(pipe.backward, pipe.forward)
             assert roundtrip.components == identity_map(A).components
+
+    @pytest.mark.parametrize(
+        "make",
+        [partial(lens_complex, n) for n in range(2, 7)]
+        + [partial(twisted_lens, n) for n in range(3, 7)]
+        + [lambda: sym3_presentation()[0], twisted_sym3_presentation],
+        ids=[f"L{n}" for n in range(2, 7)]
+        + [f"twisted-L{n}" for n in range(3, 7)]
+        + ["S3-presentation", "twisted-S3-presentation"],
+    )
+    def test_maps_are_the_composed_move_maps(self, make):
+        # the reference: the five expansions' maps multiplied through
+        C = make()
+        pipe = to_dual_form_stage6(C)
+        c = C.ranks
+        plan = [(0, c[5]), (4, c[0]), (3, c[1] + c[5]), (1, c[4] + c[0]), (2, c[2] + c[4] + c[0])]
+        current, forward, backward = C, identity_map(C), identity_map(C)
+        for pos, rank in plan:
+            step = simple_move(current, pos, rank, "expand")
+            forward = compose_maps(step.forward, forward)
+            backward = compose_maps(backward, step.backward)
+            current = step.complex
+        assert pipe.complex == current
+        assert pipe.moves == tuple(dual_form.MoveRecord("expand", pos, rank) for pos, rank in plan)
+        assert pipe.forward == forward
+        assert pipe.backward == backward
 
     def test_requires_membership(self):
         G = cyclic_group(3)

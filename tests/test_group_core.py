@@ -63,6 +63,25 @@ class TestGroupFromTable:
     def test_matches_cyclic_two(self):
         assert group_from_table([[0, 1], [1, 0]]) == cyclic_group(2)
 
+    @pytest.mark.parametrize(
+        "table, reason, message",
+        [
+            ([], "shape", "empty multiplication table"),
+            ([[0, 1], [1]], "shape", "multiplication table is not square"),
+            ([[0, 1], [1, -1]], "range", "row 1 contains an out-of-range index"),
+            ([[0, 2], [1, 0]], "range", "row 0 contains an out-of-range index"),
+            ([[0, 1, 2], [1, 2, 0], [2, 0, "1"]], "range", "row 2 contains an out-of-range index"),
+            ([[0, 1], [None, 0]], "range", "row 1 contains an out-of-range index"),
+            ([[0, 1.5], [1, 0]], "range", "row 0 contains an out-of-range index"),
+        ],
+        ids=["empty", "ragged", "entry-minus-1", "entry-n", "string-entry", "None-entry", "entry-1.5"],
+    )
+    def test_shape_and_range_reasons(self, table, reason, message):
+        with pytest.raises(GroupTableError) as err:
+            group_from_table(table)
+        assert err.value.reason == reason
+        assert str(err.value) == message
+
     def test_not_latin_square(self):
         with pytest.raises(GroupTableError) as err:
             group_from_table([[0, 1], [1, 1]])
