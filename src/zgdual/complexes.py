@@ -21,12 +21,16 @@ kernel, exactly as for the raw complex.
 
 Each complex expands and reduces every differential at most once per
 coefficient system: the integer matrices, their Smith forms and the
-d.d == 0 checks are memoized on the instance (never across instances), and
-homology, cohomology, the end reports, dual-form recognition, the
-obstruction and the normalizer's lifts all read that one memo.  Every
-Smith form keeps its operation logs; the readers that need vectors (the U
-row of boundary(1), the V column of boundary(top) and the lifts) replay
-them on just those.
+d.d == 0 checks are memoized on the instance (never across instances).
+Invariant factors and ranks are read up to duality: a boundary equal to an
+earlier one, or to the dual of one, reads that earlier reduction, since
+expansion and augmentation turn the dual into the transpose.  So homology,
+cohomology, dual-form recognition and the obstruction of a complex in dual
+form (d5 = d1*, d4 = d2*) reduce degrees 5 and 4 only when a reader needs
+their own transforms.  Every Smith form keeps its operation logs; the
+readers that need vectors (the U row of boundary(1), the V column of
+boundary(top) and the lifts) replay them on just those, always from the
+reduction of their own degree.
 """
 
 from __future__ import annotations
@@ -111,13 +115,36 @@ class ChainComplex:
 
     def reduction(self, i: int, coefficients: str = "integral") -> SmithDecomposition:
         """Smith normal form of integer_matrix(i), computed once per degree
-        and coefficient system; its operation logs serve every reader.
+        and coefficient system; its operation logs serve every reader of
+        vectors at degree i.  Readers of invariant factors or ranks alone
+        use invariants(), which may share another degree's reduction.
         """
         key = ("reduction", i, coefficients)
         snf = self._memo.get(key)
         if snf is None:
             snf = self._memo[key] = smith_normal_form(self.integer_matrix(i, coefficients))
         return snf
+
+    def _twin(self, i: int) -> int:
+        """The first degree j <= i whose boundary equals boundary(i) or its dual."""
+        key = ("twin", i)
+        twin = self._memo.get(key)
+        if twin is None:
+            d = self.boundary(i)
+            # the dual is built only when an earlier boundary has its shape
+            earlier_shapes = {(b.rows, b.cols) for b in self.differentials[: i - 1]}
+            same = (d, d.dual()) if (d.cols, d.rows) in earlier_shapes else (d,)
+            twin = self._memo[key] = next(j for j in range(1, i + 1) if self.boundary(j) in same)
+        return twin
+
+    def invariants(self, i: int, coefficients: str = "integral") -> tuple[int, ...]:
+        """The nonzero invariant factors of integer_matrix(i); their count is its rank.
+
+        Read from the reduction of the first degree whose boundary equals
+        boundary(i) or its dual.  Expansion and augmentation both turn the
+        dual into the transpose, which has the same invariant factors.
+        """
+        return self.reduction(self._twin(i), coefficients).diagonal
 
     def composition_zero(self, i: int, coefficients: str = "integral") -> bool:
         """boundary(i) . boundary(i+1) == 0, for 1 <= i < top_degree.
@@ -214,7 +241,7 @@ def dualize_complex(C: ChainComplex) -> ChainComplex:
 
 def _spot(C: ChainComplex, degree: int, coefficients: str, outgoing: int, incoming: int) -> AbelianGroupInfo:
     """The rank identity of int_linalg.homology_from_invariants at C's
-    module of the given degree, from C's memoized reductions: the rank of
+    module of the given degree, from C's invariants(): the rank of
     boundary(outgoing) and the invariant factors of boundary(incoming).
     An index outside 1..top_degree stands for a zero map at an end.
 
@@ -232,19 +259,19 @@ def _spot(C: ChainComplex, degree: int, coefficients: str, outgoing: int, incomi
             "not a complex at this spot"
         )
     middle = C.ranks[degree] * (C.group.order if coefficients == "integral" else 1)
-    outgoing_rank = C.reduction(outgoing, coefficients).rank if 1 <= outgoing <= T else 0
-    incoming_factors = C.reduction(incoming, coefficients).diagonal if 1 <= incoming <= T else ()
+    outgoing_rank = len(C.invariants(outgoing, coefficients)) if 1 <= outgoing <= T else 0
+    incoming_factors = C.invariants(incoming, coefficients) if 1 <= incoming <= T else ()
     return homology_from_invariants(middle, outgoing_rank, incoming_factors)
 
 
 def homology(C: ChainComplex, degree: int, coefficients: str = "integral") -> AbelianGroupInfo:
-    """ker(boundary(degree)) / im(boundary(degree+1)), from C's reductions."""
+    """ker(boundary(degree)) / im(boundary(degree+1)), from C's invariants()."""
     return _spot(C, degree, coefficients, degree, degree + 1)
 
 
 def cohomology(C: ChainComplex, degree: int, coefficients: str = "integral") -> AbelianGroupInfo:
     """Homology of dualize_complex(C) at degree top - degree, read from C's
-    own reductions.
+    own invariants(), so it reduces nothing that homology does not.
 
     The coboundary out of degree i is dual(boundary(i+1)) and the one into
     it is dual(boundary(i)).  Expansion and augmentation turn the dual into

@@ -293,8 +293,8 @@ def recognize_dual_form(C: ChainComplex):
     d1 = C.boundary(1)
     d2 = C.boundary(2)
     d3 = C.boundary(3)
-    j_rank = C.group.order * C.ranks[2] - C.reduction(2).rank
-    form_rank = C.reduction(3).rank
+    j_rank = C.group.order * C.ranks[2] - len(C.invariants(2))
+    form_rank = len(C.invariants(3))
     return DualFormView(base=C, d1=d1, d2=d2, d3=d3, j_rank=j_rank, form_rank=form_rank)
 
 

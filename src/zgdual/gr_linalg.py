@@ -120,21 +120,36 @@ class GRMatrix:
         self._check_group(other)
         if self.cols != other.rows:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        z = GroupRingElement.zero(self.group)
+        G = self.group
+        N = G.order
+        mul = G.mul_table
+        z = GroupRingElement.zero(G)
+        # each row of other once, as (column, support) pairs of its nonzero entries
+        other_rows = [
+            [(j, e.support) for j, e in enumerate(row) if e.support] for row in other.entries
+        ]
         grid = []
-        for i in range(self.rows):
-            arow = self.entries[i]
-            out = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = arow[k]
-                    b = other.entries[k][j]
-                    if not (a.is_zero or b.is_zero):
-                        acc = acc + a * b
-                out.append(acc)
-            grid.append(tuple(out))
-        return GRMatrix(self.group, self.rows, other.cols, tuple(grid))
+        for arow in self.entries:
+            acc = {}  # column -> coefficient list of the output entry
+            for a, brow in zip(arow, other_rows):
+                sa = a.support
+                if not (sa and brow):
+                    continue
+                for j, sb in brow:
+                    c = acc.get(j)
+                    if c is None:
+                        c = acc[j] = [0] * N
+                    for ia, ca in sa:
+                        mrow = mul[ia]
+                        for ib, cb in sb:
+                            c[mrow[ib]] += ca * cb
+            grid.append(
+                tuple(
+                    GroupRingElement(G, tuple(acc[j])) if j in acc else z
+                    for j in range(other.cols)
+                )
+            )
+        return GRMatrix(G, self.rows, other.cols, tuple(grid))
 
     def __add__(self, other: GRMatrix) -> GRMatrix:
         self._check_group(other)

@@ -11,6 +11,7 @@ Everything here is immutable and pure; values can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class GroupTableError(ValueError):
@@ -40,12 +41,27 @@ class FiniteGroup:
     identity_index: int
     is_cyclic: bool = field(default=False, compare=False)
 
+    def __eq__(self, other):
+        # every matrix entry checks its group, nearly always the same object;
+        # the fields compared are those of the generated hash
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.mul_table, self.inv_table, self.identity_index) == (
+            other.order,
+            other.mul_table,
+            other.inv_table,
+            other.identity_index,
+        )
+
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
 
 
 def _cyclic_table(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    base = tuple(range(n))
+    return tuple(base[i:] + base[:i] for i in range(n))
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -72,7 +88,8 @@ def group_from_table(mul_table) -> FiniteGroup:
         raise GroupTableError("shape", "multiplication table is not square")
     full = set(range(n))
     for i, row in enumerate(table):
-        if not full.issuperset(row):
+        # 1.0 and True compare equal to indices, so the entry types are checked too
+        if not (full.issuperset(row) and set(map(type, row)) <= {int}):
             raise GroupTableError("range", f"row {i} contains an out-of-range index")
     for i, row in enumerate(table):
         if set(row) != full:
@@ -218,6 +235,11 @@ class GroupRingElement:
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
+
+    @cached_property
+    def support(self) -> tuple[tuple[int, int], ...]:
+        """(element_index, coefficient) pairs of the nonzero terms, found once."""
+        return tuple((i, a) for i, a in enumerate(self.coeffs) if a)
 
     def involute(self) -> GroupRingElement:
         """The anti-automorphism sending g to g^{-1} (coefficients follow)."""

@@ -9,7 +9,8 @@ and the duality equivalence phi: dual(A) -> A has components
 (-1, -1, -t, 1, 1, 1) read from degree 5 down to degree 0.
 
 For n = 4k+1 the family is anti-self-dual: the unit
-beta = sum_{r=-k+1}^{k} t^r - sum_{r=k+2}^{3k} t^r rescales the middle
+beta = sum_{r=-k+1}^{k} t^r - sum_{r=k+2}^{3k} t^r, with inverse
+beta^-1 = sum_{r=k}^{3k} (-1)^{r-k} t^r, rescales the middle
 module so that the form becomes alpha = t^{k+1}+t^k-t^{-k}-t^{-(k+1)},
 which is antisymmetric (involuting alpha negates it), and the conjugated
 duality equivalence is homotopic to a +-1 diagonal via a single homotopy
@@ -32,7 +33,7 @@ from zgdual.complexes import (
     verify_homotopy,
 )
 from zgdual.group_core import FiniteGroup, GroupRingElement, cyclic_group, norm_element
-from zgdual.gr_linalg import GRMatrix, invert_gr_matrix
+from zgdual.gr_linalg import GRMatrix
 
 
 def _t_power(G: FiniteGroup, e: int) -> GroupRingElement:
@@ -131,10 +132,10 @@ def asd_unit(n: int) -> AsdUnit:
     if alpha * two_shift != _poly(G, [(1, 2), (-1, 0)]):
         raise AssertionError("alpha (t^{1+k} + t^{1-k}) != t^2 - 1")
 
-    beta_inv = invert_gr_matrix(GRMatrix.one_by_one(beta))
-    if beta_inv is None:
-        raise AssertionError("beta is not a unit")
-    return AsdUnit(alpha=alpha, beta=beta, beta_inv=beta_inv.entries[0][0])
+    beta_inv = _poly(G, [((-1) ** (r - k), r) for r in range(k, 3 * k + 1)])
+    if beta * beta_inv != GroupRingElement.one(G):
+        raise AssertionError("beta beta_inv != 1")
+    return AsdUnit(alpha=alpha, beta=beta, beta_inv=beta_inv)
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,16 @@ class TestCheckCommand:
         assert out == ""
         assert "row 1 contains an out-of-range index" in err
 
+    def test_integral_float_table_entry_is_a_usage_error(self, capsys, tmp_path):
+        data = complex_to_json(lens_complex(2))
+        data["group"] = {"type": "table", "mul": [[0, 1.0], [1.0, 0]]}
+        path = tmp_path / "float.json"
+        path.write_text(canonical_dumps(data))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert "row 0 contains an out-of-range index" in err
+
 
 class TestHomologyCommand:
     def test_table(self, capsys, tmp_path):

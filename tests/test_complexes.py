@@ -11,7 +11,9 @@ from conftest import (
     oracle_group_info,
     sheared_sum_complex,
     spot_matrices,
+    sym3_presentation,
     twisted_lens,
+    twisted_sym3_presentation,
 )
 from zgdual import complexes
 from zgdual.complexes import (
@@ -319,12 +321,41 @@ class TestMemoizedReductions:
             obstruction_check(view)
             all_homology(C)
             normalize_duality(view, lens_duality_map(n))
-            # five differentials, each in two coefficient systems
-            assert len(calls) == 10
+            # d3 = d5 = d1* and d4 = d2, so invariants read degrees 1 and 2 in
+            # both systems; only the top end report reduces degree 5 itself
+            assert len(calls) == 5
             calls.clear()
             got = [cohomology(C, d, coeff) for d, coeff in spots]
             assert not calls
             assert got == [homology(dualize_complex(C), 5 - d, coeff) for d, coeff in spots]
+
+    def test_invariants_equal_each_degree_reduced_alone(self):
+        G = cyclic_group(6)
+        shear = GroupRingElement.from_terms(G, [[1, 1], [-2, 3]])
+        complexes_ = (
+            [lens_complex(n) for n in (2, 5, 6, 7)]
+            + [twisted_lens(5)]
+            + nonabelian_complexes()
+            + [sym3_presentation()[0], twisted_sym3_presentation()]
+            # one shear in every degree: d1 = d3 = d5 and d2 = d4 by equality
+            + [sheared_sum_complex(G, 1, 2, [shear] * 6)]
+        )
+        for C in complexes_:
+            for i in range(1, C.top_degree + 1):
+                for coeff in COEFFS:
+                    alone = smith_normal_form(C.integer_matrix(i, coeff)).diagonal
+                    assert C.invariants(i, coeff) == alone
+        assert [lens_complex(7)._twin(i) for i in range(1, 6)] == [1, 2, 1, 2, 1]
+        assert [complexes_[-1]._twin(i) for i in range(1, 6)] == [1, 2, 1, 2, 1]
+        # over S3: d4 = d2* and d5 = d1*, read through the transpose
+        assert [complexes_[-3]._twin(i) for i in range(1, 6)] == [1, 2, 3, 2, 1]
+        # a non-square boundary whose dual follows it directly
+        K = make_klein()
+        d1 = GRMatrix.from_rows(K, [[GroupRingElement.basis(K, 1), GroupRingElement.one(K).scale(2)]])
+        C = ChainComplex(K, (1, 2, 1), (d1, d1.dual()))
+        assert C._twin(2) == 1
+        for coeff in COEFFS:
+            assert C.invariants(2, coeff) == smith_normal_form(C.integer_matrix(2, coeff)).diagonal
 
     def test_raises_at_broken_spots_and_answers_at_valid_ones(self):
         B = broken_lens(5)

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import make_sym3, rational_rank
-from zgdual.group_core import GroupRingElement, cyclic_group, norm_element
+from conftest import make_quaternion8, make_sym3, rational_rank
+from zgdual.group_core import GroupRingElement, cyclic_group, gr_mul, norm_element
 from zgdual.gr_linalg import (
     GRMatrix,
     invert_gr_matrix,
@@ -36,6 +36,35 @@ def rand_gr_matrix(rng, G, rows, cols, bound=2):
     )
 
 
+def rand_sparse_gr_matrix(rng, G, rows, cols):
+    """Entries zero with probability 1/2, the rest with mostly zero terms."""
+    def entry():
+        if rng.random() < 0.5:
+            return GroupRingElement.zero(G)
+        return GroupRingElement(
+            G, tuple(rng.randint(-3, 3) if rng.random() < 0.3 else 0 for _ in range(G.order))
+        )
+
+    return GRMatrix(G, rows, cols, tuple(tuple(entry() for _ in range(cols)) for _ in range(rows)))
+
+
+def triple_loop_matmul(A, B):
+    """Reference product: every (i, k, j) triple, summed through gr_mul."""
+    z = GroupRingElement.zero(A.group)
+    grid = []
+    for i in range(A.rows):
+        out = []
+        for j in range(B.cols):
+            acc = z
+            for k in range(A.cols):
+                a, b = A.entries[i][k], B.entries[k][j]
+                if not (a.is_zero or b.is_zero):
+                    acc = acc + gr_mul(a, b)
+            out.append(acc)
+        grid.append(tuple(out))
+    return GRMatrix(A.group, A.rows, B.cols, tuple(grid))
+
+
 class TestCompose:
     def test_lens_composition_vanishes(self):
         G = cyclic_group(5)
@@ -61,12 +90,27 @@ class TestCompose:
 
     def test_shape_mismatch(self):
         G = cyclic_group(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot compose 2x2 with 3x3"):
             GRMatrix.identity(G, 2) @ GRMatrix.identity(G, 3)
 
     def test_group_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="matrices over different group rings"):
             GRMatrix.identity(cyclic_group(2), 1) @ GRMatrix.identity(cyclic_group(3), 1)
+
+    def test_sparse_product_equals_the_triple_loop(self):
+        rng = random.Random(17)
+        for G in (make_sym3(), make_quaternion8(), cyclic_group(6), cyclic_group(1)):
+            for _ in range(40):
+                m, k, n = (rng.randint(0, 3) for _ in range(3))
+                A = rand_sparse_gr_matrix(rng, G, m, k)
+                B = rand_sparse_gr_matrix(rng, G, k, n)
+                assert A @ B == triple_loop_matmul(A, B)
+            # entries whose products cancel come out zero
+            x = rand_element(rng, G)
+            A = GRMatrix.from_rows(G, [[x, x]])
+            B = GRMatrix.from_rows(G, [[GroupRingElement.one(G)], [-GroupRingElement.one(G)]])
+            assert (A @ B).is_zero
+
 
 
 class TestDualMatrix:

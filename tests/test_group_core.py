@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -63,6 +64,11 @@ class TestGroupFromTable:
     def test_matches_cyclic_two(self):
         assert group_from_table([[0, 1], [1, 0]]) == cyclic_group(2)
 
+    def test_cyclic_table_is_addition_mod_n(self):
+        for n in range(1, 13):
+            table = cyclic_group(n).mul_table
+            assert table == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+
     @pytest.mark.parametrize(
         "table, reason, message",
         [
@@ -73,8 +79,13 @@ class TestGroupFromTable:
             ([[0, 1, 2], [1, 2, 0], [2, 0, "1"]], "range", "row 2 contains an out-of-range index"),
             ([[0, 1], [None, 0]], "range", "row 1 contains an out-of-range index"),
             ([[0, 1.5], [1, 0]], "range", "row 0 contains an out-of-range index"),
+            ([[0, 1.0], [1.0, 0]], "range", "row 0 contains an out-of-range index"),
+            ([[False, True], [True, False]], "range", "row 0 contains an out-of-range index"),
         ],
-        ids=["empty", "ragged", "entry-minus-1", "entry-n", "string-entry", "None-entry", "entry-1.5"],
+        ids=[
+            "empty", "ragged", "entry-minus-1", "entry-n", "string-entry", "None-entry",
+            "entry-1.5", "integral-float-entry", "bool-entries",
+        ],
     )
     def test_shape_and_range_reasons(self, table, reason, message):
         with pytest.raises(GroupTableError) as err:
@@ -173,6 +184,31 @@ class TestGroupFromTable:
         assert err.value.reason == "associativity"
         assert str(err.value) == "associativity fails at (1,1,2)"
         assert group_from_table(cyclic_group(70).mul_table) == cyclic_group(70)
+
+
+class TestGroupEquality:
+    def test_equal_groups_hash_equal(self):
+        a, b = cyclic_group(5), cyclic_group(5)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a == a
+
+    def test_is_cyclic_stays_out_of_equality_and_hash(self):
+        a = cyclic_group(5)
+        b = replace(a, is_cyclic=False)
+        assert a == b and hash(a) == hash(b)
+
+    def test_relabelled_table_is_not_equal(self):
+        a = cyclic_group(5)
+        # swapping the labels 1 and 2 is no automorphism of C5, so the table changes
+        perm = [0, 2, 1, 3, 4]
+        table = [[0] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(5):
+                table[perm[i]][perm[j]] = perm[(i + j) % 5]
+        b = group_from_table(table)
+        assert a != b and not (a == b)
+        assert a != "not a group"
 
 
 class TestGroupRingMultiplication:

@@ -9,7 +9,7 @@ from zgdual.complexes import (
 )
 from zgdual.dual_form import is_anti_self_dual, normalize_duality, obstruction_check, recognize_dual_form
 from zgdual.group_core import GroupRingElement, cyclic_group, gr_mul, norm_element
-from zgdual.gr_linalg import GRMatrix
+from zgdual.gr_linalg import GRMatrix, invert_gr_matrix
 from zgdual.int_linalg import AbelianGroupInfo
 from zgdual.lens import (
     asd_status,
@@ -126,6 +126,14 @@ class TestAsdUnit:
             assert gr_mul(norm_element(G), unit.beta) == norm_element(G)
             assert gr_mul(unit.beta, unit.beta_inv) == GroupRingElement.one(G)
             assert gr_mul(unit.beta_inv, unit.beta) == GroupRingElement.one(G)
+
+    def test_closed_form_inverse_is_the_solver_inverse(self):
+        # beta_inv = sum_{r=k}^{3k} (-1)^{r-k} t^r, against a unit inversion by SNF
+        for n in range(5, 102, 4):
+            unit = asd_unit(n)
+            solved = invert_gr_matrix(GRMatrix.one_by_one(unit.beta))
+            assert solved is not None
+            assert unit.beta_inv == solved.entries[0][0]
 
     def test_rejects_wrong_residue(self):
         for n in (4, 7, 8, 11, 3):
