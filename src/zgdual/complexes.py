@@ -19,18 +19,17 @@ cover), "trivial" applies the augmentation entrywise (homology of the base).
 Augmented ends are never included: degree 0 is a cokernel, the top degree a
 kernel, exactly as for the raw complex.
 
-Each complex expands and reduces every differential at most once per
-coefficient system: the integer matrices, their Smith forms and the
-d.d == 0 checks are memoized on the instance (never across instances).
-Invariant factors and ranks are read up to duality: a boundary equal to an
-earlier one, or to the dual of one, reads that earlier reduction, since
-expansion and augmentation turn the dual into the transpose.  So homology,
-cohomology, dual-form recognition and the obstruction of a complex in dual
-form (d5 = d1*, d4 = d2*) reduce degrees 5 and 4 only when a reader needs
-their own transforms.  Every Smith form keeps its operation logs; the
-readers that need vectors (the U row of boundary(1), the V column of
-boundary(top) and the lifts) replay them on just those, always from the
-reduction of their own degree.
+Each complex expands every differential at most once per coefficient
+system and reduces it at most once up to duality: the integer matrices,
+their Smith decompositions and the d.d == 0 checks are memoized on the
+instance (never across instances).  ChainComplex.reduction is the one read
+path.  A boundary equal to an earlier one shares that decomposition, and
+one equal to the dual of an earlier one reads it transposed, since
+expansion and augmentation turn the dual into the transpose.  So a complex
+in dual form (d5 = d1*, d4 = d2*) reduces neither degree 5 nor degree 4.
+Every decomposition keeps its operation logs; the readers that need
+vectors (the U row of boundary(1), the V column of boundary(top) and the
+lifts) replay them on just those.
 """
 
 from __future__ import annotations
@@ -114,15 +113,25 @@ class ChainComplex:
         return M
 
     def reduction(self, i: int, coefficients: str = "integral") -> SmithDecomposition:
-        """Smith normal form of integer_matrix(i), computed once per degree
-        and coefficient system; its operation logs serve every reader of
-        vectors at degree i.  Readers of invariant factors or ranks alone
-        use invariants(), which may share another degree's reduction.
+        """A Smith decomposition of integer_matrix(i), memoized per degree
+        and coefficient system; every reader of degree i reads it.
+
+        Only the first degree whose boundary equals boundary(i) or its dual
+        (_twin) is reduced.  An equal boundary shares that decomposition; a
+        dual one reads it transposed, since expansion and augmentation turn
+        the dual into the transpose.
         """
         key = ("reduction", i, coefficients)
         snf = self._memo.get(key)
         if snf is None:
-            snf = self._memo[key] = smith_normal_form(self.integer_matrix(i, coefficients))
+            j = self._twin(i)
+            if j == i:
+                snf = smith_normal_form(self.integer_matrix(i, coefficients))
+            elif self.boundary(j) == self.boundary(i):
+                snf = self.reduction(j, coefficients)
+            else:
+                snf = self.reduction(j, coefficients).transposed()
+            self._memo[key] = snf
         return snf
 
     def _twin(self, i: int) -> int:
@@ -136,15 +145,6 @@ class ChainComplex:
             same = (d, d.dual()) if (d.cols, d.rows) in earlier_shapes else (d,)
             twin = self._memo[key] = next(j for j in range(1, i + 1) if self.boundary(j) in same)
         return twin
-
-    def invariants(self, i: int, coefficients: str = "integral") -> tuple[int, ...]:
-        """The nonzero invariant factors of integer_matrix(i); their count is its rank.
-
-        Read from the reduction of the first degree whose boundary equals
-        boundary(i) or its dual.  Expansion and augmentation both turn the
-        dual into the transpose, which has the same invariant factors.
-        """
-        return self.reduction(self._twin(i), coefficients).diagonal
 
     def composition_zero(self, i: int, coefficients: str = "integral") -> bool:
         """boundary(i) . boundary(i+1) == 0, for 1 <= i < top_degree.
@@ -168,8 +168,8 @@ class ChainComplex:
     def solve_boundary(self, i: int, B: GRMatrix):
         """An X over Z[G] with boundary(i) @ X == B, or None when none exists.
 
-        solve_gr_linear against boundary(i), back-substituted through the
-        memoized reduction of its expansion.
+        Solvable exactly when solve_gr_linear(boundary(i), B) is; the
+        solution is back-substituted through reduction(i).
         """
         d = self.boundary(i)
         if B.group != self.group or B.rows != d.rows:
@@ -241,7 +241,7 @@ def dualize_complex(C: ChainComplex) -> ChainComplex:
 
 def _spot(C: ChainComplex, degree: int, coefficients: str, outgoing: int, incoming: int) -> AbelianGroupInfo:
     """The rank identity of int_linalg.homology_from_invariants at C's
-    module of the given degree, from C's invariants(): the rank of
+    module of the given degree, from C's reductions: the rank of
     boundary(outgoing) and the invariant factors of boundary(incoming).
     An index outside 1..top_degree stands for a zero map at an end.
 
@@ -259,19 +259,19 @@ def _spot(C: ChainComplex, degree: int, coefficients: str, outgoing: int, incomi
             "not a complex at this spot"
         )
     middle = C.ranks[degree] * (C.group.order if coefficients == "integral" else 1)
-    outgoing_rank = len(C.invariants(outgoing, coefficients)) if 1 <= outgoing <= T else 0
-    incoming_factors = C.invariants(incoming, coefficients) if 1 <= incoming <= T else ()
+    outgoing_rank = C.reduction(outgoing, coefficients).rank if 1 <= outgoing <= T else 0
+    incoming_factors = C.reduction(incoming, coefficients).diagonal if 1 <= incoming <= T else ()
     return homology_from_invariants(middle, outgoing_rank, incoming_factors)
 
 
 def homology(C: ChainComplex, degree: int, coefficients: str = "integral") -> AbelianGroupInfo:
-    """ker(boundary(degree)) / im(boundary(degree+1)), from C's invariants()."""
+    """ker(boundary(degree)) / im(boundary(degree+1)), from C's reductions."""
     return _spot(C, degree, coefficients, degree, degree + 1)
 
 
 def cohomology(C: ChainComplex, degree: int, coefficients: str = "integral") -> AbelianGroupInfo:
     """Homology of dualize_complex(C) at degree top - degree, read from C's
-    own invariants(), so it reduces nothing that homology does not.
+    own reductions, so it reduces nothing that homology does not.
 
     The coboundary out of degree i is dual(boundary(i+1)) and the one into
     it is dual(boundary(i)).  Expansion and augmentation turn the dual into

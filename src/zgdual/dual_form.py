@@ -293,8 +293,8 @@ def recognize_dual_form(C: ChainComplex):
     d1 = C.boundary(1)
     d2 = C.boundary(2)
     d3 = C.boundary(3)
-    j_rank = C.group.order * C.ranks[2] - len(C.invariants(2))
-    form_rank = len(C.invariants(3))
+    j_rank = C.group.order * C.ranks[2] - C.reduction(2).rank
+    form_rank = C.reduction(3).rank
     return DualFormView(base=C, d1=d1, d2=d2, d3=d3, j_rank=j_rank, form_rank=form_rank)
 
 
@@ -566,7 +566,8 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
 
     At most ``budget`` trials, in this order:
 
-    1. the identity;
+    1. the identity, a chain map exactly when tail and head have equal
+       boundaries, and then its own inverse;
     2. the affine point id + x, where x solves A x == -A vec(id) for the
        constraint matrix A of chain maps tail -> head (one SNF of A, free
        coordinates zero);
@@ -574,8 +575,9 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
        kernel of A, read from the same SNF.
 
     So budget 1 tries the identity only, 2 adds the affine trial, and 3 or
-    more adds Babai.  Every candidate is certified the same way: a chain
-    map whose components all invert over Z[G] with a chain-map inverse.
+    more adds Babai.  The affine and Babai candidates are certified the
+    same way: a chain map whose components all invert over Z[G] with a
+    chain-map inverse.
     Returns a ChainIsoPair or None; None means the search failed, not that
     no isomorphism exists.
     """
@@ -595,9 +597,11 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
     if budget < 1:
         return None
     ident = tuple(GRMatrix.identity(tail.group, r) for r in tail.ranks)
-    found = attempt(ident)
-    if found or budget < 2:
-        return found
+    if _is_segment_chain_map(tail, head, ident):
+        # tail and head have equal boundaries, so the identity is its own inverse
+        return ChainIsoPair(h=ident, k=ident)
+    if budget < 2:
+        return None
 
     A = _chain_map_constraints(tail, head)
     snf = smith_normal_form(A)

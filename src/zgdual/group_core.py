@@ -32,7 +32,9 @@ class FiniteGroup:
 
     ``mul_table[i][j]`` is the index of g_i * g_j.  ``inv_table[i]`` is the
     index of the two-sided inverse of g_i.  ``is_cyclic`` is True exactly
-    when the table is the standard cyclic one, element i standing for t^i.
+    when the table is the standard cyclic one, element i standing for t^i;
+    cyclic_group and group_from_table, the only constructors, keep that
+    true, so two cyclic groups are equal when their orders are.
     """
 
     order: int
@@ -48,6 +50,9 @@ class FiniteGroup:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
+        if self.is_cyclic and other.is_cyclic:
+            # both tables are the standard cyclic one of their order
+            return self.order == other.order
         return (self.order, self.mul_table, self.inv_table, self.identity_index) == (
             other.order,
             other.mul_table,

@@ -15,7 +15,8 @@ Transforms are logs, not matrices.  smith_normal_form reduces sparse rows
 and always records its row and column operations; a consumer replays them
 on the vectors it needs (back_substitute on B and Y, the kernel columns,
 one row of U or one column of V).  The dense U and V are built only when
-read.  So one decomposition of a matrix serves every reader.
+read.  So one decomposition of a matrix serves every reader, and, with the
+logs swapped (SmithDecomposition.transposed), every reader of its transpose.
 """
 
 from __future__ import annotations
@@ -183,6 +184,15 @@ class SmithDecomposition:
     def kernel_columns(self) -> list[tuple[int, ...]]:
         """The columns of V past the rank: a Z-basis of ker(A)."""
         return _unit_columns(self.col_ops, self.D.cols, self.rank, self.D.cols)
+
+    def transposed(self) -> SmithDecomposition:
+        """The decomposition of A transposed, with no new reduction.
+
+        Transposing U @ A @ V == D gives V^T @ A^T @ U^T == D^T.  A logged
+        operation replayed on rows acts as the transpose of the same
+        operation on columns, so the two logs swap roles.
+        """
+        return SmithDecomposition(self.D.transpose(), self.diagonal, row_ops=self.col_ops, col_ops=self.row_ops)
 
 
 def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:

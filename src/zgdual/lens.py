@@ -42,10 +42,7 @@ def _t_power(G: FiniteGroup, e: int) -> GroupRingElement:
 
 def _poly(G: FiniteGroup, terms) -> GroupRingElement:
     """Sum of coeff * t^exponent terms over Z[C_n]."""
-    acc = GroupRingElement.zero(G)
-    for coeff, e in terms:
-        acc = acc + _t_power(G, e).scale(coeff)
-    return acc
+    return GroupRingElement.from_terms(G, [(coeff, e % G.order) for coeff, e in terms])
 
 
 def lens_complex(n: int) -> ChainComplex:

@@ -321,9 +321,9 @@ class TestMemoizedReductions:
             obstruction_check(view)
             all_homology(C)
             normalize_duality(view, lens_duality_map(n))
-            # d3 = d5 = d1* and d4 = d2, so invariants read degrees 1 and 2 in
-            # both systems; only the top end report reduces degree 5 itself
-            assert len(calls) == 5
+            # d3 = d5 = d1* and d4 = d2, so every reader reads the reductions of
+            # degrees 1 and 2; the top end report reads degree 1's transposed
+            assert len(calls) == 4
             calls.clear()
             got = [cohomology(C, d, coeff) for d, coeff in spots]
             assert not calls
@@ -343,8 +343,10 @@ class TestMemoizedReductions:
         for C in complexes_:
             for i in range(1, C.top_degree + 1):
                 for coeff in COEFFS:
-                    alone = smith_normal_form(C.integer_matrix(i, coeff)).diagonal
-                    assert C.invariants(i, coeff) == alone
+                    A = C.integer_matrix(i, coeff)
+                    snf = C.reduction(i, coeff)
+                    assert snf.diagonal == smith_normal_form(A).diagonal
+                    assert snf.U @ A @ snf.V == snf.D
         assert [lens_complex(7)._twin(i) for i in range(1, 6)] == [1, 2, 1, 2, 1]
         assert [complexes_[-1]._twin(i) for i in range(1, 6)] == [1, 2, 1, 2, 1]
         # over S3: d4 = d2* and d5 = d1*, read through the transpose
@@ -355,7 +357,31 @@ class TestMemoizedReductions:
         C = ChainComplex(K, (1, 2, 1), (d1, d1.dual()))
         assert C._twin(2) == 1
         for coeff in COEFFS:
-            assert C.invariants(2, coeff) == smith_normal_form(C.integer_matrix(2, coeff)).diagonal
+            A = C.integer_matrix(2, coeff)
+            snf = C.reduction(2, coeff)
+            assert snf.diagonal == smith_normal_form(A).diagonal
+            assert snf.U @ A @ snf.V == snf.D
+
+    def test_top_end_report_equals_the_one_from_a_fresh_reduction(self):
+        complexes_ = (
+            [lens_complex(n) for n in range(2, 14)]
+            + [twisted_lens(n) for n in range(3, 7)]
+            + nonabelian_complexes()
+            + [sym3_presentation()[0], twisted_sym3_presentation()]
+        )
+        for C in complexes_:
+            # stripped certificates: the generator is derived from the reduction
+            shared, alone = C.with_generators(None, None), C.with_generators(None, None)
+            T = C.top_degree
+            alone._memo[("reduction", T, "integral")] = smith_normal_form(alone.integer_matrix(T))
+            report = top_end_report(shared)
+            assert report == top_end_report(alone)
+            assert report.generator == C.top_generator
+        # in L(n) the top end reads degree 1's decomposition transposed
+        L = lens_complex(13)
+        assert L._twin(5) == 1
+        assert L.reduction(5) == L.reduction(1).transposed()
+        assert top_end_report(L.with_generators(None, None)).generator == (1,)
 
     def test_raises_at_broken_spots_and_answers_at_valid_ones(self):
         B = broken_lens(5)

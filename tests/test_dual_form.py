@@ -426,6 +426,16 @@ class TestChainIsomorphismSolver:
         assert iso is not None
         assert iso.h == identity_triple(tail)
 
+    def test_identity_trial_is_its_own_inverse(self, monkeypatch):
+        def no_inversion(M):
+            raise AssertionError("the identity trial inverts nothing")
+
+        monkeypatch.setattr(dual_form, "invert_gr_matrix", no_inversion)
+        for C in [lens_complex(n) for n in range(2, 7)] + [sym3_presentation()[0]]:
+            tail, head = stage6_segments(C)
+            iso = solve_chain_isomorphism(tail, head, budget=1)
+            assert iso.h == iso.k == identity_triple(tail)
+
     @pytest.mark.parametrize("n", range(3, 12))
     def test_twisted_lens_needs_the_second_trial(self, n, monkeypatch):
         def no_lll(*args, **kwargs):

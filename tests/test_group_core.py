@@ -210,6 +210,12 @@ class TestGroupEquality:
         assert a != b and not (a == b)
         assert a != "not a group"
 
+    def test_cyclic_groups_compare_by_order(self):
+        standard = group_from_table([[(i + j) % 6 for j in range(6)] for i in range(6)])
+        assert standard.is_cyclic
+        assert cyclic_group(6) == standard and standard == cyclic_group(6)
+        assert cyclic_group(5) != cyclic_group(6)
+
 
 class TestGroupRingMultiplication:
     def test_norm_annihilates_one_minus_t(self):

@@ -14,6 +14,7 @@ from zgdual.int_linalg import (
     smith_normal_form,
     solve_integer,
 )
+from zgdual.lens import lens_complex
 
 
 def rand_matrix(rng, rows, cols, bound=5):
@@ -240,6 +241,37 @@ class TestKernelBasis:
             A = rand_matrix(rng, rng.randint(0, 4), rng.randint(1, 5))
             K = kernel_basis(A)
             assert smith_normal_form(A).kernel_columns() == [K.column(j) for j in range(K.cols)]
+
+
+def assert_transposed_contract(A, rng):
+    At = A.transpose()
+    T = smith_normal_form(A).transposed()
+    assert T.U @ At @ T.V == T.D
+    assert T.diagonal == smith_normal_form(At).diagonal
+    for B in (rand_matrix(rng, At.rows, 2), At @ rand_matrix(rng, At.cols, 2)):
+        X = back_substitute(T, B)
+        assert (X is None) == (solve_integer(At, B) is None)
+        assert X is None or At @ X == B
+    K = T.kernel_columns()
+    assert len(K) == At.cols - T.rank
+    assert all(sum(a * x for a, x in zip(row, k)) == 0 for k in K for row in At.entries)
+    if K:
+        # primitive: the columns span the whole integer kernel
+        assert sympy_invariant_factors(IntegerMatrix.from_rows(zip(*K))) == [1] * len(K)
+
+
+class TestTransposedDecomposition:
+    def test_random_matrices(self):
+        rng = random.Random(43)
+        for rows, cols in [(0, 0), (0, 3), (3, 0)] + [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(80)]:
+            assert_transposed_contract(rand_matrix(rng, rows, cols), rng)
+
+    def test_expanded_lens_boundaries(self):
+        rng = random.Random(47)
+        for n in range(2, 14):
+            C = lens_complex(n)
+            for i in range(1, 6):
+                assert_transposed_contract(C.integer_matrix(i), rng)
 
 
 class TestHomologyPair:
