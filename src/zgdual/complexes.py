@@ -28,13 +28,14 @@ one equal to the dual of an earlier one reads it transposed, since
 expansion and augmentation turn the dual into the transpose.  So a complex
 in dual form (d5 = d1*, d4 = d2*) reduces neither degree 5 nor degree 4.
 Every decomposition keeps its operation logs; the readers that need
-vectors (the U row of boundary(1), the V column of boundary(top) and the
-lifts) replay them on just those.
+vectors (the end generators and the lifts) replay them on just those.  The
+two augmented ends share one path: the top end is read as the bottom end of
+the transposed decomposition and augmentation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -63,6 +64,8 @@ class ChainComplex:
     bottom_generator: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if any(r < 0 for r in self.ranks):
+            raise ValueError(f"ranks must be nonnegative, got {self.ranks}")
         if len(self.differentials) != max(len(self.ranks) - 1, 0):
             raise ValueError("need exactly one differential per adjacent pair of degrees")
         for i, d in enumerate(self.differentials):
@@ -176,13 +179,6 @@ class ChainComplex:
             raise ValueError(f"right-hand side does not match boundary({i})")
         X = back_substitute(self.reduction(i), stack_columns(B))
         return None if X is None else fold_columns(self.group, X, d.cols)
-
-    def with_generators(self, top, bottom) -> ChainComplex:
-        return replace(
-            self,
-            top_generator=None if top is None else tuple(top),
-            bottom_generator=None if bottom is None else tuple(bottom),
-        )
 
 
 @dataclass(frozen=True)
@@ -324,68 +320,51 @@ def _blocks_constant(vec, rank, N):
     return tuple(out)
 
 
-def bottom_end_report(C: ChainComplex) -> EndReport:
-    """coker(boundary(1)) with its G-action; derives or validates the certificate."""
-    N = C.group.order
-    r0 = C.ranks[0]
-    snf = C.reduction(1)
-    info = homology_from_invariants(r0 * N, 0, snf.diagonal)
+def _end_report(C: ChainComplex, snf: SmithDecomposition, rank: int, info, certificate, aug) -> EndReport:
+    """The end of rank ``rank`` whose group is ``info``: when that is Z, the
+    U row of ``snf`` past its rank spans it.  A certificate must be
+    primitive and kill every column of ``aug``.
+    """
     is_z = info == AbelianGroupInfo.free(1)
-
     generator = None
     trivial = False
     if is_z:
-        # the row of U past the rank is the functional spanning coker = Z
-        b = _blocks_constant(snf.U_row(snf.rank), r0, N)
-        trivial = b is not None
+        g = _blocks_constant(snf.U_row(snf.rank), rank, C.group.order)
+        trivial = g is not None
         if trivial:
-            generator = _normalize_sign(b)
+            generator = _normalize_sign(g)
 
     cert_valid = None
-    if C.bottom_generator is not None:
-        b = C.bottom_generator
-        cert_valid = gcd(*b, 0) == 1 if b else False
+    if certificate is not None:
+        cert_valid = gcd(*certificate, 0) == 1 if certificate else False
         if cert_valid:
-            aug = C.integer_matrix(1, "trivial")
             cert_valid = all(
-                sum(b[i] * aug.entries[i][k] for i in range(r0)) == 0 for k in range(aug.cols)
+                sum(certificate[i] * aug.entries[i][k] for i in range(rank)) == 0 for k in range(aug.cols)
             )
         if cert_valid and is_z:
-            generator = b
+            generator = certificate
     return EndReport(info, is_z, trivial, generator, cert_valid)
+
+
+def bottom_end_report(C: ChainComplex) -> EndReport:
+    """coker(boundary(1)) with its G-action; derives or validates the certificate."""
+    snf = C.reduction(1)
+    info = homology_from_invariants(C.ranks[0] * C.group.order, 0, snf.diagonal)
+    return _end_report(C, snf, C.ranks[0], info, C.bottom_generator, C.integer_matrix(1, "trivial"))
 
 
 def top_end_report(C: ChainComplex) -> EndReport:
-    """ker(boundary(top)) with its G-action; derives or validates the certificate."""
-    N = C.group.order
+    """ker(boundary(top)) with its G-action; derives or validates the certificate.
+
+    It is the bottom end of the transposes: the column of V past the rank
+    is a U row of reduction(top).transposed(), and a certificate m with
+    augmented(boundary(top)) @ m == 0 kills the columns of its transpose.
+    The kernel is free, so its group is Z^nullity.
+    """
     T = C.top_degree
-    rt = C.ranks[T]
-    snf = C.reduction(T)
-    nullity = rt * N - snf.rank
-    info = AbelianGroupInfo.free(nullity)
-    is_z = nullity == 1
-
-    generator = None
-    trivial = False
-    if is_z:
-        # the column of V past the rank spans the (pure) kernel
-        m = _blocks_constant(snf.V_column(snf.rank), rt, N)
-        trivial = m is not None
-        if trivial:
-            generator = _normalize_sign(m)
-
-    cert_valid = None
-    if C.top_generator is not None:
-        m = C.top_generator
-        cert_valid = gcd(*m, 0) == 1 if m else False
-        if cert_valid:
-            aug = C.integer_matrix(T, "trivial")
-            cert_valid = all(
-                sum(aug.entries[i][j] * m[j] for j in range(rt)) == 0 for i in range(aug.rows)
-            )
-        if cert_valid and is_z:
-            generator = m
-    return EndReport(info, is_z, trivial, generator, cert_valid)
+    snf = C.reduction(T).transposed()
+    info = AbelianGroupInfo.free(snf.rows - snf.rank)
+    return _end_report(C, snf, C.ranks[T], info, C.top_generator, C.integer_matrix(T, "trivial").transpose())
 
 
 @dataclass(frozen=True)
@@ -540,12 +519,23 @@ def _end_generators(C: ChainComplex):
     return top, bottom
 
 
+def _end_scalar(functional, target, aug) -> int | None:
+    """The integer s with functional @ aug == s * target; None when either
+    certificate is missing or no such s exists.
+    """
+    if functional is None or target is None:
+        return None
+    u = tuple(sum(functional[i] * aug.entries[i][j] for i in range(aug.rows)) for j in range(aug.cols))
+    return _proportionality(u, target)
+
+
 def is_chain_map(f: ChainMap) -> ChainMapReport:
     """Exact verification of all commuting squares plus the end scalars.
 
     The bottom scalar x is the integer induced on coker(boundary(1)) = Z,
     the top scalar y the one induced on ker(boundary(top)) = Z; either is
-    None when the corresponding end is not certified Z on both sides.
+    None when the corresponding end is not certified Z on both sides.  The
+    top is read as the bottom of the transposes, like the end reports.
     """
     squares = []
     failures = []
@@ -559,26 +549,9 @@ def is_chain_map(f: ChainMap) -> ChainMapReport:
 
     src_top, src_bottom = _end_generators(f.source)
     tgt_top, tgt_bottom = _end_generators(f.target)
-
-    bottom_scalar = None
-    if src_bottom is not None and tgt_bottom is not None:
-        aug0 = f.components[0].augmented()
-        u = tuple(
-            sum(tgt_bottom[i] * aug0.entries[i][j] for i in range(aug0.rows))
-            for j in range(aug0.cols)
-        )
-        bottom_scalar = _proportionality(u, src_bottom)
-
-    top_scalar = None
-    if src_top is not None and tgt_top is not None:
-        T = f.source.top_degree
-        augT = f.components[T].augmented()
-        v = tuple(
-            sum(augT.entries[i][j] * src_top[j] for j in range(augT.cols))
-            for i in range(augT.rows)
-        )
-        top_scalar = _proportionality(v, tgt_top)
-
+    T = f.source.top_degree
+    bottom_scalar = _end_scalar(tgt_bottom, src_bottom, f.components[0].augmented())
+    top_scalar = _end_scalar(src_top, tgt_top, f.components[T].augmented().transpose())
     return ChainMapReport(tuple(squares), bottom_scalar, top_scalar, tuple(failures))
 
 

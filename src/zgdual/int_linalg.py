@@ -11,12 +11,13 @@ outgoing @ incoming == 0, ker/im has free rank m - rank(outgoing) -
 rank(incoming), and its torsion is the invariant factors of incoming that
 exceed 1 (see homology_from_invariants).
 
-Transforms are logs, not matrices.  smith_normal_form reduces sparse rows
-and always records its row and column operations; a consumer replays them
-on the vectors it needs (back_substitute on B and Y, the kernel columns,
-one row of U or one column of V).  The dense U and V are built only when
-read.  So one decomposition of a matrix serves every reader, and, with the
-logs swapped (SmithDecomposition.transposed), every reader of its transpose.
+A decomposition is its shape, its diagonal and two logs.  smith_normal_form
+reduces sparse rows and always records its row and column operations; a
+consumer replays them on the vectors it needs (back_substitute on B and Y,
+the kernel columns, one row of U).  D, U and V are built only when read.
+So one decomposition of a matrix serves every reader, and, with the logs
+swapped (SmithDecomposition.transposed), every reader of its transpose: a
+column of V is a row of the transposed decomposition's U.
 """
 
 from __future__ import annotations
@@ -79,9 +80,6 @@ class IntegerMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
 
 # A logged operation is a triple (a, b, q) on lines (rows of A for the row
 # log, columns for the column log): add q times line b to line a when
@@ -140,19 +138,20 @@ def _unit_columns(ops, size: int, first: int, last: int) -> list[tuple[int, ...]
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V == D with U, V unimodular and D diagonal.
+    """U @ A @ V == D with U, V unimodular and D diagonal, for a rows x cols A.
 
     ``diagonal`` lists the nonzero invariant factors d_1 | d_2 | ... ; the
     remaining diagonal entries of D are zero, so rank(A) == len(diagonal).
 
     The transforms are kept as the logs of the row and the column
-    operations that reduced A (``row_ops``, ``col_ops``).  U and V are
-    built from them only when read; consumers that need a few vectors
-    replay the logs on just those: ``U_row``, ``V_column``,
+    operations that reduced A (``row_ops``, ``col_ops``).  D, U and V are
+    built from the diagonal and the logs only when read; consumers that
+    need a few vectors replay the logs on just those: ``U_row``,
     ``kernel_columns`` and ``back_substitute``.
     """
 
-    D: IntegerMatrix
+    rows: int
+    cols: int
     diagonal: tuple[int, ...]
     row_ops: tuple[tuple[int, int, int], ...]
     col_ops: tuple[tuple[int, int, int], ...]
@@ -162,37 +161,40 @@ class SmithDecomposition:
         return len(self.diagonal)
 
     @cached_property
+    def D(self) -> IntegerMatrix:
+        zero = (0,) * self.cols
+        grid = tuple(zero[:i] + (d,) + zero[i + 1 :] for i, d in enumerate(self.diagonal))
+        return IntegerMatrix(self.rows, self.cols, grid + (zero,) * (self.rows - self.rank))
+
+    @cached_property
     def U(self) -> IntegerMatrix:
-        m = self.D.rows
+        m = self.rows
         lines = _replay(self.row_ops, [{i: 1} for i in range(m)])
         return IntegerMatrix(m, m, _dense(lines, m))
 
     @cached_property
     def V(self) -> IntegerMatrix:
-        n = self.D.cols
+        n = self.cols
         lines = _replay(self.col_ops, [{j: 1} for j in range(n)], transposed=True)
         return IntegerMatrix(n, n, _dense(lines, n))
 
     def U_row(self, i: int) -> tuple[int, ...]:
         """Row i of U, by one replay of the row log."""
-        return _unit_columns(self.row_ops, self.D.rows, i, i + 1)[0]
-
-    def V_column(self, j: int) -> tuple[int, ...]:
-        """Column j of V, by one replay of the column log."""
-        return _unit_columns(self.col_ops, self.D.cols, j, j + 1)[0]
+        return _unit_columns(self.row_ops, self.rows, i, i + 1)[0]
 
     def kernel_columns(self) -> list[tuple[int, ...]]:
         """The columns of V past the rank: a Z-basis of ker(A)."""
-        return _unit_columns(self.col_ops, self.D.cols, self.rank, self.D.cols)
+        return _unit_columns(self.col_ops, self.cols, self.rank, self.cols)
 
     def transposed(self) -> SmithDecomposition:
         """The decomposition of A transposed, with no new reduction.
 
         Transposing U @ A @ V == D gives V^T @ A^T @ U^T == D^T.  A logged
         operation replayed on rows acts as the transpose of the same
-        operation on columns, so the two logs swap roles.
+        operation on columns, so the two logs swap roles; the shape swaps
+        and the diagonal stays.
         """
-        return SmithDecomposition(self.D.transpose(), self.diagonal, row_ops=self.col_ops, col_ops=self.row_ops)
+        return SmithDecomposition(self.cols, self.rows, self.diagonal, row_ops=self.col_ops, col_ops=self.row_ops)
 
 
 def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
@@ -307,9 +309,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
 
     # every row is now empty or holds its diagonal entry alone
     diagonal = tuple(rows[i][i] for i in range(t))
-    zero = (0,) * n
-    D = IntegerMatrix(m, n, tuple(zero[:i] + (R[i],) + zero[i + 1 :] if R else zero for i, R in enumerate(rows)))
-    return SmithDecomposition(D=D, diagonal=diagonal, row_ops=tuple(row_ops), col_ops=tuple(col_ops))
+    return SmithDecomposition(m, n, diagonal, row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 
 def determinant(A: IntegerMatrix) -> int:
@@ -369,8 +369,8 @@ def back_substitute(snf: SmithDecomposition, B: IntegerMatrix):
     log replayed on the rows of B; free coordinates of Y are zero, and
     V @ Y is the column log replayed backwards on the rows of Y.
     """
-    if B.rows != snf.D.rows:
-        raise ValueError(f"A has {snf.D.rows} rows but B has {B.rows}")
+    if B.rows != snf.rows:
+        raise ValueError(f"A has {snf.rows} rows but B has {B.rows}")
     r = snf.rank
     C = _replay(snf.row_ops, _sparse_rows(B))
     # rows past the rank must vanish; divisibility on the rest
@@ -385,8 +385,8 @@ def back_substitute(snf: SmithDecomposition, B: IntegerMatrix):
                 return None
             quotients[j] = q
         Y.append(quotients)
-    Y.extend({} for _ in range(snf.D.cols - r))
-    return IntegerMatrix(snf.D.cols, B.cols, _dense(_replay(snf.col_ops, Y, transposed=True), B.cols))
+    Y.extend({} for _ in range(snf.cols - r))
+    return IntegerMatrix(snf.cols, B.cols, _dense(_replay(snf.col_ops, Y, transposed=True), B.cols))
 
 
 @dataclass

@@ -11,7 +11,8 @@ Complex files:
 Matrices are grids of term lists; a group-ring element is a list of
 [coefficient, element_index] pairs with zero terms omitted.  Serialization
 is canonical (sorted keys, two-space indent, terms by ascending index), so
-load/dump round-trips are bit-exact.
+load/dump round-trips are bit-exact.  Every number read is a JSON integer
+(no bool, float or string), and ranks, rows and cols are >= 0.
 
 Cyclic groups additionally accept polynomial strings such as "1 - t^4".
 """
@@ -30,6 +31,20 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is an int; like group_from_table, refuses bool, float and str."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _size(value, what: str) -> int:
+    """A rank, row count or column count: an integer >= 0."""
+    if _integer(value, what) < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    return value
+
+
 # -- groups ------------------------------------------------------------
 
 
@@ -43,7 +58,7 @@ def group_from_json(data) -> FiniteGroup:
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("group must be an object with a 'type' field")
     if data["type"] == "cyclic":
-        return cyclic_group(int(data["order"]))
+        return cyclic_group(_integer(data["order"], "group order"))
     if data["type"] == "table":
         return group_from_table(data["mul"])
     raise ValueError(f"unknown group type {data['type']!r}")
@@ -52,29 +67,26 @@ def group_from_json(data) -> FiniteGroup:
 # -- elements and matrices ----------------------------------------------
 
 
-def element_to_json(e: GroupRingElement) -> list:
-    return e.terms()
-
-
 def element_from_json(group: FiniteGroup, terms) -> GroupRingElement:
     """Term-list form; cyclic groups also accept polynomial strings."""
     if isinstance(terms, str):
         if not group.is_cyclic:
             raise ValueError("polynomial strings are only defined for cyclic groups")
         return parse_poly(group, terms)
-    return GroupRingElement.from_terms(group, [(int(c), int(i)) for c, i in terms])
+    pairs = [(_integer(c, "coefficient"), _integer(i, "element index")) for c, i in terms]
+    return GroupRingElement.from_terms(group, pairs)
 
 
 def matrix_to_json(A: GRMatrix) -> dict:
     return {
         "rows": A.rows,
         "cols": A.cols,
-        "entries": [[element_to_json(e) for e in row] for row in A.entries],
+        "entries": [[e.terms() for e in row] for row in A.entries],
     }
 
 
 def matrix_from_json(group: FiniteGroup, data) -> GRMatrix:
-    rows, cols = int(data["rows"]), int(data["cols"])
+    rows, cols = _size(data["rows"], "rows"), _size(data["cols"], "cols")
     grid = data["entries"]
     if len(grid) != rows or any(len(r) != cols for r in grid):
         raise ValueError(f"matrix entry grid does not match declared shape {rows}x{cols}")
@@ -108,15 +120,15 @@ def complex_to_json(C: ChainComplex) -> dict:
 
 def complex_from_json(data) -> ChainComplex:
     group = group_from_json(data["group"])
-    ranks_desc = [int(r) for r in data["ranks"]]
+    ranks_desc = [_size(r, "rank") for r in data["ranks"]]
     ranks = tuple(reversed(ranks_desc))
     diffs_desc = data["differentials"]
     if len(diffs_desc) != max(len(ranks) - 1, 0):
         raise ValueError("need exactly one differential per adjacent pair of degrees")
     diffs = tuple(matrix_from_json(group, d) for d in reversed(diffs_desc))
     gens = data.get("generators", {})
-    top = tuple(int(v) for v in gens["top"]) if "top" in gens else None
-    bottom = tuple(int(v) for v in gens["bottom"]) if "bottom" in gens else None
+    top = tuple(_integer(v, "generator entry") for v in gens["top"]) if "top" in gens else None
+    bottom = tuple(_integer(v, "generator entry") for v in gens["bottom"]) if "bottom" in gens else None
     return ChainComplex(group, ranks, diffs, top_generator=top, bottom_generator=bottom)
 
 

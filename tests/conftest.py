@@ -316,7 +316,7 @@ def sympy_invariant_factors(M: IntegerMatrix) -> list[int]:
     """Nonzero invariant factors via sympy's Smith normal form."""
     if M.rows == 0 or M.cols == 0:
         return []
-    S = sympy_snf(Matrix(M.to_lists()), domain=ZZ)
+    S = sympy_snf(Matrix([list(r) for r in M.entries]), domain=ZZ)
     diag = [abs(int(S[i, i])) for i in range(min(M.rows, M.cols))]
     return [d for d in diag if d]
 

@@ -162,6 +162,78 @@ class TestCheckCommand:
         assert "row 0 contains an out-of-range index" in err
 
 
+# 1 - t on Z[C2]; each case below breaks one number of this file
+def _c2_file(**fields):
+    data = {
+        "group": {"type": "cyclic", "order": 2},
+        "ranks": [1, 1],
+        "differentials": [{"rows": 1, "cols": 1, "entries": [[[[1, 0], [-1, 1]]]]}],
+    }
+    data.update(fields)
+    return data
+
+
+def _c2_cell(*terms):
+    return [{"rows": 1, "cols": 1, "entries": [[list(terms)]]}]
+
+
+MALFORMED_NUMBERS = [
+    (
+        _c2_file(ranks=[-1, 0], differentials=[{"rows": 0, "cols": -1, "entries": []}]),
+        "rank must be nonnegative, got -1",
+    ),
+    (_c2_file(ranks=[1.7, 1.2]), "rank must be an integer, got 1.7"),
+    (_c2_file(ranks=[True, 1]), "rank must be an integer, got True"),
+    (
+        _c2_file(differentials=[{"rows": 1.9, "cols": 1, "entries": [[[[1, 0]]]]}]),
+        "rows must be an integer, got 1.9",
+    ),
+    (
+        _c2_file(differentials=[{"rows": 1, "cols": "1", "entries": [[[[1, 0]]]]}]),
+        "cols must be an integer, got '1'",
+    ),
+    (_c2_file(group={"type": "cyclic", "order": 2.5}), "group order must be an integer, got 2.5"),
+    (_c2_file(differentials=_c2_cell([True, 0], [-1, 1])), "coefficient must be an integer, got True"),
+    (_c2_file(differentials=_c2_cell([1, 0], [-1.0, 1])), "coefficient must be an integer, got -1.0"),
+    (_c2_file(differentials=_c2_cell([1, "0"], [-1, 1])), "element index must be an integer, got '0'"),
+    (_c2_file(generators={"bottom": [1.0]}), "generator entry must be an integer, got 1.0"),
+]
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("data, message", MALFORMED_NUMBERS)
+    def test_is_a_usage_error(self, capsys, tmp_path, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert "malformed complex file" in err and message in err
+        code, out, _ = run(capsys, "homology", str(path), "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert "homology" not in report
+        assert "malformed complex file" in report["error"] and message in report["error"]
+
+    def test_the_unbroken_file_loads(self, capsys, tmp_path):
+        path = tmp_path / "c2.json"
+        path.write_text(json.dumps(_c2_file(generators={"bottom": [1]})))
+        code, out, _ = run(capsys, "homology", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["homology"]["groups"] == {"0": "Z", "1": "Z"}
+
+    def test_malformed_map_file_is_a_usage_error(self, capsys, tmp_path):
+        path = write_lens(tmp_path, 3)
+        data = duality_map_to_json(lens_duality_map(3))
+        data["components"][0]["rows"] = 1.0
+        mapfile = tmp_path / "map.json"
+        mapfile.write_text(json.dumps(data))
+        code, out, err = run(capsys, "normalize", path, str(mapfile))
+        assert code == 2
+        assert out == ""
+        assert "rows must be an integer, got 1.0" in err
+
+
 class TestHomologyCommand:
     def test_table(self, capsys, tmp_path):
         path = write_lens(tmp_path, 5)

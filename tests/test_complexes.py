@@ -87,6 +87,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             ChainComplex(G, (1, 2), (GRMatrix.identity(G, 1),))
 
+    def test_negative_rank_rejected_at_construction(self):
+        # a 0 x -1 matrix has an empty grid, so only the rank check can refuse it
+        G = cyclic_group(2)
+        with pytest.raises(ValueError, match=r"ranks must be nonnegative, got \(0, -1\)"):
+            ChainComplex(G, (0, -1), (GRMatrix(G, 0, -1, ()),))
+
 
 class TestEulerCharacteristic:
     def test_lens(self):
@@ -188,8 +194,22 @@ class TestFiveComplexMembership:
         A = lens_complex(5)
         rep = five_complex_report(A)
         assert rep.bottom.certificate_valid and rep.top.certificate_valid
-        bad = A.with_generators(top=(2,), bottom=(1,))  # gcd 2: not a generator
+        bad = replace(A, top_generator=(2,), bottom_generator=(1,))  # gcd 2: not a generator
         assert not five_complex_report(bad).top.ok
+
+    def test_certificates_are_checked_against_each_side_of_the_augmentation(self):
+        # d = [[1, -1], [0, 0]] over the trivial group: ker(d) = Z(1, 1) and
+        # coker(d) = Z, read by (0, 1); swapping the two certificates breaks both
+        G = cyclic_group(1)
+        one, zero = GroupRingElement.one(G), GroupRingElement.zero(G)
+        d = GRMatrix.from_rows(G, [[one, -one], [zero, zero]])
+        C = ChainComplex(G, (2, 2), (d,), top_generator=(1, 1), bottom_generator=(0, 1))
+        assert top_end_report(C).ok and bottom_end_report(C).ok
+        bare = replace(C, top_generator=None, bottom_generator=None)
+        assert (top_end_report(bare).generator, bottom_end_report(bare).generator) == ((1, 1), (0, 1))
+        swapped = replace(C, top_generator=(0, 1), bottom_generator=(1, 1))
+        assert top_end_report(swapped).certificate_valid is False
+        assert bottom_end_report(swapped).certificate_valid is False
 
 
 EXPECT_TRIVIAL = (Z, None, ZERO, None, ZERO, Z)  # None slots filled per n
@@ -288,7 +308,7 @@ class TestMemoizedReductions:
         five_complex_report(A)
         recognize_dual_form(A)
         twisted = replace(A, differentials=twisted_lens(5).differentials)
-        bare = A.with_generators(None, None)
+        bare = replace(A, top_generator=None, bottom_generator=None)
         dual = dualize_complex(A)
         for D in (twisted, bare, dual):
             assert D._memo is not A._memo
@@ -371,7 +391,8 @@ class TestMemoizedReductions:
         )
         for C in complexes_:
             # stripped certificates: the generator is derived from the reduction
-            shared, alone = C.with_generators(None, None), C.with_generators(None, None)
+            shared = replace(C, top_generator=None, bottom_generator=None)
+            alone = replace(C, top_generator=None, bottom_generator=None)
             T = C.top_degree
             alone._memo[("reduction", T, "integral")] = smith_normal_form(alone.integer_matrix(T))
             report = top_end_report(shared)
@@ -381,7 +402,7 @@ class TestMemoizedReductions:
         L = lens_complex(13)
         assert L._twin(5) == 1
         assert L.reduction(5) == L.reduction(1).transposed()
-        assert top_end_report(L.with_generators(None, None)).generator == (1,)
+        assert top_end_report(replace(L, top_generator=None, bottom_generator=None)).generator == (1,)
 
     def test_raises_at_broken_spots_and_answers_at_valid_ones(self):
         B = broken_lens(5)
@@ -505,10 +526,46 @@ class TestChainMaps:
             assert solve_integer(inc_t, delta @ K) is not None
 
 
+def end_report_cases():
+    """The lens, twisted lens, sheared and presentation complexes, each with
+    its stored certificates and with them stripped."""
+    complexes_ = (
+        [lens_complex(n) for n in range(2, 14)]
+        + [twisted_lens(n) for n in range(3, 7)]
+        + nonabelian_complexes()
+        + [sym3_presentation()[0], twisted_sym3_presentation()]
+    )
+    for C in complexes_:
+        yield C
+        yield replace(C, top_generator=None, bottom_generator=None)
+
+
+class TestEndsCommuteWithDualization:
+    def test_the_top_end_is_the_bottom_end_of_the_dual(self):
+        compared = 0
+        for C in end_report_cases():
+            D = dualize_complex(C)
+            pairs = ((bottom_end_report(C), top_end_report(D)), (bottom_end_report(D), top_end_report(C)))
+            for bottom, top in pairs:
+                # a top end is free, so the two agree exactly when the cokernel is Z
+                if bottom.is_z:
+                    assert bottom == top
+                    compared += 1
+        # every case but the two sheared complexes, whose ends are Z^5 and Z^4
+        assert compared == 2 * 2 * 18
+
+    def test_end_scalars_of_the_dual_map_are_reversed(self):
+        for n in range(2, 14):
+            f = lens_duality_map(n)
+            scalars = is_chain_map(f).end_scalars
+            assert None not in scalars
+            assert is_chain_map(dual_map(f)).end_scalars == scalars[::-1]
+
+
 class TestEndScalars:
     def test_derived_certificates_match_stored(self):
         A = lens_complex(7)
-        bare = A.with_generators(None, None)
+        bare = replace(A, top_generator=None, bottom_generator=None)
         phi = lens_duality_map(7)
         phi_bare = ChainMap(dualize_complex(bare), bare, phi.components)
         rep = is_chain_map(phi_bare)

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -173,9 +174,9 @@ class TestSimpleMove:
         if pos >= 1:  # the outgoing differential reads the summand
             cases.append((with_entry(pos, 0, 2, t), f"boundary({pos})"))
         if pos == 4:
-            cases.append((C.with_generators((1, 0, 1), C.bottom_generator), "the top generator"))
+            cases.append((replace(C, top_generator=(1, 0, 1)), "the top generator"))
         if pos == 0:
-            cases.append((C.with_generators(C.top_generator, (1, 1, 0)), "the bottom generator"))
+            cases.append((replace(C, bottom_generator=(1, 1, 0)), "the bottom generator"))
         for bad, witness in cases:
             assert bad != C
             with pytest.raises(ValueError, match=rf"cannot collapse: {re.escape(witness)} is not"):

@@ -197,7 +197,7 @@ def _rational_solvable_with_integrality(A, B):
     """
     from sympy import Matrix, linsolve, symbols
 
-    As = Matrix(A.to_lists()) if A.rows else Matrix.zeros(0, A.cols)
+    As = Matrix([list(r) for r in A.entries]) if A.rows else Matrix.zeros(0, A.cols)
     for j in range(B.cols):
         rhs = Matrix([B.entries[i][j] for i in range(B.rows)])
         xs = symbols(f"x0:{A.cols}")

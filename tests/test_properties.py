@@ -168,7 +168,7 @@ def test_snf_log_replays_match_the_materialized_transforms(system):
     m, n, r = A.rows, A.cols, snf.rank
     # every replay is read before U and V are built, then compared with them
     u_rows = [snf.U_row(i) for i in range(m)]
-    v_cols = [snf.V_column(j) for j in range(n)]
+    v_cols = [snf.transposed().U_row(j) for j in range(n)]
     kernel = snf.kernel_columns()
     solutions = [back_substitute(snf, B) for B in (solvable, arbitrary)]
 

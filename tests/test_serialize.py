@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -105,7 +106,7 @@ class TestComplexJson:
         assert complex_from_json(complex_to_json(t.complex)) == t.complex
 
     def test_round_trip_without_generators(self):
-        A = lens_complex(3).with_generators(None, None)
+        A = replace(lens_complex(3), top_generator=None, bottom_generator=None)
         data = complex_to_json(A)
         assert "generators" not in data
         assert complex_from_json(data) == A
