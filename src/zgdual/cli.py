@@ -60,6 +60,8 @@ def _load_complex(path: str):
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno})")
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or an integer too long
+        raise UsageError(f"{path} is not valid JSON: {exc}")
     try:
         return serialize.complex_from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -197,7 +199,7 @@ def _cmd_normalize(args, report):
         phi = serialize.duality_map_from_json(C, data)
     except OSError as exc:
         raise UsageError(f"cannot read {args.mapfile}: {exc}")
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{args.mapfile}: malformed chain map file: {exc}")
     verdicts = report["verdicts"]
     try:

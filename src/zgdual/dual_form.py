@@ -8,9 +8,9 @@ so boundary(5) == dual(boundary(1)) and boundary(4) == dual(boundary(2)).
 The middle map d3 then encodes a G-invariant bilinear form on the dual J of
 ker(d2).  This module provides:
 
-* stabilization and simple homotopy moves (expand/collapse a free summand
-  after the existing blocks, the equivalences being the inclusion of the
-  leading blocks and the projection onto them);
+* stabilization and simple homotopy moves, each a direct sum with a free
+  summand that ``_direct_sum`` appends after the existing blocks (a move's
+  equivalences are the leading-block inclusion and projection);
 * the five-move pipeline taking any algebraic 5-complex to a mirrored
   stage-6 shape, with the middle gluing isomorphism chosen as the identity
   (legitimate because the Euler characteristic forces the two middle ranks
@@ -25,7 +25,7 @@ ker(d2).  This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from zgdual.complexes import (
@@ -54,8 +54,36 @@ from zgdual.int_linalg import (
 # -- stabilization and simple homotopy moves ---------------------------
 
 
+def _direct_sum(C: ChainComplex, extra, identity_at: int = 0) -> ChainComplex:
+    """C plus ``extra[k]`` free generators after the existing ones in each
+    degree k.  A boundary that grows keeps its rows, zero-padded, over new
+    rows that are the identity on the new columns at boundary(identity_at)
+    and zero elsewhere; one that does not grow is kept as it is.  The end
+    certificates are zero-padded.
+    """
+    G = C.group
+    one, z = GroupRingElement.one(G), GroupRingElement.zero(G)
+    diffs = list(C.differentials)
+    for k, d in enumerate(C.differentials, start=1):
+        r, c = extra[k - 1], extra[k]
+        if r or c:
+            pad = (z,) * c
+            new = [pad[:i] + (one,) + pad[i + 1 :] if k == identity_at else pad for i in range(r)]
+            entries = tuple(row + pad for row in d.entries) + tuple((z,) * d.cols + row for row in new)
+            diffs[k - 1] = GRMatrix(G, d.rows + r, d.cols + c, entries)
+    top, bottom = C.top_generator, C.bottom_generator
+    return ChainComplex(
+        G,
+        tuple(r + e for r, e in zip(C.ranks, extra)),
+        tuple(diffs),
+        top_generator=None if top is None else tuple(top) + (0,) * extra[-1],
+        bottom_generator=None if bottom is None else tuple(bottom) + (0,) * extra[0],
+    )
+
+
 def stabilize(C: ChainComplex, n: int) -> ChainComplex:
-    """Add a free rank-n summand to the top module, boundary extended by 0.
+    """Add a free rank-n summand to the top module, boundary extended by 0
+    (appended by ``_direct_sum``).
 
     The top kernel grows by Z[G]^n, so the top generator certificate is
     dropped (for n > 0); homology below the top degree is unchanged.
@@ -67,17 +95,7 @@ def stabilize(C: ChainComplex, n: int) -> ChainComplex:
     T = C.top_degree
     if T == 0:
         return ChainComplex(C.group, (C.ranks[0] + n,), ())
-    ranks = C.ranks[:T] + (C.ranks[T] + n,)
-    old = C.boundary(T)
-    zeros = GRMatrix.zeros(C.group, old.rows, n)
-    new_top = GRMatrix.block(C.group, [[old, zeros]])
-    return ChainComplex(
-        C.group,
-        ranks,
-        C.differentials[: T - 1] + (new_top,),
-        top_generator=None,
-        bottom_generator=C.bottom_generator,
-    )
+    return replace(_direct_sum(C, (0,) * T + (n,)), top_generator=None)
 
 
 @dataclass(frozen=True)
@@ -98,41 +116,13 @@ class SimpleMoveResult:
 
 
 def _expanded(C: ChainComplex, position: int, rank: int) -> ChainComplex:
-    """C with a free rank-``rank`` summand appended at degrees position+1
-    and position, the new differential block being the identity.
+    """C with a free rank-``rank`` summand appended by ``_direct_sum`` at
+    degrees position+1 and position, the new differential block being the
+    identity.
     """
-    G = C.group
-    T = C.top_degree
-    p = position
-    f = rank
-    ranks = list(C.ranks)
-    ranks[p] += f
-    ranks[p + 1] += f
-    diffs = list(C.differentials)
-
-    d = C.boundary(p + 1)
-    ident = GRMatrix.identity(G, f)
-    diffs[p] = GRMatrix.block(
-        G,
-        [
-            [d, GRMatrix.zeros(G, d.rows, f)],
-            [GRMatrix.zeros(G, f, d.cols), ident],
-        ],
-    )
-    if p + 2 <= T:
-        up = C.boundary(p + 2)
-        diffs[p + 1] = GRMatrix.block(G, [[up], [GRMatrix.zeros(G, f, up.cols)]])
-    if p >= 1:
-        down = C.boundary(p)
-        diffs[p - 1] = GRMatrix.block(G, [[down, GRMatrix.zeros(G, down.rows, f)]])
-
-    top = C.top_generator
-    bottom = C.bottom_generator
-    if top is not None and p + 1 == T:
-        top = tuple(top) + (0,) * f
-    if bottom is not None and p == 0:
-        bottom = tuple(bottom) + (0,) * f
-    return ChainComplex(G, tuple(ranks), tuple(diffs), top_generator=top, bottom_generator=bottom)
+    extra = [0] * len(C.ranks)
+    extra[position] = extra[position + 1] = rank
+    return _direct_sum(C, extra, identity_at=position + 1)
 
 
 def _leading_block_maps(small: ChainComplex, big: ChainComplex) -> tuple[ChainMap, ChainMap]:
@@ -188,8 +178,8 @@ def simple_move(C: ChainComplex, position: int, rank: int, direction: str = "exp
     degrees position+1 and position, the new differential block being the
     identity.  Neighbouring differentials compose with the inclusion and
     projection, so the result is simple homotopy equivalent to the input.
-    The summand follows the existing blocks, so the equivalences are the
-    inclusion of the leading blocks and the projection onto them.
+    ``_direct_sum`` appends the summand after the existing blocks, so the
+    equivalences are the leading-block inclusion and projection.
     """
     if not 0 <= position <= C.top_degree - 1:
         raise ValueError(f"move position {position} out of range 0..{C.top_degree - 1}")

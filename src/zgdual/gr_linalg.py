@@ -34,7 +34,7 @@ class GRMatrix:
     entries: tuple[tuple[GroupRingElement, ...], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if self.cols < 0 or len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValueError(f"entry grid does not match declared shape {self.rows}x{self.cols}")
         for row in self.entries:
             for e in row:
@@ -77,38 +77,6 @@ class GRMatrix:
     @staticmethod
     def one_by_one(element: GroupRingElement) -> GRMatrix:
         return GRMatrix(element.group, 1, 1, ((element,),))
-
-    @staticmethod
-    def block(group: FiniteGroup, grid) -> GRMatrix:
-        """Assemble from a grid of GRMatrix blocks with consistent shapes.
-
-        Zero-size blocks are allowed anywhere, so complexes with rank-0
-        modules assemble without special cases.
-        """
-        row_heights = []
-        for brow in grid:
-            heights = {b.rows for b in brow}
-            if len(heights) > 1:
-                raise ValueError("inconsistent block heights in a block row")
-            row_heights.append(heights.pop() if heights else 0)
-        ncols_blocks = {len(brow) for brow in grid}
-        if len(ncols_blocks) > 1:
-            raise ValueError("ragged block grid")
-        nblock_cols = ncols_blocks.pop() if ncols_blocks else 0
-        col_widths = []
-        for jb in range(nblock_cols):
-            widths = {brow[jb].cols for brow in grid}
-            if len(widths) > 1:
-                raise ValueError("inconsistent block widths in a block column")
-            col_widths.append(widths.pop() if widths else 0)
-        rows = []
-        for brow, h in zip(grid, row_heights):
-            for i in range(h):
-                row = []
-                for b in brow:
-                    row.extend(b.entries[i])
-                rows.append(tuple(row))
-        return GRMatrix(group, sum(row_heights), sum(col_widths), tuple(rows))
 
     # -- algebra ------------------------------------------------------
 

@@ -35,7 +35,7 @@ class IntegerMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if self.cols < 0 or len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValueError(
                 f"entry grid does not match declared shape {self.rows}x{self.cols}"
             )

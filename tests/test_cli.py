@@ -234,6 +234,39 @@ class TestMalformedNumbers:
         assert "rows must be an integer, got 1.0" in err
 
 
+class TestHostileJson:
+    def assert_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (2, "")
+        assert message in json.loads(out)["error"]
+
+    def test_deeply_nested_complex_file(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        for command in ("check", "homology"):
+            self.assert_usage_error(capsys, (command, str(path)), "is not valid JSON: maximum recursion depth")
+
+    def test_deeply_nested_map_file(self, capsys, tmp_path):
+        mapfile = tmp_path / "nested.json"
+        mapfile.write_text("[" * 100_000)
+        argv = ("normalize", write_lens(tmp_path, 3), str(mapfile))
+        self.assert_usage_error(capsys, argv, "malformed chain map file: maximum recursion depth")
+
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff\xfe{}")
+        self.assert_usage_error(capsys, ("check", str(path)), "is not valid JSON: 'utf-8' codec can't decode")
+
+    def test_integer_too_long_to_convert(self, capsys, tmp_path):
+        text = json.dumps(_c2_file(group={"type": "cyclic", "order": 2}))
+        path = tmp_path / "order.json"
+        path.write_text(text.replace('"order": 2', '"order": ' + "7" * 5000))
+        self.assert_usage_error(capsys, ("check", str(path)), "is not valid JSON: Exceeds the limit")
+
+
 class TestHomologyCommand:
     def test_table(self, capsys, tmp_path):
         path = write_lens(tmp_path, 5)

@@ -88,10 +88,13 @@ class TestValidation:
             ChainComplex(G, (1, 2), (GRMatrix.identity(G, 1),))
 
     def test_negative_rank_rejected_at_construction(self):
-        # a 0 x -1 matrix has an empty grid, so only the rank check can refuse it
+        # a 0 x -1 matrix is refused by GRMatrix itself; the rank check runs
+        # before the shape check, so any boundary reaches it
         G = cyclic_group(2)
+        with pytest.raises(ValueError, match="declared shape"):
+            GRMatrix(G, 0, -1, ())
         with pytest.raises(ValueError, match=r"ranks must be nonnegative, got \(0, -1\)"):
-            ChainComplex(G, (0, -1), (GRMatrix(G, 0, -1, ()),))
+            ChainComplex(G, (0, -1), (GRMatrix.zeros(G, 0, 0),))
 
 
 class TestEulerCharacteristic:

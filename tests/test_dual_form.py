@@ -96,6 +96,13 @@ class TestStabilize:
         z = GroupRingElement.zero(A.group)
         assert S.boundary(5) == grid(A.group, [[poly(A.group, (1, 0), (-1, -1)), z, z]])
 
+    def test_drops_the_top_certificate_only(self):
+        # the top kernel grows by Z[G]^n, so the top certificate no longer holds
+        A = lens_complex(5)
+        S = stabilize(A, 2)
+        assert S.top_generator is None
+        assert S.bottom_generator == A.bottom_generator == (1,)
+
     def test_homology_effect(self):
         A = lens_complex(5)
         S = stabilize(A, 2)
@@ -191,6 +198,52 @@ class TestSimpleMove:
         A = lens_complex(3)
         with pytest.raises(ValueError, match="unknown direction 'sideways'"):
             simple_move(A, 0, 1, "sideways")
+
+
+def c3_with_a_rank_zero_module():
+    """Over C3, ranks (1, 0, 1) with zero maps."""
+    G = cyclic_group(3)
+    return ChainComplex(G, (1, 0, 1), (GRMatrix.zeros(G, 1, 0), GRMatrix.zeros(G, 0, 1)))
+
+
+ZERO_RANK_CASES = [partial(lens_complex, 4), c3_with_a_rank_zero_module]
+
+
+class TestZeroRankSummands:
+    @pytest.mark.parametrize("make", ZERO_RANK_CASES)
+    def test_rank_zero_move_is_the_identity(self, make):
+        C = make()
+        for pos in range(C.top_degree):
+            for direction in ("expand", "collapse"):
+                res = simple_move(C, pos, 0, direction)
+                assert res.complex == C
+                assert res.forward == res.backward == identity_map(C)
+
+    @pytest.mark.parametrize("make", ZERO_RANK_CASES)
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_expand_then_collapse_returns_the_input(self, make, rank):
+        C = make()
+        for pos in range(C.top_degree):
+            E = simple_move(C, pos, rank).complex
+            assert validate_complex(E).ok
+            assert simple_move(E, pos, rank, "collapse").complex == C
+
+    def test_grids_next_to_the_rank_zero_module(self):
+        C = c3_with_a_rank_zero_module()
+        G = C.group
+        one, z = GroupRingElement.one(G), GroupRingElement.zero(G)
+        E = simple_move(C, 0, 2).complex
+        assert E.ranks == (3, 2, 1)
+        assert E.boundary(1) == grid(G, [[z, z], [one, z], [z, one]])
+        assert E.boundary(2) == grid(G, [[z], [z]])
+        E = simple_move(C, 1, 2).complex
+        assert E.ranks == (1, 2, 3)
+        assert E.boundary(1) == grid(G, [[z, z]])
+        assert E.boundary(2) == grid(G, [[z, one, z], [z, z, one]])
+        S = stabilize(C, 2)
+        assert S.ranks == (1, 0, 3)
+        assert S.boundary(1) == GRMatrix(G, 1, 0, ((),))
+        assert S.boundary(2) == GRMatrix(G, 0, 3, ())
 
 
 class TestStageSixPipeline:
@@ -383,23 +436,16 @@ class TestChainIsomorphismSolver:
         G = A.group
         tail = tail_segment(A if False else to_dual_form_stage6(A).complex)
         head = dual_head_segment(to_dual_form_stage6(A).complex)
-        u = tpow(G, 2)
+
+        def diag_u_1_1_1(u):
+            rows = [list(row) for row in GRMatrix.identity(G, 4).entries]
+            rows[0][0] = u
+            return grid(G, rows)
+
         U = [GRMatrix.identity(G, r) for r in head.ranks]
-        U[1] = GRMatrix.block(
-            G,
-            [
-                [GRMatrix.one_by_one(u), GRMatrix.zeros(G, 1, 3)],
-                [GRMatrix.zeros(G, 3, 1), GRMatrix.identity(G, 3)],
-            ],
-        )
+        U[1] = diag_u_1_1_1(tpow(G, 2))
         U_inv = [GRMatrix.identity(G, r) for r in head.ranks]
-        U_inv[1] = GRMatrix.block(
-            G,
-            [
-                [GRMatrix.one_by_one(tpow(G, -2)), GRMatrix.zeros(G, 1, 3)],
-                [GRMatrix.zeros(G, 3, 1), GRMatrix.identity(G, 3)],
-            ],
-        )
+        U_inv[1] = diag_u_1_1_1(tpow(G, -2))
         twisted_head = ChainComplex(
             G,
             head.ranks,

@@ -262,19 +262,17 @@ class TestSolveGrLinear:
             solve_gr_linear(GRMatrix.identity(G, 2), GRMatrix.identity(G, 3))
 
 
-class TestBlockBuilder:
-    def test_block_assembly(self):
-        G = cyclic_group(3)
-        A = GRMatrix.identity(G, 2)
-        Z = GRMatrix.zeros(G, 2, 1)
-        Z2 = GRMatrix.zeros(G, 1, 2)
-        I1 = GRMatrix.identity(G, 1)
-        M = GRMatrix.block(G, [[A, Z], [Z2, I1]])
-        assert M == GRMatrix.identity(G, 3)
-
-    def test_zero_size_blocks(self):
+class TestShape:
+    @pytest.mark.parametrize("rows, cols", [(0, -1), (-1, 0), (-2, 3), (2, -3)])
+    def test_negative_sizes_are_rejected(self, rows, cols):
+        # with no rows, a negative column count still has an empty grid to match
         G = cyclic_group(2)
-        A = GRMatrix.identity(G, 2)
-        empty = GRMatrix.zeros(G, 2, 0)
-        M = GRMatrix.block(G, [[A, empty]])
-        assert M == A
+        grid = tuple(() for _ in range(max(rows, 0)))
+        with pytest.raises(ValueError, match="declared shape"):
+            GRMatrix(G, rows, cols, grid)
+
+    def test_empty_shapes_are_accepted(self):
+        G = cyclic_group(2)
+        for rows, cols in [(0, 0), (0, 3), (3, 0)]:
+            M = GRMatrix(G, rows, cols, tuple(() for _ in range(rows)))
+            assert (M.expand().rows, M.expand().cols) == (2 * rows, 2 * cols)

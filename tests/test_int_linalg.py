@@ -66,6 +66,13 @@ class TestSmithNormalForm:
             snf = smith_normal_form(IntegerMatrix.zeros(rows, cols))
             assert snf.diagonal == ()
 
+    @pytest.mark.parametrize("rows, cols", [(0, -3), (-1, 0), (-2, 3), (2, -3)])
+    def test_negative_sizes_are_rejected(self, rows, cols):
+        # with no rows, a negative column count still has an empty grid to match
+        grid = tuple(() for _ in range(max(rows, 0)))
+        with pytest.raises(ValueError, match="declared shape"):
+            IntegerMatrix(rows, cols, grid)
+
     def test_contract_random(self):
         rng = random.Random(23)
         for _ in range(150):
