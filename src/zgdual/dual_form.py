@@ -486,34 +486,40 @@ def _chain_map_constraints(a: ChainComplex, b: ChainComplex) -> IntegerMatrix:
     Right multiplication by c is P expand(c)^T P for the inversion
     permutation P, since expand(dual(c)) == expand(c)^T; so it is read from
     a column of a.integer_matrix(deg).
+
+    A is built as sparse rows from the sparse rows of b's expansions and
+    the columns of a's (the transpose of its sparse rows), so each row
+    costs only its nonzeros.
     """
     N = a.group.order
     inv = a.group.inv_table
     offsets, total = _lattice_offsets(a, b)
 
-    def var(idx, i, j):
-        return offsets[idx] + (i * a.ranks[idx] + j) * N
-
     rows = []
     for deg in (1, 2):
-        D = b.integer_matrix(deg).entries  # b_deg -> b_{deg-1}
-        d_cols = list(zip(*a.integer_matrix(deg).entries))  # a_deg -> a_{deg-1}
-        width = a.ranks[deg - 1] * N  # the coordinates of one row of h_{deg-1}
-        flip = [j * N + inv[c] for j in range(a.ranks[deg - 1]) for c in range(N)]
+        D = b.integer_matrix(deg)  # b_deg -> b_{deg-1}
+        d = a.integer_matrix(deg)  # a_deg -> a_{deg-1}
+        d_cols = [{} for _ in range(d.cols)]
+        for i, line in enumerate(d.sparse_rows):
+            for c, v in line.items():
+                d_cols[c][i] = v
+        # row p N + r of D at q == 0: column j N + s becomes coordinate s
+        # of entry (j, 0) of h_deg; entry (j, q) is q N further on
+        left = [
+            [(offsets[deg] + (c - c % N) * a.ranks[deg] + c % N, v) for c, v in line.items()]
+            for line in D.sparse_rows
+        ]
+        # column c of d, negated, with j N + t read at j N + inv[t]
+        flipped = [[(i - i % N + inv[i % N], -v) for i, v in col.items()] for col in d_cols]
         for p in range(b.ranks[deg - 1]):
-            right = var(deg - 1, p, 0)
+            right = offsets[deg - 1] + p * a.ranks[deg - 1] * N
             for q in range(a.ranks[deg]):
                 for r in range(N):
-                    row = [0] * total
-                    D_row = D[p * N + r]
-                    for j in range(b.ranks[deg]):
-                        base = var(deg, j, q)
-                        row[base : base + N] = D_row[j * N : (j + 1) * N]
-                    d_col = d_cols[q * N + inv[r]]
-                    row[right : right + width] = [-d_col[i] for i in flip]
+                    row = {col + q * N: v for col, v in left[p * N + r]}
+                    row.update((right + k, v) for k, v in flipped[q * N + inv[r]])
                     rows.append(row)
 
-    return IntegerMatrix(len(rows), total, tuple(map(tuple, rows)))
+    return IntegerMatrix._from_sparse_rows(total, rows)
 
 
 def _unflatten_triple(a: ChainComplex, b: ChainComplex, vec):
@@ -599,7 +605,7 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
     # A e is the identity's residual D - d, and A (e + x) == 0 always has the
     # solution x = -e, so back_substitute finds one
     minus_Ae = _flatten(tail.boundary(k) - head.boundary(k) for k in (1, 2))
-    x = back_substitute(snf, IntegerMatrix(A.rows, 1, tuple((v,) for v in minus_Ae)))
+    x = back_substitute(snf, IntegerMatrix._from_sparse_rows(1, ({0: v} if v else {} for v in minus_Ae)))
     found = attempt(_unflatten_triple(tail, head, [v + xi[0] for v, xi in zip(e, x.entries)]))
     if found or budget < 3:
         return found

@@ -18,7 +18,6 @@ Conventions, fixed once so non-abelian groups work unchanged:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from zgdual.group_core import FiniteGroup, GroupRingElement
 from zgdual.int_linalg import IntegerMatrix, solve_integer
@@ -42,6 +41,15 @@ class GRMatrix:
                     raise ValueError("matrix entry belongs to a different group")
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def _trusted(group: FiniteGroup, rows: int, cols: int, entries) -> GRMatrix:
+        """A GRMatrix with no checks, for a grid of the given shape built
+        from entries of ``group`` by an operation on checked matrices.
+        """
+        M = object.__new__(GRMatrix)
+        M.__dict__.update(group=group, rows=rows, cols=cols, entries=entries)
+        return M
 
     @staticmethod
     def from_rows(group: FiniteGroup, rows) -> GRMatrix:
@@ -117,13 +125,13 @@ class GRMatrix:
                     for j in range(other.cols)
                 )
             )
-        return GRMatrix(G, self.rows, other.cols, tuple(grid))
+        return GRMatrix._trusted(G, self.rows, other.cols, tuple(grid))
 
     def __add__(self, other: GRMatrix) -> GRMatrix:
         self._check_group(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return GRMatrix(
+        return GRMatrix._trusted(
             self.group,
             self.rows,
             self.cols,
@@ -131,7 +139,7 @@ class GRMatrix:
         )
 
     def __neg__(self) -> GRMatrix:
-        return GRMatrix(
+        return GRMatrix._trusted(
             self.group, self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries)
         )
 
@@ -144,32 +152,30 @@ class GRMatrix:
 
     def dual(self) -> GRMatrix:
         """Involute-transpose: the dual map Z[G]^rows -> Z[G]^cols."""
-        grid = tuple(
-            tuple(self.entries[i][j].involute() for i in range(self.rows))
-            for j in range(self.cols)
-        )
-        return GRMatrix(self.group, self.cols, self.rows, grid)
+        z = GroupRingElement.zero(self.group)
+        columns = zip(*self.entries) if self.rows else ((),) * self.cols
+        grid = tuple(tuple(e.involute() if any(e.coeffs) else z for e in col) for col in columns)
+        return GRMatrix._trusted(self.group, self.cols, self.rows, grid)
 
     def expand(self) -> IntegerMatrix:
-        """Integer matrix of the same map on Z-bases (see module docstring)."""
+        """Integer matrix of the same map on Z-bases (see module docstring),
+        built as sparse rows from the supports of the entries.
+
+        Block (i, j) at row a has the coefficient of h at column b where
+        g_a g_b^{-1} == h, so term (h, v) of entry (i, j) puts v at row
+        i N + a, column j N + index(h^{-1} g_a); distinct terms of one
+        entry land in distinct columns.
+        """
         G = self.group
         N = G.order
-        mul = G.mul_table
-        inv = G.inv_table
-        # pick[a] reads the coefficients of g_a * g_b^{-1} for b = 0..N-1;
-        # itemgetter of a single index returns a scalar, and for the trivial
-        # group the one row is the coefficient tuple itself
-        pick = [itemgetter(*itemgetter(*inv)(row)) for row in mul] if N > 1 else [tuple]
-        rows = []
+        # shift[h][a] is the index of h^{-1} g_a
+        shift = [G.mul_table[h] for h in G.inv_table]
+        lines = []
         for entry_row in self.entries:
-            for get in pick:
-                row = []
-                for e in entry_row:
-                    row.extend(get(e.coeffs))
-                rows.append(tuple(row))
-        if not rows:
-            return IntegerMatrix(0, self.cols * N, ())
-        return IntegerMatrix(self.rows * N, self.cols * N, tuple(rows))
+            terms = [(j * N, shift[h], v) for j, e in enumerate(entry_row) for h, v in e.support]
+            for a in range(N):
+                lines.append({base + s[a]: v for base, s, v in terms})
+        return IntegerMatrix._from_sparse_rows(self.cols * N, lines)
 
     def augmented(self) -> IntegerMatrix:
         """Entrywise augmentation: the induced map on trivial coefficients."""
@@ -189,11 +195,12 @@ def stack_columns(B: GRMatrix) -> IntegerMatrix:
     expand(A) @ stack_columns(X) == stack_columns(A @ X).
     """
     N = B.group.order
-    rows = []
-    for i in range(B.rows):
-        for a in range(N):
-            rows.append(tuple(B.entries[i][j].coeffs[a] for j in range(B.cols)))
-    return IntegerMatrix(B.rows * N, B.cols, tuple(rows)) if rows else IntegerMatrix(0, B.cols, ())
+    lines = [{} for _ in range(B.rows * N)]
+    for i, row in enumerate(B.entries):
+        for j, e in enumerate(row):
+            for a, v in e.support:
+                lines[i * N + a][j] = v
+    return IntegerMatrix._from_sparse_rows(B.cols, lines)
 
 
 def fold_columns(group: FiniteGroup, X: IntegerMatrix, gr_cols: int) -> GRMatrix:

@@ -1,6 +1,10 @@
 """Exact integer matrix algebra: Smith normal form, solving, homology.
 
-Matrices are immutable grids of Python ints; every computation is exact.
+Matrices hold Python ints as sparse rows (a dict column -> nonzero value
+per row) or as a row-major grid, and build the other form only when it is
+read; library builders hand their nonzeros straight to the reduction, so
+the dense ``entries`` of a large expansion exist only if something reads
+them.  Every computation is exact.
 Empty matrices (zero rows or columns) are first class: rank-0 modules occur
 at the ends of chain complexes, so all conventions below degrade gracefully.
 For the empty cases: the SNF of a matrix with no nonzero entry has an empty
@@ -26,19 +30,60 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-@dataclass(frozen=True)
 class IntegerMatrix:
-    """A rows x cols matrix over Z, stored as a row-major grid."""
+    """A rows x cols matrix over Z, held as sparse rows or a row-major grid.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    ``sparse_rows`` gives row i as a dict column -> nonzero value and
+    ``entries`` the grid of Python ints.  A matrix is built from a grid
+    (``IntegerMatrix(rows, cols, entries)``) or, by the library's builders,
+    from sparse rows, and builds the other form on its first read; neither
+    changes afterwards.  Equality and hashing read the shape and the grid,
+    so they do not depend on how the matrix was built.
+    """
 
-    def __post_init__(self):
-        if self.cols < 0 or len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError(
-                f"entry grid does not match declared shape {self.rows}x{self.cols}"
-            )
+    __slots__ = ("rows", "cols", "_entries", "_sparse_rows")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
+        if cols < 0 or len(entries) != rows or any(len(r) != cols for r in entries):
+            raise ValueError(f"entry grid does not match declared shape {rows}x{cols}")
+        self.rows, self.cols = rows, cols
+        self._entries, self._sparse_rows = entries, None
+
+    @staticmethod
+    def _from_sparse_rows(cols: int, lines) -> IntegerMatrix:
+        """The len(lines) x cols matrix whose row i is lines[i], for the
+        library's own builders.  Nothing is checked: each line must be a
+        dict from columns in range(cols) to nonzero ints, and is kept, not
+        copied.
+        """
+        M = object.__new__(IntegerMatrix)
+        M._sparse_rows = tuple(lines)
+        M.rows, M.cols, M._entries = len(M._sparse_rows), cols, None
+        return M
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        if self._entries is None:
+            self._entries = _dense(self._sparse_rows, self.cols)
+        return self._entries
+
+    @property
+    def sparse_rows(self) -> tuple[dict[int, int], ...]:
+        """Row i as a dict column -> nonzero value; shared, so read only."""
+        if self._sparse_rows is None:
+            self._sparse_rows = tuple({j: v for j, v in enumerate(row) if v} for row in self._entries)
+        return self._sparse_rows
+
+    def __eq__(self, other):
+        if other.__class__ is not IntegerMatrix:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return f"IntegerMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @staticmethod
     def from_rows(rows) -> IntegerMatrix:
@@ -117,10 +162,6 @@ def _replay(ops, lines, transposed=False):
         else:
             _add_line(lines, a, b, q)
     return lines
-
-
-def _sparse_rows(M: IntegerMatrix) -> list[dict[int, int]]:
-    return [{j: v for j, v in enumerate(row) if v} for row in M.entries]
 
 
 def _dense(lines, width: int) -> tuple[tuple[int, ...], ...]:
@@ -211,7 +252,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     the pivot, a column operation against column t changes only row t.
     """
     m, n = A.rows, A.cols
-    rows = _sparse_rows(A)
+    rows = list(map(dict, A.sparse_rows))
     row_ops, col_ops = [], []
     t = 0
 
@@ -372,7 +413,7 @@ def back_substitute(snf: SmithDecomposition, B: IntegerMatrix):
     if B.rows != snf.rows:
         raise ValueError(f"A has {snf.rows} rows but B has {B.rows}")
     r = snf.rank
-    C = _replay(snf.row_ops, _sparse_rows(B))
+    C = _replay(snf.row_ops, list(map(dict, B.sparse_rows)))
     # rows past the rank must vanish; divisibility on the rest
     if any(C[r:]):
         return None

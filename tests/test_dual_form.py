@@ -434,8 +434,7 @@ class TestChainIsomorphismSolver:
         # find some isomorphism
         A = lens_complex(5)
         G = A.group
-        tail = tail_segment(A if False else to_dual_form_stage6(A).complex)
-        head = dual_head_segment(to_dual_form_stage6(A).complex)
+        tail, head = stage6_segments(A)
 
         def diag_u_1_1_1(u):
             rows = [list(row) for row in GRMatrix.identity(G, 4).entries]
