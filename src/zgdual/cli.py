@@ -69,8 +69,11 @@ def _load_complex(path: str):
 
 
 def _write_complex(path: str, C) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize.canonical_dumps(serialize.complex_to_json(C)))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize.canonical_dumps(serialize.complex_to_json(C)))
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
 
 
 def _poly_or_terms(e) -> str:

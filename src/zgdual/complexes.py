@@ -19,14 +19,15 @@ cover), "trivial" applies the augmentation entrywise (homology of the base).
 Augmented ends are never included: degree 0 is a cokernel, the top degree a
 kernel, exactly as for the raw complex.
 
-Each complex expands every differential at most once per coefficient
-system and reduces it at most once up to duality: the integer matrices,
-their Smith decompositions and the d.d == 0 checks are memoized on the
-instance (never across instances).  ChainComplex.reduction is the one read
-path.  A boundary equal to an earlier one shares that decomposition, and
-one equal to the dual of an earlier one reads it transposed, since
-expansion and augmentation turn the dual into the transpose.  So a complex
-in dual form (d5 = d1*, d4 = d2*) reduces neither degree 5 nor degree 4.
+Each complex reduces every differential once per coefficient system up to
+duality; matrices are built when read.  The Smith decompositions and the
+d.d == 0 checks are memoized on the instance (never across instances); the
+integer matrices are not, so an expansion is dropped once it is reduced.
+ChainComplex.reduction is the one read path.  A boundary equal to an
+earlier one shares that decomposition, and one equal to the dual of an
+earlier one reads it transposed, since expansion and augmentation turn the
+dual into the transpose.  So a complex in dual form (d5 = d1*, d4 = d2*)
+reduces neither degree 5 nor degree 4.
 Every decomposition keeps its operation logs; the readers that need
 vectors (the end generators and the lifts) replay them on just those.  The
 two augmented ends share one path: the top end is read as the bottom end of
@@ -45,6 +46,7 @@ from zgdual.int_linalg import (
     AbelianGroupInfo,
     IntegerMatrix,
     SmithDecomposition,
+    _combine_rows,
     back_substitute,
     homology_from_invariants,
     smith_normal_form,
@@ -98,22 +100,13 @@ class ChainComplex:
         return {}
 
     def integer_matrix(self, i: int, coefficients: str = "integral") -> IntegerMatrix:
-        """boundary(i) on Z-bases, built once: expanded for "integral"
-        coefficients, augmented for "trivial"; 1 <= i <= top_degree.
+        """boundary(i) on Z-bases, built on each call: expanded for
+        "integral" coefficients, augmented for "trivial"; 1 <= i <= top_degree.
         """
         if coefficients not in COEFFS:
             raise ValueError(f"coefficients must be one of {COEFFS}")
-        if not 1 <= i <= self.top_degree:
-            raise ValueError(f"no boundary map at degree {i}")
-        key = ("matrix", i, coefficients)
-        M = self._memo.get(key)
-        if M is None:
-            if coefficients == "integral":
-                M = self.boundary(i).expand()
-            else:
-                M = self.boundary(i).augmented()
-            self._memo[key] = M
-        return M
+        d = self.boundary(i)
+        return d.expand() if coefficients == "integral" else d.augmented()
 
     def reduction(self, i: int, coefficients: str = "integral") -> SmithDecomposition:
         """A Smith decomposition of integer_matrix(i), memoized per degree
@@ -338,9 +331,7 @@ def _end_report(C: ChainComplex, snf: SmithDecomposition, rank: int, info, certi
     if certificate is not None:
         cert_valid = gcd(*certificate, 0) == 1 if certificate else False
         if cert_valid:
-            cert_valid = all(
-                sum(certificate[i] * aug.entries[i][k] for i in range(rank)) == 0 for k in range(aug.cols)
-            )
+            cert_valid = not any(_combine_rows(certificate, aug))
         if cert_valid and is_z:
             generator = certificate
     return EndReport(info, is_z, trivial, generator, cert_valid)
@@ -525,8 +516,7 @@ def _end_scalar(functional, target, aug) -> int | None:
     """
     if functional is None or target is None:
         return None
-    u = tuple(sum(functional[i] * aug.entries[i][j] for i in range(aug.rows)) for j in range(aug.cols))
-    return _proportionality(u, target)
+    return _proportionality(_combine_rows(functional, aug), target)
 
 
 def is_chain_map(f: ChainMap) -> ChainMapReport:

@@ -44,6 +44,7 @@ from zgdual.group_core import GroupRingElement
 from zgdual.gr_linalg import GRMatrix, invert_gr_matrix
 from zgdual.int_linalg import (
     IntegerMatrix,
+    _combine_rows,
     babai_nearest,
     back_substitute,
     lll_reduce,
@@ -70,7 +71,7 @@ def _direct_sum(C: ChainComplex, extra, identity_at: int = 0) -> ChainComplex:
             pad = (z,) * c
             new = [pad[:i] + (one,) + pad[i + 1 :] if k == identity_at else pad for i in range(r)]
             entries = tuple(row + pad for row in d.entries) + tuple((z,) * d.cols + row for row in new)
-            diffs[k - 1] = GRMatrix(G, d.rows + r, d.cols + c, entries)
+            diffs[k - 1] = GRMatrix._trusted(G, d.rows + r, d.cols + c, entries)
     top, bottom = C.top_generator, C.bottom_generator
     return ChainComplex(
         G,
@@ -133,7 +134,7 @@ def _leading_block_maps(small: ChainComplex, big: ChainComplex) -> tuple[ChainMa
 
     def leading(rows, cols):  # the identity on the first min(rows, cols) generators
         grid = tuple(tuple(one if i == j else z for j in range(cols)) for i in range(rows))
-        return GRMatrix(G, rows, cols, grid)
+        return GRMatrix._trusted(G, rows, cols, grid)
 
     pairs = tuple(zip(small.ranks, big.ranks))
     return (
@@ -153,8 +154,8 @@ def _collapse_move(C: ChainComplex, position: int, rank: int) -> SimpleMoveResul
     if ranks[p] < 0 or ranks[p + 1] < 0:
         raise ValueError("collapse rank exceeds the module ranks at the move position")
     diffs = tuple(
-        GRMatrix(C.group, ranks[i], ranks[i + 1], tuple(row[: ranks[i + 1]] for row in d.entries[: ranks[i]]))
-        for i, d in enumerate(C.differentials)
+        GRMatrix._trusted(C.group, r, c, tuple(row[:c] for row in d.entries[:r]))
+        for d, r, c in zip(C.differentials, ranks, ranks[1:])
     )
     top, bottom = C.top_generator, C.bottom_generator
     core = ChainComplex(
@@ -499,10 +500,6 @@ def _chain_map_constraints(a: ChainComplex, b: ChainComplex) -> IntegerMatrix:
     for deg in (1, 2):
         D = b.integer_matrix(deg)  # b_deg -> b_{deg-1}
         d = a.integer_matrix(deg)  # a_deg -> a_{deg-1}
-        d_cols = [{} for _ in range(d.cols)]
-        for i, line in enumerate(d.sparse_rows):
-            for c, v in line.items():
-                d_cols[c][i] = v
         # row p N + r of D at q == 0: column j N + s becomes coordinate s
         # of entry (j, 0) of h_deg; entry (j, q) is q N further on
         left = [
@@ -510,7 +507,7 @@ def _chain_map_constraints(a: ChainComplex, b: ChainComplex) -> IntegerMatrix:
             for line in D.sparse_rows
         ]
         # column c of d, negated, with j N + t read at j N + inv[t]
-        flipped = [[(i - i % N + inv[i % N], -v) for i, v in col.items()] for col in d_cols]
+        flipped = [[(i - i % N + inv[i % N], -v) for i, v in col.items()] for col in d.transpose().sparse_rows]
         for p in range(b.ranks[deg - 1]):
             right = offsets[deg - 1] + p * a.ranks[deg - 1] * N
             for q in range(a.ranks[deg]):
@@ -535,7 +532,7 @@ def _unflatten_triple(a: ChainComplex, b: ChainComplex, vec):
                 base = offsets[idx] + (i * a.ranks[idx] + j) * N
                 row.append(GroupRingElement(G, tuple(vec[base : base + N])))
             grid.append(tuple(row))
-        comps.append(GRMatrix(G, b.ranks[idx], a.ranks[idx], tuple(grid)))
+        comps.append(GRMatrix._trusted(G, b.ranks[idx], a.ranks[idx], tuple(grid)))
     return tuple(comps)
 
 
@@ -606,7 +603,7 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
     # solution x = -e, so back_substitute finds one
     minus_Ae = _flatten(tail.boundary(k) - head.boundary(k) for k in (1, 2))
     x = back_substitute(snf, IntegerMatrix._from_sparse_rows(1, ({0: v} if v else {} for v in minus_Ae)))
-    found = attempt(_unflatten_triple(tail, head, [v + xi[0] for v, xi in zip(e, x.entries)]))
+    found = attempt(_unflatten_triple(tail, head, [v + xi.get(0, 0) for v, xi in zip(e, x.sparse_rows)]))
     if found or budget < 3:
         return found
 
@@ -651,11 +648,8 @@ def assemble_dual_form(C6: ChainComplex, iso: ChainIsoPair) -> AssembledDualForm
 
     top = None
     if C6.top_generator is not None:
-        h0_dual_aug = iso.h[0].dual().augmented()
-        top = tuple(
-            sum(h0_dual_aug.entries[i][j] * C6.top_generator[j] for j in range(h0_dual_aug.cols))
-            for i in range(h0_dual_aug.rows)
-        )
+        # the augmentation of h0's dual is the transpose of h0's
+        top = _combine_rows(C6.top_generator, iso.h[0].augmented())
         if gcd(*top, 0) != 1:
             top = None
 

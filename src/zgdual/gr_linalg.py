@@ -179,13 +179,8 @@ class GRMatrix:
 
     def augmented(self) -> IntegerMatrix:
         """Entrywise augmentation: the induced map on trivial coefficients."""
-        if not self.rows:
-            return IntegerMatrix(0, self.cols, ())
-        return IntegerMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(e.augmentation() for e in row) for row in self.entries),
-        )
+        lines = [{j: a for j, e in enumerate(row) if (a := e.augmentation())} for row in self.entries]
+        return IntegerMatrix._from_sparse_rows(self.cols, lines)
 
 
 def stack_columns(B: GRMatrix) -> IntegerMatrix:
@@ -206,14 +201,13 @@ def stack_columns(B: GRMatrix) -> IntegerMatrix:
 def fold_columns(group: FiniteGroup, X: IntegerMatrix, gr_cols: int) -> GRMatrix:
     """Inverse of stack_columns: the gr_cols x X.cols matrix over Z[G]."""
     N = group.order
-    grid = []
-    for j in range(gr_cols):
-        row = []
-        for l in range(X.cols):
-            coeffs = tuple(X.entries[j * N + a][l] for a in range(N))
-            row.append(GroupRingElement(group, coeffs))
-        grid.append(tuple(row))
-    return GRMatrix(group, gr_cols, X.cols, tuple(grid))
+    coeffs = [[[0] * N for _ in range(X.cols)] for _ in range(gr_cols)]
+    for i, line in enumerate(X.sparse_rows):
+        j, a = divmod(i, N)
+        for l, v in line.items():
+            coeffs[j][l][a] = v
+    grid = tuple(tuple(GroupRingElement(group, tuple(c)) for c in row) for row in coeffs)
+    return GRMatrix._trusted(group, gr_cols, X.cols, grid)
 
 
 def solve_gr_linear(A: GRMatrix, B: GRMatrix):

@@ -1,10 +1,9 @@
 """Exact integer matrix algebra: Smith normal form, solving, homology.
 
-Matrices hold Python ints as sparse rows (a dict column -> nonzero value
-per row) or as a row-major grid, and build the other form only when it is
-read; library builders hand their nonzeros straight to the reduction, so
-the dense ``entries`` of a large expansion exist only if something reads
-them.  Every computation is exact.
+Matrices hold Python ints as sparse rows, a dict column -> nonzero value
+per row; every library builder and reader works on those, and the dense
+``entries`` grid is built only when something reads it.  Every
+computation is exact.
 Empty matrices (zero rows or columns) are first class: rank-0 modules occur
 at the ends of chain complexes, so all conventions below degrade gracefully.
 For the empty cases: the SNF of a matrix with no nonzero entry has an empty
@@ -31,23 +30,22 @@ from functools import cached_property
 
 
 class IntegerMatrix:
-    """A rows x cols matrix over Z, held as sparse rows or a row-major grid.
+    """A rows x cols matrix over Z, stored as sparse rows.
 
-    ``sparse_rows`` gives row i as a dict column -> nonzero value and
-    ``entries`` the grid of Python ints.  A matrix is built from a grid
-    (``IntegerMatrix(rows, cols, entries)``) or, by the library's builders,
-    from sparse rows, and builds the other form on its first read; neither
-    changes afterwards.  Equality and hashing read the shape and the grid,
-    so they do not depend on how the matrix was built.
+    ``sparse_rows`` holds row i as a dict column -> nonzero value; the
+    row-major grid ``entries`` is built from them on its first read.  A
+    matrix is built from a checked grid (``IntegerMatrix(rows, cols,
+    entries)``, ``from_rows``) or, by the library's builders, from sparse
+    rows.  Equality and hashing read the shape and the nonzeros.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_sparse_rows")
+    __slots__ = ("rows", "cols", "sparse_rows", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]):
         if cols < 0 or len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError(f"entry grid does not match declared shape {rows}x{cols}")
-        self.rows, self.cols = rows, cols
-        self._entries, self._sparse_rows = entries, None
+        self.rows, self.cols, self._entries = rows, cols, None
+        self.sparse_rows = tuple({j: v for j, v in enumerate(row) if v} for row in entries)
 
     @staticmethod
     def _from_sparse_rows(cols: int, lines) -> IntegerMatrix:
@@ -57,30 +55,23 @@ class IntegerMatrix:
         copied.
         """
         M = object.__new__(IntegerMatrix)
-        M._sparse_rows = tuple(lines)
-        M.rows, M.cols, M._entries = len(M._sparse_rows), cols, None
+        M.sparse_rows = tuple(lines)
+        M.rows, M.cols, M._entries = len(M.sparse_rows), cols, None
         return M
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         if self._entries is None:
-            self._entries = _dense(self._sparse_rows, self.cols)
+            self._entries = tuple(tuple(line.get(j, 0) for j in range(self.cols)) for line in self.sparse_rows)
         return self._entries
-
-    @property
-    def sparse_rows(self) -> tuple[dict[int, int], ...]:
-        """Row i as a dict column -> nonzero value; shared, so read only."""
-        if self._sparse_rows is None:
-            self._sparse_rows = tuple({j: v for j, v in enumerate(row) if v} for row in self._entries)
-        return self._sparse_rows
 
     def __eq__(self, other):
         if other.__class__ is not IntegerMatrix:
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows, self.cols, self.sparse_rows) == (other.rows, other.cols, other.sparse_rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(frozenset(line.items()) for line in self.sparse_rows)))
 
     def __repr__(self):
         return f"IntegerMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
@@ -94,36 +85,52 @@ class IntegerMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> IntegerMatrix:
-        return IntegerMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        if rows < 0 or cols < 0:
+            raise ValueError(f"entry grid does not match declared shape {rows}x{cols}")
+        return IntegerMatrix._from_sparse_rows(cols, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> IntegerMatrix:
-        return IntegerMatrix(
-            n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
+        I = IntegerMatrix.zeros(n, n)
+        for i, line in enumerate(I.sparse_rows):
+            line[i] = 1
+        return I
 
     def __matmul__(self, other: IntegerMatrix) -> IntegerMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        bt = list(zip(*other.entries)) if other.rows else [()] * other.cols
-        grid = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.entries
-        )
-        if not self.rows:
-            grid = ()
-        return IntegerMatrix(self.rows, other.cols, grid)
+        lines = []
+        for line in self.sparse_rows:
+            acc = {}
+            for k, a in line.items():
+                _add_line(acc, other.sparse_rows[k], a)
+            lines.append(acc)
+        return IntegerMatrix._from_sparse_rows(other.cols, lines)
 
     def transpose(self) -> IntegerMatrix:
-        if self.rows == 0:
-            return IntegerMatrix(self.cols, 0, tuple(() for _ in range(self.cols)))
-        return IntegerMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
+        lines = [{} for _ in range(self.cols)]
+        for i, line in enumerate(self.sparse_rows):
+            for j, v in line.items():
+                lines[j][i] = v
+        return IntegerMatrix._from_sparse_rows(self.rows, lines)
 
     @property
     def is_zero(self) -> bool:
-        return all(not v for row in self.entries for v in row)
+        return not any(self.sparse_rows)
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range for {self.cols} columns")
+        return tuple(line.get(j, 0) for line in self.sparse_rows)
+
+
+def _combine_rows(coeffs, M: IntegerMatrix) -> tuple[int, ...]:
+    """coeffs @ M for a vector of M.rows integers, read from M's sparse rows."""
+    out = [0] * M.cols
+    for c, line in zip(coeffs, M.sparse_rows):
+        for j, v in line.items():
+            out[j] += c * v
+    return tuple(out)
 
 
 # A logged operation is a triple (a, b, q) on lines (rows of A for the row
@@ -131,17 +138,14 @@ class IntegerMatrix:
 # q != 0, swap lines a and b when q == 0, negate line a when a == b.
 
 
-def _add_line(lines, dst, src, q):
-    """lines[dst] += q * lines[src] on sparse lines (dicts index -> nonzero)."""
-    S = lines[src]
-    if S:
-        R = lines[dst]
-        for j, v in S.items():
-            x = R.get(j, 0) + q * v
-            if x:
-                R[j] = x
-            else:
-                del R[j]
+def _add_line(R, S, q):
+    """R += q * S on sparse lines (dicts index -> nonzero), q != 0."""
+    for j, v in S.items():
+        x = R.get(j, 0) + q * v
+        if x:
+            R[j] = x
+        else:
+            del R[j]
 
 
 def _replay(ops, lines, transposed=False):
@@ -158,22 +162,22 @@ def _replay(ops, lines, transposed=False):
         elif not q:
             lines[a], lines[b] = lines[b], lines[a]
         elif transposed:
-            _add_line(lines, b, a, q)
+            _add_line(lines[b], lines[a], q)
         else:
-            _add_line(lines, a, b, q)
+            _add_line(lines[a], lines[b], q)
     return lines
 
 
-def _dense(lines, width: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(line.get(j, 0) for j in range(width)) for line in lines)
+def _unit_lines(ops, size: int, first: int, last: int) -> list[dict[int, int]]:
+    """The sparse rows of columns first..last-1 of the transposed replay of
+    ``ops`` on I_size: columns of V for the column log, rows of U for the
+    row log.
+    """
+    return _replay(ops, [{j - first: 1} if first <= j < last else {} for j in range(size)], transposed=True)
 
 
 def _unit_columns(ops, size: int, first: int, last: int) -> list[tuple[int, ...]]:
-    """Columns first..last-1 of the transposed replay of ``ops`` on I_size:
-    columns of V for the column log, rows of U for the row log.
-    """
-    lines = [{j - first: 1} if first <= j < last else {} for j in range(size)]
-    _replay(ops, lines, transposed=True)
+    lines = _unit_lines(ops, size, first, last)
     return [tuple(line.get(k, 0) for line in lines) for k in range(last - first)]
 
 
@@ -203,21 +207,16 @@ class SmithDecomposition:
 
     @cached_property
     def D(self) -> IntegerMatrix:
-        zero = (0,) * self.cols
-        grid = tuple(zero[:i] + (d,) + zero[i + 1 :] for i, d in enumerate(self.diagonal))
-        return IntegerMatrix(self.rows, self.cols, grid + (zero,) * (self.rows - self.rank))
+        lines = [{i: d} for i, d in enumerate(self.diagonal)]
+        return IntegerMatrix._from_sparse_rows(self.cols, lines + [{} for _ in range(self.rows - self.rank)])
 
     @cached_property
     def U(self) -> IntegerMatrix:
-        m = self.rows
-        lines = _replay(self.row_ops, [{i: 1} for i in range(m)])
-        return IntegerMatrix(m, m, _dense(lines, m))
+        return IntegerMatrix._from_sparse_rows(self.rows, _replay(self.row_ops, [{i: 1} for i in range(self.rows)]))
 
     @cached_property
     def V(self) -> IntegerMatrix:
-        n = self.cols
-        lines = _replay(self.col_ops, [{j: 1} for j in range(n)], transposed=True)
-        return IntegerMatrix(n, n, _dense(lines, n))
+        return IntegerMatrix._from_sparse_rows(self.cols, _unit_lines(self.col_ops, self.cols, 0, self.cols))
 
     def U_row(self, i: int) -> tuple[int, ...]:
         """Row i of U, by one replay of the row log."""
@@ -308,7 +307,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
                 if v:
                     q = v // p
                     if q:
-                        _add_line(rows, i, t, -q)
+                        _add_line(rows[i], rows[t], -q)
                         row_ops.append((i, t, -q))
                     if t in rows[i]:
                         row_swap(t, i)  # remainder is smaller than |p|
@@ -344,7 +343,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             bad = next((i for i in range(t + 1, m) if any(v % p for v in rows[i].values())), None)
             if bad is None:
                 break
-            _add_line(rows, t, bad, 1)
+            _add_line(rows[t], rows[bad], 1)
             row_ops.append((t, bad, 1))
         t += 1
 
@@ -360,7 +359,7 @@ def determinant(A: IntegerMatrix) -> int:
     n = A.rows
     if n == 0:
         return 1
-    M = [list(row) for row in A.entries]
+    M = [[line.get(j, 0) for j in range(n)] for line in A.sparse_rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -387,11 +386,8 @@ def kernel_basis(A: IntegerMatrix) -> IntegerMatrix:
     The kernel of an integer matrix is saturated, so the basis obtained from
     the SNF right transform spans every integer kernel vector over Z.
     """
-    cols = smith_normal_form(A).kernel_columns()
-    if not cols:
-        return IntegerMatrix(A.cols, 0, tuple(() for _ in range(A.cols)))
-    grid = tuple(tuple(col[i] for col in cols) for i in range(A.cols))
-    return IntegerMatrix(A.cols, len(cols), grid)
+    snf = smith_normal_form(A)
+    return IntegerMatrix._from_sparse_rows(A.cols - snf.rank, _unit_lines(snf.col_ops, A.cols, snf.rank, A.cols))
 
 
 def solve_integer(A: IntegerMatrix, B: IntegerMatrix):
@@ -427,7 +423,7 @@ def back_substitute(snf: SmithDecomposition, B: IntegerMatrix):
             quotients[j] = q
         Y.append(quotients)
     Y.extend({} for _ in range(snf.cols - r))
-    return IntegerMatrix(snf.cols, B.cols, _dense(_replay(snf.col_ops, Y, transposed=True), B.cols))
+    return IntegerMatrix._from_sparse_rows(B.cols, _replay(snf.col_ops, Y, transposed=True))
 
 
 @dataclass

@@ -391,6 +391,25 @@ class TestDualformCommand:
         assert code == 2
 
 
+class TestUnwritableOutput:
+    """An -o path that cannot be written is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["lens", "dualform"])
+    @pytest.mark.parametrize("target", ["missing_dir/x.json", "."])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_exit_2_with_the_path_named(self, capsys, tmp_path, command, target, as_json):
+        args = ["lens", "--n", "5"] if command == "lens" else ["dualform", write_lens(tmp_path, 3)]
+        output = str(tmp_path / target)
+        code, out, err = run(capsys, *args, "-o", output, *(["--json"] if as_json else []))
+        assert code == 2
+        if as_json:
+            assert json.loads(out)["error"].startswith(f"cannot write {output}: ")
+            assert err == ""
+        else:
+            assert out == ""
+            assert err.startswith(f"error: cannot write {output}: ")
+
+
 class TestNormalizeCommand:
     def test_lens_normalization(self, capsys, tmp_path):
         path = write_lens(tmp_path, 5)

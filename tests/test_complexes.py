@@ -38,7 +38,7 @@ from zgdual.complexes import (
 from zgdual.dual_form import normalize_duality, obstruction_check, recognize_dual_form
 from zgdual.group_core import GroupRingElement, cyclic_group, norm_element
 from zgdual.gr_linalg import GRMatrix, solve_gr_linear
-from zgdual.int_linalg import AbelianGroupInfo, kernel_basis, smith_normal_form
+from zgdual.int_linalg import AbelianGroupInfo, IntegerMatrix, kernel_basis, smith_normal_form
 from zgdual.lens import lens_asd_transform, lens_complex, lens_duality_map
 
 Z = AbelianGroupInfo.free(1)
@@ -329,28 +329,54 @@ class TestMemoizedReductions:
 
     def test_each_differential_is_reduced_once(self, monkeypatch):
         calls = []
+        expanded = []
+        expand = GRMatrix.expand
 
         def counting_snf(A):
             calls.append(1)
             return smith_normal_form(A)
 
+        def counting_expand(M):
+            expanded.append(M)
+            return expand(M)
+
         monkeypatch.setattr(complexes, "smith_normal_form", counting_snf)
+        monkeypatch.setattr(GRMatrix, "expand", counting_expand)
         spots = [(d, coeff) for d in range(6) for coeff in COEFFS]
+
+        def degrees_expanded(C):
+            assert not any(isinstance(v, IntegerMatrix) for v in C._memo.values())
+            return sorted(next(j for j in range(1, 6) if C.boundary(j) == M) for M in expanded)
+
         for n in (6, 7):
-            C = lens_complex(n)
+            C, phi = lens_complex(n), lens_duality_map(n)
             calls.clear()
+            expanded.clear()
             assert five_complex_report(C).is_member
             view = recognize_dual_form(C)
             obstruction_check(view)
             all_homology(C)
-            normalize_duality(view, lens_duality_map(n))
+            normalize_duality(view, phi)
             # d3 = d5 = d1* and d4 = d2, so every reader reads the reductions of
             # degrees 1 and 2; the top end report reads degree 1's transposed
             assert len(calls) == 4
             calls.clear()
             got = [cohomology(C, d, coeff) for d, coeff in spots]
             assert not calls
+            # no integer matrix is kept, and none is built twice
+            assert degrees_expanded(C) == [1, 2]
             assert got == [homology(dualize_complex(C), 5 - d, coeff) for d, coeff in spots]
+
+        # over S3, d4 = d2* and d5 = d1*; the twist in degree 1 breaks both
+        for C, reduced in ((sym3_presentation()[0], [1, 2, 3]), (twisted_sym3_presentation(), [1, 2, 3, 4, 5])):
+            calls.clear()
+            expanded.clear()
+            five_complex_report(C)
+            all_homology(C)
+            [cohomology(C, d, coeff) for d, coeff in spots]
+            recognize_dual_form(C)
+            assert len(calls) == 2 * len(reduced)
+            assert degrees_expanded(C) == reduced
 
     def test_invariants_equal_each_degree_reduced_alone(self):
         G = cyclic_group(6)
