@@ -63,15 +63,13 @@ def _direct_sum(C: ChainComplex, extra, identity_at: int = 0) -> ChainComplex:
     certificates are zero-padded.
     """
     G = C.group
-    one, z = GroupRingElement.one(G), GroupRingElement.zero(G)
+    one = GroupRingElement.one(G)
     diffs = list(C.differentials)
     for k, d in enumerate(C.differentials, start=1):
         r, c = extra[k - 1], extra[k]
         if r or c:
-            pad = (z,) * c
-            new = [pad[:i] + (one,) + pad[i + 1 :] if k == identity_at else pad for i in range(r)]
-            entries = tuple(row + pad for row in d.entries) + tuple((z,) * d.cols + row for row in new)
-            diffs[k - 1] = GRMatrix._trusted(G, d.rows + r, d.cols + c, entries)
+            new = [{d.cols + i: one} if k == identity_at else {} for i in range(r)]
+            diffs[k - 1] = GRMatrix._from_sparse_rows(G, d.cols + c, d.sparse_rows + tuple(new))
     top, bottom = C.top_generator, C.bottom_generator
     return ChainComplex(
         G,
@@ -130,11 +128,10 @@ def _leading_block_maps(small: ChainComplex, big: ChainComplex) -> tuple[ChainMa
     """The inclusion small -> big of the leading blocks and the projection
     big -> small onto them."""
     G = small.group
-    one, z = GroupRingElement.one(G), GroupRingElement.zero(G)
+    one = GroupRingElement.one(G)
 
     def leading(rows, cols):  # the identity on the first min(rows, cols) generators
-        grid = tuple(tuple(one if i == j else z for j in range(cols)) for i in range(rows))
-        return GRMatrix._trusted(G, rows, cols, grid)
+        return GRMatrix._from_sparse_rows(G, cols, [{i: one} if i < cols else {} for i in range(rows)])
 
     pairs = tuple(zip(small.ranks, big.ranks))
     return (
@@ -154,7 +151,9 @@ def _collapse_move(C: ChainComplex, position: int, rank: int) -> SimpleMoveResul
     if ranks[p] < 0 or ranks[p + 1] < 0:
         raise ValueError("collapse rank exceeds the module ranks at the move position")
     diffs = tuple(
-        GRMatrix._trusted(C.group, r, c, tuple(row[:c] for row in d.entries[:r]))
+        GRMatrix._from_sparse_rows(
+            C.group, c, [{j: e for j, e in line.items() if j < c} for line in d.sparse_rows[:r]]
+        )
         for d, r, c in zip(C.differentials, ranks, ranks[1:])
     )
     top, bottom = C.top_generator, C.bottom_generator
@@ -353,7 +352,7 @@ class NormalizedDuality:
 
 def _diag_aug_residue(A: GRMatrix) -> int:
     order = A.group.order
-    total = sum(A.entries[i][i].augmentation() for i in range(min(A.rows, A.cols)))
+    total = sum(line[i].augmentation() for i, line in enumerate(A.sparse_rows) if i in line)
     return total % order
 
 
@@ -525,20 +524,27 @@ def _unflatten_triple(a: ChainComplex, b: ChainComplex, vec):
     offsets, _ = _lattice_offsets(a, b)
     comps = []
     for idx in range(3):
-        grid = []
+        lines = []
         for i in range(b.ranks[idx]):
-            row = []
+            line = {}
             for j in range(a.ranks[idx]):
                 base = offsets[idx] + (i * a.ranks[idx] + j) * N
-                row.append(GroupRingElement(G, tuple(vec[base : base + N])))
-            grid.append(tuple(row))
-        comps.append(GRMatrix._trusted(G, b.ranks[idx], a.ranks[idx], tuple(grid)))
+                if any(c := vec[base : base + N]):
+                    line[j] = GroupRingElement(G, tuple(c))
+            lines.append(line)
+        comps.append(GRMatrix._from_sparse_rows(G, a.ranks[idx], lines))
     return tuple(comps)
 
 
 def _flatten(matrices) -> list[int]:
     """The Z-coordinates of GRMatrix entries: matrix, row, column, group element."""
-    return [v for M in matrices for row in M.entries for e in row for v in e.coeffs]
+    out = []
+    for M in matrices:
+        zero = (0,) * M.group.order
+        for line in M.sparse_rows:
+            for j in range(M.cols):
+                out += line[j].coeffs if j in line else zero
+    return out
 
 
 def _try_invert_triple(a, b, comps):

@@ -1,5 +1,10 @@
 """Matrices over Z[G] and the bridge to exact integer linear algebra.
 
+A GRMatrix holds its nonzero entries as sparse rows, a dict column ->
+nonzero GroupRingElement per row, as IntegerMatrix holds its integers.
+Products, sums, duals, expansion and augmentation read and build only
+those; the dense ``entries`` grid is built only when something reads it.
+
 Conventions, fixed once so non-abelian groups work unchanged:
 
 * Modules are free *right* Z[G]-modules of column vectors; a GRMatrix acts
@@ -17,39 +22,72 @@ Conventions, fixed once so non-abelian groups work unchanged:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from zgdual.group_core import FiniteGroup, GroupRingElement
 from zgdual.int_linalg import IntegerMatrix, solve_integer
 
 
-@dataclass(frozen=True)
 class GRMatrix:
-    """A rows x cols matrix over Z[G]: a map Z[G]^cols -> Z[G]^rows."""
+    """A rows x cols matrix over Z[G]: a map Z[G]^cols -> Z[G]^rows.
 
-    group: FiniteGroup
-    rows: int
-    cols: int
-    entries: tuple[tuple[GroupRingElement, ...], ...]
+    ``sparse_rows`` holds row i as a dict column -> nonzero entry; the
+    row-major grid ``entries`` is built from them on its first read.  A
+    matrix is built from a checked grid (``GRMatrix(group, rows, cols,
+    entries)``, ``from_rows``, ``scalar``, ``one_by_one``), by ``zeros`` and
+    ``identity``, or, by the library's builders, from sparse rows.
+    Equality reads the shape, the group and the nonzeros; hashing reads the
+    shape and the nonzero coefficients.
+    """
 
-    def __post_init__(self):
-        if self.cols < 0 or len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError(f"entry grid does not match declared shape {self.rows}x{self.cols}")
-        for row in self.entries:
+    __slots__ = ("group", "rows", "cols", "sparse_rows", "_entries")
+
+    def __init__(self, group: FiniteGroup, rows: int, cols: int, entries):
+        if cols < 0 or len(entries) != rows or any(len(r) != cols for r in entries):
+            raise ValueError(f"entry grid does not match declared shape {rows}x{cols}")
+        for row in entries:
             for e in row:
-                if e.group != self.group:
+                if e.group != group:
                     raise ValueError("matrix entry belongs to a different group")
+        self.group, self.rows, self.cols, self._entries = group, rows, cols, None
+        self.sparse_rows = tuple({j: e for j, e in enumerate(row) if e.support} for row in entries)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def _trusted(group: FiniteGroup, rows: int, cols: int, entries) -> GRMatrix:
-        """A GRMatrix with no checks, for a grid of the given shape built
-        from entries of ``group`` by an operation on checked matrices.
+    def _from_sparse_rows(group: FiniteGroup, cols: int, lines) -> GRMatrix:
+        """The len(lines) x cols matrix whose row i is lines[i], for the
+        library's own builders.  Nothing is checked: each line must be a
+        dict from columns in range(cols) to nonzero elements of ``group``,
+        and is kept, not copied.
         """
         M = object.__new__(GRMatrix)
-        M.__dict__.update(group=group, rows=rows, cols=cols, entries=entries)
+        M.sparse_rows = tuple(lines)
+        M.group, M.rows, M.cols, M._entries = group, len(M.sparse_rows), cols, None
         return M
+
+    @property
+    def entries(self) -> tuple[tuple[GroupRingElement, ...], ...]:
+        if self._entries is None:
+            z = GroupRingElement.zero(self.group)
+            self._entries = tuple(tuple(line.get(j, z) for j in range(self.cols)) for line in self.sparse_rows)
+        return self._entries
+
+    def __eq__(self, other):
+        if other.__class__ is not GRMatrix:
+            return NotImplemented
+        return (self.rows, self.cols, self.group, self.sparse_rows) == (
+            other.rows,
+            other.cols,
+            other.group,
+            other.sparse_rows,
+        )
+
+    def __hash__(self):
+        lines = tuple(frozenset((j, e.coeffs) for j, e in line.items()) for line in self.sparse_rows)
+        return hash((self.rows, self.cols, lines))
+
+    def __repr__(self):
+        shape = f"rows={self.rows!r}, cols={self.cols!r}"
+        return f"GRMatrix(group={self.group!r}, {shape}, entries={self.entries!r})"
 
     @staticmethod
     def from_rows(group: FiniteGroup, rows) -> GRMatrix:
@@ -60,16 +98,17 @@ class GRMatrix:
 
     @staticmethod
     def zeros(group: FiniteGroup, rows: int, cols: int) -> GRMatrix:
-        z = GroupRingElement.zero(group)
-        return GRMatrix(group, rows, cols, tuple((z,) * cols for _ in range(rows)))
+        if rows < 0 or cols < 0:
+            raise ValueError(f"entry grid does not match declared shape {rows}x{cols}")
+        return GRMatrix._from_sparse_rows(group, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(group: FiniteGroup, n: int) -> GRMatrix:
+        I = GRMatrix.zeros(group, n, n)
         one = GroupRingElement.one(group)
-        z = GroupRingElement.zero(group)
-        return GRMatrix(
-            group, n, n, tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
-        )
+        for i, line in enumerate(I.sparse_rows):
+            line[i] = one
+        return I
 
     @staticmethod
     def scalar(element: GroupRingElement, n: int) -> GRMatrix:
@@ -99,18 +138,16 @@ class GRMatrix:
         G = self.group
         N = G.order
         mul = G.mul_table
-        z = GroupRingElement.zero(G)
-        # each row of other once, as (column, support) pairs of its nonzero entries
-        other_rows = [
-            [(j, e.support) for j, e in enumerate(row) if e.support] for row in other.entries
-        ]
-        grid = []
-        for arow in self.entries:
+        # each row of other once, as (column, support) pairs of its entries
+        other_rows = [[(j, e.support) for j, e in line.items()] for line in other.sparse_rows]
+        lines = []
+        for line in self.sparse_rows:
             acc = {}  # column -> coefficient list of the output entry
-            for a, brow in zip(arow, other_rows):
-                sa = a.support
-                if not (sa and brow):
+            for k, a in line.items():
+                brow = other_rows[k]
+                if not brow:
                     continue
+                sa = a.support
                 for j, sb in brow:
                     c = acc.get(j)
                     if c is None:
@@ -119,28 +156,28 @@ class GRMatrix:
                         mrow = mul[ia]
                         for ib, cb in sb:
                             c[mrow[ib]] += ca * cb
-            grid.append(
-                tuple(
-                    GroupRingElement(G, tuple(acc[j])) if j in acc else z
-                    for j in range(other.cols)
-                )
-            )
-        return GRMatrix._trusted(G, self.rows, other.cols, tuple(grid))
+            lines.append({j: GroupRingElement(G, tuple(c)) for j, c in acc.items() if any(c)})
+        return GRMatrix._from_sparse_rows(G, other.cols, lines)
 
     def __add__(self, other: GRMatrix) -> GRMatrix:
         self._check_group(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return GRMatrix._trusted(
-            self.group,
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
+        lines = []
+        for a, b in zip(self.sparse_rows, other.sparse_rows):
+            line = dict(a)
+            for j, e in b.items():
+                s = line[j] + e if j in line else e
+                if s.support:
+                    line[j] = s
+                else:
+                    del line[j]
+            lines.append(line)
+        return GRMatrix._from_sparse_rows(self.group, self.cols, lines)
 
     def __neg__(self) -> GRMatrix:
-        return GRMatrix._trusted(
-            self.group, self.rows, self.cols, tuple(tuple(-a for a in row) for row in self.entries)
+        return GRMatrix._from_sparse_rows(
+            self.group, self.cols, [{j: -e for j, e in line.items()} for line in self.sparse_rows]
         )
 
     def __sub__(self, other: GRMatrix) -> GRMatrix:
@@ -148,18 +185,19 @@ class GRMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
+        return not any(self.sparse_rows)
 
     def dual(self) -> GRMatrix:
         """Involute-transpose: the dual map Z[G]^rows -> Z[G]^cols."""
-        z = GroupRingElement.zero(self.group)
-        columns = zip(*self.entries) if self.rows else ((),) * self.cols
-        grid = tuple(tuple(e.involute() if any(e.coeffs) else z for e in col) for col in columns)
-        return GRMatrix._trusted(self.group, self.cols, self.rows, grid)
+        lines = [{} for _ in range(self.cols)]
+        for i, line in enumerate(self.sparse_rows):
+            for j, e in line.items():
+                lines[j][i] = e.involute()
+        return GRMatrix._from_sparse_rows(self.group, self.rows, lines)
 
     def expand(self) -> IntegerMatrix:
         """Integer matrix of the same map on Z-bases (see module docstring),
-        built as sparse rows from the supports of the entries.
+        built as sparse rows from the supports of the nonzero entries.
 
         Block (i, j) at row a has the coefficient of h at column b where
         g_a g_b^{-1} == h, so term (h, v) of entry (i, j) puts v at row
@@ -171,15 +209,15 @@ class GRMatrix:
         # shift[h][a] is the index of h^{-1} g_a
         shift = [G.mul_table[h] for h in G.inv_table]
         lines = []
-        for entry_row in self.entries:
-            terms = [(j * N, shift[h], v) for j, e in enumerate(entry_row) for h, v in e.support]
+        for line in self.sparse_rows:
+            terms = [(j * N, shift[h], v) for j, e in line.items() for h, v in e.support]
             for a in range(N):
                 lines.append({base + s[a]: v for base, s, v in terms})
         return IntegerMatrix._from_sparse_rows(self.cols * N, lines)
 
     def augmented(self) -> IntegerMatrix:
         """Entrywise augmentation: the induced map on trivial coefficients."""
-        lines = [{j: a for j, e in enumerate(row) if (a := e.augmentation())} for row in self.entries]
+        lines = [{j: a for j, e in line.items() if (a := e.augmentation())} for line in self.sparse_rows]
         return IntegerMatrix._from_sparse_rows(self.cols, lines)
 
 
@@ -191,8 +229,8 @@ def stack_columns(B: GRMatrix) -> IntegerMatrix:
     """
     N = B.group.order
     lines = [{} for _ in range(B.rows * N)]
-    for i, row in enumerate(B.entries):
-        for j, e in enumerate(row):
+    for i, line in enumerate(B.sparse_rows):
+        for j, e in line.items():
             for a, v in e.support:
                 lines[i * N + a][j] = v
     return IntegerMatrix._from_sparse_rows(B.cols, lines)
@@ -201,13 +239,17 @@ def stack_columns(B: GRMatrix) -> IntegerMatrix:
 def fold_columns(group: FiniteGroup, X: IntegerMatrix, gr_cols: int) -> GRMatrix:
     """Inverse of stack_columns: the gr_cols x X.cols matrix over Z[G]."""
     N = group.order
-    coeffs = [[[0] * N for _ in range(X.cols)] for _ in range(gr_cols)]
+    coeffs = [{} for _ in range(gr_cols)]  # row -> column -> coefficient list
     for i, line in enumerate(X.sparse_rows):
         j, a = divmod(i, N)
+        row = coeffs[j]
         for l, v in line.items():
-            coeffs[j][l][a] = v
-    grid = tuple(tuple(GroupRingElement(group, tuple(c)) for c in row) for row in coeffs)
-    return GRMatrix._trusted(group, gr_cols, X.cols, grid)
+            c = row.get(l)
+            if c is None:
+                c = row[l] = [0] * N
+            c[a] = v
+    lines = [{l: GroupRingElement(group, tuple(c)) for l, c in row.items()} for row in coeffs]
+    return GRMatrix._from_sparse_rows(group, X.cols, lines)
 
 
 def solve_gr_linear(A: GRMatrix, B: GRMatrix):

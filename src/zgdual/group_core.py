@@ -271,12 +271,11 @@ def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     a._check_same_group(b)
     mul = a.group.mul_table
     c = [0] * a.group.order
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            row = mul[i]
-            for j, bj in enumerate(b.coeffs):
-                if bj:
-                    c[row[j]] += ai * bj
+    sb = b.support
+    for i, ai in a.support:
+        row = mul[i]
+        for j, bj in sb:
+            c[row[j]] += ai * bj
     return GroupRingElement(a.group, tuple(c))
 
 

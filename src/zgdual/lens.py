@@ -183,7 +183,7 @@ def lens_asd_transform(n: int) -> AsdTransform:
     x_mat = aprime.solve_boundary(3, m(unit.beta - GroupRingElement.one(G)))
     if x_mat is None:
         raise AssertionError("alpha x = beta - 1 has no solution")
-    x = x_mat.entries[0][0]
+    x = x_mat.sparse_rows[0].get(0, GroupRingElement.zero(G))
 
     phi = lens_duality_map(n)
     conjugated = compose_maps(f, compose_maps(phi, dual_map(f)))

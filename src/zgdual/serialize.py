@@ -81,7 +81,7 @@ def matrix_to_json(A: GRMatrix) -> dict:
     return {
         "rows": A.rows,
         "cols": A.cols,
-        "entries": [[e.terms() for e in row] for row in A.entries],
+        "entries": [[line[j].terms() if j in line else [] for j in range(A.cols)] for line in A.sparse_rows],
     }
 
 
@@ -127,6 +127,11 @@ def complex_from_json(data) -> ChainComplex:
         raise ValueError("need exactly one differential per adjacent pair of degrees")
     diffs = tuple(matrix_from_json(group, d) for d in reversed(diffs_desc))
     gens = data.get("generators", {})
+    if not isinstance(gens, dict):
+        raise ValueError(f"generators must be an object, got {type(gens).__name__}")
+    unknown = sorted(set(gens) - {"top", "bottom"})
+    if unknown:
+        raise ValueError(f"unknown generators key {unknown[0]!r}; the keys are top and bottom")
     top = tuple(_integer(v, "generator entry") for v in gens["top"]) if "top" in gens else None
     bottom = tuple(_integer(v, "generator entry") for v in gens["bottom"]) if "bottom" in gens else None
     return ChainComplex(group, ranks, diffs, top_generator=top, bottom_generator=bottom)

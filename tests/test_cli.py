@@ -234,6 +234,44 @@ class TestMalformedNumbers:
         assert "rows must be an integer, got 1.0" in err
 
 
+class TestMalformedGenerators:
+    """A generators field that is not an object with keys among top and
+    bottom is a usage error, not a file without certificates."""
+
+    @pytest.mark.parametrize(
+        "generators, message",
+        [
+            ([], "generators must be an object, got list"),
+            ([1], "generators must be an object, got list"),
+            ("x", "generators must be an object, got str"),
+            ({"top": [1], "botom": [1]}, "unknown generators key 'botom'"),
+        ],
+    )
+    def test_is_a_usage_error(self, capsys, tmp_path, generators, message):
+        data = complex_to_json(lens_complex(3))
+        data["generators"] = generators
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 2
+        report = json.loads(out)
+        assert report["verdicts"] == []
+        assert "malformed complex file" in report["error"] and message in report["error"]
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_either_certificate_alone_loads(self, capsys, tmp_path):
+        for key in ("top", "bottom"):
+            data = complex_to_json(lens_complex(3))
+            data["generators"] = {key: [1]}
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(data))
+            code, out, _ = run(capsys, "check", str(path), "--json")
+            assert code == 0
+            assert all(v["pass"] for v in json.loads(out)["verdicts"])
+
+
 class TestHostileJson:
     def assert_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

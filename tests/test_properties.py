@@ -13,7 +13,7 @@ from conftest import (
     sympy_invariant_factors,
 )
 from zgdual.complexes import COEFFS, homology
-from zgdual.group_core import GroupRingElement, norm_element
+from zgdual.group_core import GroupRingElement, cyclic_group, gr_mul, norm_element
 from zgdual.gr_linalg import GRMatrix, solve_gr_linear
 from zgdual.int_linalg import (
     IntegerMatrix,
@@ -69,6 +69,27 @@ def int_matrices(draw, max_dim=6, bound=6):
         tuple(draw(st.integers(-bound, bound)) for _ in range(cols)) for _ in range(rows)
     )
     return IntegerMatrix(rows, cols, entries)
+
+
+@st.composite
+def sparse_element_pairs(draw):
+    """Two elements of one of C_1..C_12, S3 and Q8, each coefficient zero
+    with probability about one half."""
+    G = draw(st.sampled_from([cyclic_group(n) for n in range(1, 13)] + [make_sym3(), make_quaternion8()]))
+    coeff = st.one_of(st.just(0), st.integers(-4, 4))
+    pair = [draw(st.lists(coeff, min_size=G.order, max_size=G.order).map(tuple)) for _ in range(2)]
+    return [GroupRingElement(G, c) for c in pair]
+
+
+@given(sparse_element_pairs())
+def test_gr_mul_is_the_dense_convolution(pair):
+    a, b = pair
+    G = a.group
+    c = [0] * G.order
+    for i in range(G.order):
+        for j in range(G.order):
+            c[G.mul_table[i][j]] += a.coeffs[i] * b.coeffs[j]
+    assert gr_mul(a, b) == GroupRingElement(G, tuple(c))
 
 
 @given(element_pairs())

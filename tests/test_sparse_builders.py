@@ -10,6 +10,13 @@ sparse rows and when it starts from the dense grid.  The other producers
 back_substitute's solution, zeros and identity) are checked against a grid
 computed densely: equal entries, == and hash agree, no stored zero and
 every column in range.
+
+Every GRMatrix is stored as sparse rows too.  Its producers (the checked
+constructors, zeros, identity, @, +, -, dual, fold_columns and the
+dual-form builders behind the moves, stabilize and _unflatten_triple) are
+checked the same way against grids of GroupRingElements computed entry by
+entry, and its readers (_flatten, _diag_aug_residue, matrix_to_json)
+against the same grids.
 """
 
 import random
@@ -20,6 +27,7 @@ import pytest
 from conftest import (
     make_dihedral4,
     make_quaternion8,
+    make_sym3,
     presentation_complex,
     sym3_presentation,
     twisted_lens,
@@ -27,14 +35,21 @@ from conftest import (
 )
 from zgdual.dual_form import (
     _chain_map_constraints,
+    _diag_aug_residue,
+    _flatten,
     _lattice_offsets,
+    _unflatten_triple,
     dual_head_segment,
+    simple_move,
+    stabilize,
     tail_segment,
     to_dual_form_stage6,
 )
-from zgdual.gr_linalg import stack_columns
+from zgdual.group_core import GroupRingElement, cyclic_group, gr_mul, norm_element
+from zgdual.gr_linalg import GRMatrix, fold_columns, stack_columns
 from zgdual.int_linalg import IntegerMatrix, back_substitute, kernel_basis, smith_normal_form
 from zgdual.lens import lens_complex
+from zgdual.serialize import matrix_to_json
 
 
 def dense_expand(A):
@@ -310,3 +325,216 @@ def test_zeros_and_identity():
             IntegerMatrix.zeros(rows, cols)
     with pytest.raises(ValueError, match="declared shape"):
         IntegerMatrix.identity(-1)
+
+
+# -- the Z[G] producers against dense grids ------------------------------
+
+GR_GROUPS = {"C5": partial(cyclic_group, 5), "S3": make_sym3, "Q8": make_quaternion8}
+
+
+def assert_gr_matches_grid(M, G, rows, cols, lists):
+    """M, as built by the library, against the grid of entries it should
+    have and the checked grid constructor."""
+    entries = tuple(map(tuple, lists))
+    reference = GRMatrix(G, rows, cols, entries)
+    assert (M.group, M.rows, M.cols) == (G, rows, cols)
+    assert M.entries == entries == reference.entries
+    assert M == reference and hash(M) == hash(reference)
+    for line in M.sparse_rows:
+        assert not any(e.is_zero for e in line.values())
+        assert all(0 <= j < cols for j in line)
+
+
+def random_element(rng, G):
+    """Zero half the time, otherwise an element with about half its terms zero."""
+    if rng.random() < 0.5:
+        return GroupRingElement.zero(G)
+    return GroupRingElement(G, tuple(rng.randint(-2, 2) if rng.random() < 0.5 else 0 for _ in range(G.order)))
+
+
+def random_gr_grid(rng, G, rows, cols):
+    return [[random_element(rng, G) for _ in range(cols)] for _ in range(rows)]
+
+
+def gr_grid(G, rows, cols, lists):
+    return GRMatrix(G, rows, cols, tuple(map(tuple, lists)))
+
+
+def dense_gr_mul(G, a, b, inner, cols):
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(cols):
+            acc = GroupRingElement.zero(G)
+            for k in range(inner):
+                acc = acc + gr_mul(row[k], b[k][j])
+            out[-1].append(acc)
+    return out
+
+
+@pytest.mark.parametrize("group", GR_GROUPS)
+@pytest.mark.parametrize("seed", range(3))
+def test_gr_algebra_of_grids(group, seed):
+    G = GR_GROUPS[group]()
+    rng = random.Random(200 + seed)
+    for rows, cols in SHAPES:
+        a, b = random_gr_grid(rng, G, rows, cols), random_gr_grid(rng, G, rows, cols)
+        A, B = gr_grid(G, rows, cols, a), gr_grid(G, rows, cols, b)
+        assert_gr_matches_grid(A, G, rows, cols, a)
+        pairs = [list(zip(r, s)) for r, s in zip(a, b)]
+        assert_gr_matches_grid(A + B, G, rows, cols, [[x + y for x, y in row] for row in pairs])
+        assert_gr_matches_grid(A - B, G, rows, cols, [[x - y for x, y in row] for row in pairs])
+        assert_gr_matches_grid(-A, G, rows, cols, [[-x for x in row] for row in a])
+        dual = [[a[i][j].involute() for i in range(rows)] for j in range(cols)]
+        assert_gr_matches_grid(A.dual(), G, cols, rows, dual)
+        for width in (0, 1, 3):
+            c = random_gr_grid(rng, G, cols, width)
+            product = dense_gr_mul(G, a, c, cols, width)
+            assert_gr_matches_grid(A @ gr_grid(G, cols, width, c), G, rows, width, product)
+        for zero in (A + (-A), A - A):
+            assert zero.sparse_rows == ({},) * rows and zero.is_zero
+        assert A.is_zero == all(e.is_zero for row in a for e in row)
+        # the readers of the nonzeros against the grid
+        assert _flatten([A, B]) == [v for m in (a, b) for row in m for e in row for v in e.coeffs]
+        diagonal = sum(a[i][i].augmentation() for i in range(min(rows, cols)))
+        assert _diag_aug_residue(A) == diagonal % G.order
+        assert matrix_to_json(A)["entries"] == [[e.terms() for e in row] for row in a]
+
+
+def test_cancelling_products_store_nothing():
+    for n in (2, 5, 7):
+        G = cyclic_group(n)
+        one, sigma = GroupRingElement.one(G), norm_element(G)
+        one_minus_t = one - GroupRingElement.basis(G, 1)
+        product = GRMatrix.one_by_one(one_minus_t) @ GRMatrix.one_by_one(sigma)
+        assert product.sparse_rows == ({},) and product.is_zero
+        # row 0 is (1 - t) Sigma + Sigma (1 - t) == 0; row 1 is Sigma^2 + 1 - t
+        A = GRMatrix.from_rows(G, [[one_minus_t, sigma], [sigma, one]])
+        B = GRMatrix.from_rows(G, [[sigma], [one_minus_t]])
+        assert_gr_matches_grid(A @ B, G, 2, 1, [[GroupRingElement.zero(G)], [sigma.scale(n) + one_minus_t]])
+        assert (A @ B).sparse_rows[0] == {}
+
+
+@pytest.mark.parametrize("group", GR_GROUPS)
+def test_gr_constructors(group):
+    G = GR_GROUPS[group]()
+    rng = random.Random(300)
+    z, one = GroupRingElement.zero(G), GroupRingElement.one(G)
+    for rows, cols in SHAPES:
+        assert_gr_matches_grid(GRMatrix.zeros(G, rows, cols), G, rows, cols, [[z] * cols] * rows)
+        a = random_gr_grid(rng, G, rows, cols)
+        if rows:
+            assert_gr_matches_grid(GRMatrix.from_rows(G, a), G, rows, cols, a)
+    assert_gr_matches_grid(GRMatrix.from_rows(G, []), G, 0, 0, [])
+    for n in range(4):
+        def diagonal(x):
+            return [[x if i == j else z for j in range(n)] for i in range(n)]
+
+        assert_gr_matches_grid(GRMatrix.identity(G, n), G, n, n, diagonal(one))
+        for x in (z, one, random_element(rng, G)):
+            assert_gr_matches_grid(GRMatrix.scalar(x, n), G, n, n, diagonal(x))
+    for x in (z, one, GroupRingElement.basis(G, G.order - 1)):
+        assert_gr_matches_grid(GRMatrix.one_by_one(x), G, 1, 1, [[x]])
+
+
+def test_gr_constructors_reject_bad_grids():
+    G, H = make_sym3(), cyclic_group(6)
+    one = GroupRingElement.one(G)
+    with pytest.raises(ValueError, match="different group"):
+        GRMatrix(G, 1, 2, ((one, GroupRingElement.one(H)),))
+    with pytest.raises(ValueError, match="different group"):
+        GRMatrix.from_rows(G, [[one], [GroupRingElement.zero(H)]])
+    with pytest.raises(ValueError, match="different group"):
+        GRMatrix.one_by_one(GroupRingElement.one(H)) @ GRMatrix.one_by_one(one)
+    for bad in (
+        lambda: GRMatrix.from_rows(G, [[one, one], [one]]),
+        lambda: GRMatrix(G, 2, 1, ((one,),)),
+        lambda: GRMatrix(G, 0, -1, ()),
+        lambda: GRMatrix.zeros(G, -1, 0),
+        lambda: GRMatrix.zeros(G, 0, -1),
+        lambda: GRMatrix.identity(G, -1),
+        lambda: GRMatrix.scalar(one, -1),
+    ):
+        with pytest.raises(ValueError, match="declared shape"):
+            bad()
+
+
+@pytest.mark.parametrize("group", GR_GROUPS)
+def test_fold_columns_is_its_definition(group):
+    G = GR_GROUPS[group]()
+    N = G.order
+    rng = random.Random(400)
+    for gr_cols, width in [(0, 2), (2, 0), (1, 1), (3, 2)]:
+        x = random_grid(rng, gr_cols * N, width)
+        folded = fold_columns(G, grid(gr_cols * N, width, x), gr_cols)
+        reference = [
+            [GroupRingElement(G, tuple(x[j * N + a][l] for a in range(N))) for l in range(width)]
+            for j in range(gr_cols)
+        ]
+        assert_gr_matches_grid(folded, G, gr_cols, width, reference)
+        assert fold_columns(G, stack_columns(folded), gr_cols) == folded
+
+
+def dense_direct_sum(d, r, c, identity):
+    """d zero-padded by c columns over r new rows, the identity on the new
+    columns when ``identity``."""
+    z, one = GroupRingElement.zero(d.group), GroupRingElement.one(d.group)
+    new = [[z] * d.cols + [one if identity and i == j else z for j in range(c)] for i in range(r)]
+    return [list(row) + [z] * c for row in d.entries] + new
+
+
+def assert_leading_blocks(f, small, big):
+    """The components of f are the identity on the leading generators."""
+    G = small.group
+    z, one = GroupRingElement.zero(G), GroupRingElement.one(G)
+    for M, s, t in zip(f.components, f.source.ranks, f.target.ranks):
+        assert_gr_matches_grid(M, G, t, s, [[one if i == j else z for j in range(s)] for i in range(t)])
+    assert (f.source, f.target) in ((small, big), (big, small))
+
+
+@pytest.mark.parametrize("name", ["L(3)", "L(6)", "twisted L(4)", "S3 presentation", "Q8 presentation"])
+def test_moves_build_their_definition(name):
+    C = complex_named(name)
+    T = C.top_degree
+    for p in range(T):
+        move = simple_move(C, p, 2)
+        E = move.complex
+        extra = [2 if k in (p, p + 1) else 0 for k in range(T + 1)]
+        for k in range(1, T + 1):
+            d, r, c = C.boundary(k), extra[k - 1], extra[k]
+            grown = dense_direct_sum(d, r, c, k == p + 1)
+            assert_gr_matches_grid(E.boundary(k), C.group, d.rows + r, d.cols + c, grown)
+        assert_leading_blocks(move.forward, C, E)
+        assert_leading_blocks(move.backward, C, E)
+        back = simple_move(E, p, 2, "collapse")
+        for k in range(1, T + 1):
+            d, big = C.boundary(k), E.boundary(k)
+            leading = [row[: d.cols] for row in big.entries[: d.rows]]
+            assert_gr_matches_grid(back.complex.boundary(k), C.group, d.rows, d.cols, leading)
+        assert back.complex == C
+        assert_leading_blocks(back.forward, C, E)
+        assert_leading_blocks(back.backward, C, E)
+    top = stabilize(C, 3)
+    for k in range(1, T + 1):
+        d = C.boundary(k)
+        c = 3 if k == T else 0
+        assert_gr_matches_grid(top.boundary(k), C.group, d.rows, d.cols + c, dense_direct_sum(d, 0, c, False))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("twisted", [False, True])
+def test_unflattened_triples_are_their_coordinates(n, twisted):
+    C6 = to_dual_form_stage6(twisted_lens(n) if twisted else lens_complex(n)).complex
+    a, b = tail_segment(C6), dual_head_segment(C6)
+    G = a.group
+    N = G.order
+    offsets, total = _lattice_offsets(a, b)
+    rng = random.Random(500 + n)
+    for vec in ([0] * total, [rng.randint(-2, 2) if rng.random() < 0.3 else 0 for _ in range(total)]):
+        comps = _unflatten_triple(a, b, vec)
+        for idx, M in enumerate(comps):
+            rows, cols = b.ranks[idx], a.ranks[idx]
+            base = [[offsets[idx] + (i * cols + j) * N for j in range(cols)] for i in range(rows)]
+            reference = [[GroupRingElement(G, tuple(vec[s : s + N])) for s in row] for row in base]
+            assert_gr_matches_grid(M, G, rows, cols, reference)
+        assert _flatten(comps) == vec
