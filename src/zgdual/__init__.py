@@ -54,11 +54,9 @@ from zgdual.dual_form import (
     to_dual_form_stage6,
 )
 from zgdual.lens import (
-    LensInstance,
     asd_status,
     asd_unit,
     lens_asd_transform,
     lens_complex,
     lens_duality_map,
-    lens_instance,
 )

@@ -16,7 +16,9 @@ Subcommands:
 Exit codes: 0 the tool ran and every gating check passed (query verdicts
 like "obstructed" or "not anti-self-dual" are outcomes, not failures);
 1 a verification failed or the inputs are mutually inconsistent;
-2 usage errors, malformed files, or unmet preconditions.
+2 usage errors, malformed files, or unmet preconditions.  Handlers only
+fill the report; main alone maps it to the exit code: 2 on a UsageError,
+else 1 when any verdict has "pass": false, else 0.
 
 Reports are deterministic for identical inputs: timings are segregated
 under a "timings" key and never enter the verdict body.
@@ -68,12 +70,16 @@ def _load_complex(path: str):
         raise UsageError(f"{path}: malformed complex file: {exc}")
 
 
-def _write_complex(path: str, C) -> None:
+def _write_output(args, report, C) -> None:
+    """Write C to the -o path, if one was given, and name it in the report."""
+    if not args.output:
+        return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(serialize.canonical_dumps(serialize.complex_to_json(C)))
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}")
+        raise UsageError(f"cannot write {args.output}: {exc}")
+    report["output"] = args.output
 
 
 def _poly_or_terms(e) -> str:
@@ -96,7 +102,6 @@ def _cmd_check(args, report):
             witness=list(validation.failures) or None,
         )
     )
-    gate = validation.ok
     if C.top_degree == 5 and validation.ok:
         rep = complexes.five_complex_report(C)
         verdicts.append(_verdict("exact_at_degree_1", rep.exact_at_1))
@@ -108,7 +113,6 @@ def _cmd_check(args, report):
             _verdict("top_end_is_Z", rep.top.ok, info=str(rep.top.group_info))
         )
         verdicts.append(_verdict("euler_characteristic_zero", rep.euler == 0, info=str(rep.euler)))
-        gate = rep.is_member
     view = dual_form.recognize_dual_form(C)
     if view is not None:
         report["dual_form"] = {"recognized": True, "j_rank": view.j_rank, "form_rank": view.form_rank}
@@ -117,7 +121,6 @@ def _cmd_check(args, report):
             "recognized": False,
             "reasons": list(dual_form.dual_form_mismatch_reasons(C)),
         }
-    return EXIT_OK if gate else EXIT_CHECK_FAILED
 
 
 def _cmd_homology(args, report):
@@ -134,11 +137,10 @@ def _cmd_homology(args, report):
             report["verdicts"].append(
                 _verdict("homology_computed", False, info=args.coefficients, witness=[str(exc)])
             )
-            return EXIT_CHECK_FAILED
+            return
         table[str(d)] = str(info)
     report["homology"] = {"coefficients": args.coefficients, "groups": table}
     report["verdicts"].append(_verdict("homology_computed", True, info=args.coefficients))
-    return EXIT_OK
 
 
 def _cmd_dualform(args, report):
@@ -186,11 +188,7 @@ def _cmd_dualform(args, report):
             )
             verdicts.append(_verdict("assembly_homology_preserved", hom_ok2))
             result = assembled.complex
-    if args.output:
-        _write_complex(args.output, result)
-        report["output"] = args.output
-    failed = any(not v["pass"] for v in verdicts)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    _write_output(args, report, result)
 
 
 def _cmd_normalize(args, report):
@@ -209,7 +207,7 @@ def _cmd_normalize(args, report):
         nd = dual_form.normalize_duality(view, phi)
     except ValueError as exc:
         verdicts.append(_verdict("normalization", False, info=str(exc)))
-        return EXIT_CHECK_FAILED
+        return
     verdicts.append(_verdict("psi_is_chain_map", True))
     verdicts.append(_verdict("homotopy_verified", True))
     verdicts.append(_verdict("central_square_identity", True))
@@ -220,7 +218,6 @@ def _cmd_normalize(args, report):
         "theta1_aug_residue": nd.theta1_aug_residue,
         "theta2_aug_residue": nd.theta2_aug_residue,
     }
-    return EXIT_OK
 
 
 def _require_view(C):
@@ -240,7 +237,6 @@ def _cmd_asd(args, report):
         _verdict("asd_checked", True, info="anti-self-dual" if flag else "not anti-self-dual")
     )
     report["anti_self_dual"] = flag
-    return EXIT_OK
 
 
 def _cmd_obstruction(args, report):
@@ -265,7 +261,6 @@ def _cmd_obstruction(args, report):
     report["verdicts"].append(
         _verdict("obstruction_checked", True, info="obstructed" if rep.obstructed else "not obstructed")
     )
-    return EXIT_OK if rep.cross_check_ok else EXIT_CHECK_FAILED
 
 
 def _cmd_lens(args, report):
@@ -276,13 +271,12 @@ def _cmd_lens(args, report):
     if args.asd and status != "anti-self-dual":
         raise UsageError(f"--asd needs n = 4k+1 with k >= 1; n={n}")
     verdicts = report["verdicts"]
-    instance = lens.lens_instance(n)
-    A = instance.complex
+    A = lens.lens_complex(n)
     verdicts.append(_verdict("complex_valid", complexes.validate_complex(A).ok))
     verdicts.append(_verdict("algebraic_5_complex", complexes.five_complex_report(A).is_member))
     view = dual_form.recognize_dual_form(A)
     verdicts.append(_verdict("dual_form_recognized", view is not None))
-    phi_rep = complexes.is_chain_map(instance.phi)
+    phi_rep = complexes.is_chain_map(lens.lens_duality_map(n))
     verdicts.append(
         _verdict(
             "duality_map_verified",
@@ -292,8 +286,8 @@ def _cmd_lens(args, report):
     )
     report["asd_status"] = status
     out_complex = A
-    if instance.asd is not None:
-        asd = instance.asd
+    if status == "anti-self-dual":
+        asd = lens.lens_asd_transform(n)
         vprime = dual_form.recognize_dual_form(asd.complex)
         verdicts.append(_verdict("asd_complex_recognized", vprime is not None))
         verdicts.append(_verdict("asd_check", dual_form.is_anti_self_dual(vprime)))
@@ -307,11 +301,7 @@ def _cmd_lens(args, report):
         }
         if args.asd:
             out_complex = asd.complex
-    if args.output:
-        _write_complex(args.output, out_complex)
-        report["output"] = args.output
-    failed = any(not v["pass"] for v in verdicts)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    _write_output(args, report, out_complex)
 
 
 # -- driver ---------------------------------------------------------------
@@ -406,18 +396,16 @@ def main(argv=None) -> int:
     }
     started = time.monotonic()
     try:
-        code = _HANDLERS[args.command](args, report)
+        _HANDLERS[args.command](args, report)
+        code = EXIT_CHECK_FAILED if any(not v["pass"] for v in report["verdicts"]) else EXIT_OK
     except UsageError as exc:
-        if args.json:
-            report["error"] = str(exc)
-            report["timings"] = {"total_ms": round((time.monotonic() - started) * 1000, 3)}
-            print(serialize.canonical_dumps(report), end="")
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        report["error"] = str(exc)
+        code = EXIT_USAGE
     report["timings"] = {"total_ms": round((time.monotonic() - started) * 1000, 3)}
     if args.json:
         print(serialize.canonical_dumps(report), end="")
+    elif code == EXIT_USAGE:
+        print(f"error: {report['error']}", file=sys.stderr)
     else:
         _print_human(report, sys.stdout)
     return code

@@ -547,8 +547,11 @@ def _flatten(matrices) -> list[int]:
     return out
 
 
-def _try_invert_triple(a, b, comps):
-    """Certify comps as a chain isomorphism; return the inverse triple or None."""
+def _certified_pair(a: ChainComplex, b: ChainComplex, comps) -> ChainIsoPair | None:
+    """comps with its inverse, when comps is a chain map a -> b whose
+    components all invert over Z[G] with a chain-map inverse; else None."""
+    if not _is_segment_chain_map(a, b, comps):
+        return None
     inverses = []
     for m in comps:
         inv = invert_gr_matrix(m)
@@ -557,7 +560,7 @@ def _try_invert_triple(a, b, comps):
         inverses.append(inv)
     if not _is_segment_chain_map(b, a, tuple(inverses)):
         return None
-    return tuple(inverses)
+    return ChainIsoPair(h=tuple(comps), k=tuple(inverses))
 
 
 def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int = 64):
@@ -585,14 +588,6 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
     if tail.top_degree != 2 or head.top_degree != 2:
         raise ValueError("segments must be 3-term complexes")
 
-    def attempt(comps):
-        if not _is_segment_chain_map(tail, head, comps):
-            return None
-        inv = _try_invert_triple(tail, head, comps)
-        if inv is None:
-            return None
-        return ChainIsoPair(h=tuple(comps), k=inv)
-
     if budget < 1:
         return None
     ident = tuple(GRMatrix.identity(tail.group, r) for r in tail.ranks)
@@ -609,12 +604,13 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
     # solution x = -e, so back_substitute finds one
     minus_Ae = _flatten(tail.boundary(k) - head.boundary(k) for k in (1, 2))
     x = back_substitute(snf, IntegerMatrix._from_sparse_rows(1, ({0: v} if v else {} for v in minus_Ae)))
-    found = attempt(_unflatten_triple(tail, head, [v + xi.get(0, 0) for v, xi in zip(e, x.sparse_rows)]))
+    affine = [v + xi.get(0, 0) for v, xi in zip(e, x.sparse_rows)]
+    found = _certified_pair(tail, head, _unflatten_triple(tail, head, affine))
     if found or budget < 3:
         return found
 
     nearest = babai_nearest(lll_reduce(snf.kernel_columns()), e)
-    return attempt(_unflatten_triple(tail, head, nearest))
+    return _certified_pair(tail, head, _unflatten_triple(tail, head, nearest))
 
 
 @dataclass(frozen=True)

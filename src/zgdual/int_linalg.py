@@ -25,6 +25,7 @@ column of V is a row of the transposed decomposition's U.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,9 +35,9 @@ class IntegerMatrix:
 
     ``sparse_rows`` holds row i as a dict column -> nonzero value; the
     row-major grid ``entries`` is built from them on its first read.  A
-    matrix is built from a checked grid (``IntegerMatrix(rows, cols,
-    entries)``, ``from_rows``) or, by the library's builders, from sparse
-    rows.  Equality and hashing read the shape and the nonzeros.
+    matrix is built from a checked grid of integers (``IntegerMatrix(rows,
+    cols, entries)``, ``from_rows``) or, by the library's builders, from
+    sparse rows.  Equality and hashing read the shape and the nonzeros.
     """
 
     __slots__ = ("rows", "cols", "sparse_rows", "_entries")
@@ -45,7 +46,8 @@ class IntegerMatrix:
         if cols < 0 or len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError(f"entry grid does not match declared shape {rows}x{cols}")
         self.rows, self.cols, self._entries = rows, cols, None
-        self.sparse_rows = tuple({j: v for j, v in enumerate(row) if v} for row in entries)
+        # operator.index refuses a float or a string, and stores a bool or sympy.Integer as int
+        self.sparse_rows = tuple({j: v for j, v in enumerate(map(operator.index, row)) if v} for row in entries)
 
     @staticmethod
     def _from_sparse_rows(cols: int, lines) -> IntegerMatrix:
@@ -78,7 +80,7 @@ class IntegerMatrix:
 
     @staticmethod
     def from_rows(rows) -> IntegerMatrix:
-        grid = tuple(tuple(int(v) for v in row) for row in rows)
+        grid = tuple(tuple(row) for row in rows)
         nrows = len(grid)
         ncols = len(grid[0]) if nrows else 0
         return IntegerMatrix(nrows, ncols, grid)

@@ -209,19 +209,3 @@ def lens_asd_transform(n: int) -> AsdTransform:
             )
     raise AssertionError("f phi f* is not homotopic to a +-1 diagonal via the single component x")
 
-
-@dataclass(frozen=True)
-class LensInstance:
-    """A lens complex with its duality map and, for n = 4k+1, the
-    anti-self-dual transform."""
-
-    n: int
-    complex: ChainComplex
-    phi: ChainMap
-    asd: AsdTransform | None = None
-
-
-def lens_instance(n: int) -> LensInstance:
-    """Build L(n;1,1); include the anti-self-dual transform when n = 4k+1."""
-    asd = lens_asd_transform(n) if asd_status(n) == "anti-self-dual" else None
-    return LensInstance(n=n, complex=lens_complex(n), phi=lens_duality_map(n), asd=asd)

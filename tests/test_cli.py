@@ -479,3 +479,54 @@ class TestNormalizeCommand:
         code, out, _ = run(capsys, "normalize", path, str(map_path), "--json")
         assert code == 2
         assert "boundary(5) is not the dual of boundary(1)" in json.loads(out)["error"]
+
+
+class TestExitRule:
+    """Every subcommand exits 2 on an error, else 1 when a verdict fails, else 0."""
+
+    @staticmethod
+    def files(tmp_path):
+        phi = tmp_path / "phi5.json"
+        phi.write_text(canonical_dumps(duality_map_to_json(lens_duality_map(5))))
+        # identity components do not form a chain map dual(A) -> A
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(canonical_dumps({"components": [{"rows": 1, "cols": 1, "entries": [[[[1, 0]]]]}] * 6}))
+        return {
+            "lens3": write_lens(tmp_path, 3, "lens3.json"),
+            "lens4": write_lens(tmp_path, 4, "lens4.json"),
+            "lens5": write_lens(tmp_path, 5, "lens5.json"),
+            "broken5": write_complex(tmp_path, broken_lens(5), "broken5.json"),
+            "phi5": str(phi),
+            "bogus": str(bogus),
+            "missing": str(tmp_path / "missing.json"),
+            "out": str(tmp_path / "out.json"),
+        }
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ("check {lens5}", 0),
+            ("homology {lens5} --coefficients trivial", 0),
+            ("dualform {lens3} --assemble -o {out}", 0),
+            ("normalize {lens5} {phi5}", 0),
+            ("asd {lens5}", 0),
+            ("obstruction {lens4}", 0),
+            ("lens --n 5 --asd -o {out}", 0),
+            ("check {broken5}", 1),
+            ("homology {broken5}", 1),
+            ("normalize {lens5} {bogus}", 1),
+            ("check {missing}", 2),
+            ("homology {missing}", 2),
+            ("dualform {missing}", 2),
+            ("normalize {lens5} {missing}", 2),
+            ("asd {missing}", 2),
+            ("obstruction {missing}", 2),
+            ("lens --n 1", 2),
+        ],
+    )
+    def test_code_follows_the_verdicts(self, capsys, tmp_path, argv, expected):
+        files = self.files(tmp_path)
+        code, out, _ = run(capsys, *(word.format(**files) for word in argv.split()), "--json")
+        body = json.loads(out)
+        assert code == (2 if "error" in body else 1 if any(not v["pass"] for v in body["verdicts"]) else 0)
+        assert code == expected

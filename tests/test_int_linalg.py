@@ -73,6 +73,21 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError, match="declared shape"):
             IntegerMatrix(rows, cols, grid)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, "3", Fraction(1, 2), None])
+    def test_non_integer_entries_are_rejected(self, value):
+        with pytest.raises(TypeError):
+            IntegerMatrix.from_rows([[value]])
+        with pytest.raises(TypeError):
+            IntegerMatrix(1, 2, ((0, value),))
+
+    def test_integer_like_entries_are_stored_as_int(self):
+        from sympy import Integer
+
+        A = IntegerMatrix.from_rows([[True, Integer(3), False], [Integer(0), -2, 7]])
+        assert A.sparse_rows == ({0: 1, 1: 3}, {1: -2, 2: 7})
+        assert all(type(v) is int for line in A.sparse_rows for v in line.values())
+        assert A == IntegerMatrix(2, 3, ((1, 3, 0), (0, -2, 7)))
+
     def test_contract_random(self):
         rng = random.Random(23)
         for _ in range(150):

@@ -17,7 +17,6 @@ from zgdual.lens import (
     lens_asd_transform,
     lens_complex,
     lens_duality_map,
-    lens_instance,
 )
 
 
@@ -184,33 +183,36 @@ class TestAsdTransform:
 
 class TestLensInstance:
     def test_plain(self):
-        inst = lens_instance(6)
-        assert inst.asd is None
+        with pytest.raises(ValueError):
+            lens_asd_transform(6)
         assert asd_status(6) == "obstructed"
 
     def test_with_asd(self):
-        inst = lens_instance(13)
-        assert inst.asd is not None
+        asd = lens_asd_transform(13)
         # alpha = t^{k+1} + t^k - t^-k - t^-(k+1) with k = 3
-        assert inst.asd.unit.alpha.terms() == [[1, 3], [1, 4], [-1, 9], [-1, 10]]
-        unit = inst.asd.unit
-        assert gr_mul(unit.beta, unit.beta_inv) == GroupRingElement.one(inst.complex.group)
+        assert asd.unit.alpha.terms() == [[1, 3], [1, 4], [-1, 9], [-1, 10]]
+        unit = asd.unit
+        assert gr_mul(unit.beta, unit.beta_inv) == GroupRingElement.one(lens_complex(13).group)
 
     def test_three_mod_four_has_no_construction(self):
-        inst = lens_instance(7)
-        assert inst.asd is None
+        with pytest.raises(ValueError):
+            lens_asd_transform(7)
         assert asd_status(7) == "unknown"
 
     def test_asd_status_rule(self):
         for n in range(2, 40):
             expected = "obstructed" if n % 2 == 0 else "anti-self-dual" if n % 4 == 1 else "unknown"
             assert asd_status(n) == expected
-            assert (lens_instance(n).asd is not None) == (expected == "anti-self-dual")
+            if expected == "anti-self-dual":
+                lens_asd_transform(n)
+            else:
+                with pytest.raises(ValueError):
+                    lens_asd_transform(n)
 
     def test_homology_spec_values(self):
-        inst = lens_instance(5)
+        A = lens_complex(5)
         zn = AbelianGroupInfo.cyclic(5)
         Z = AbelianGroupInfo.free(1)
         zero = AbelianGroupInfo.trivial()
-        assert [homology(inst.complex, d, "trivial") for d in range(6)] == [Z, zn, zero, zn, zero, Z]
-        assert [homology(inst.complex, d, "integral") for d in range(6)] == [Z, zero, zero, zero, zero, Z]
+        assert [homology(A, d, "trivial") for d in range(6)] == [Z, zn, zero, zn, zero, Z]
+        assert [homology(A, d, "integral") for d in range(6)] == [Z, zero, zero, zero, zero, Z]
