@@ -18,7 +18,9 @@ like "obstructed" or "not anti-self-dual" are outcomes, not failures);
 1 a verification failed or the inputs are mutually inconsistent;
 2 usage errors, malformed files, or unmet preconditions.  Handlers only
 fill the report; main alone maps it to the exit code: 2 on a UsageError,
-else 1 when any verdict has "pass": false, else 0.
+else 1 when any verdict has "pass": false, else 0.  Any other exception
+from a handler becomes the failing verdict "internal_error", so the
+report is still printed and the exit code is 1, never a traceback.
 
 Reports are deterministic for identical inputs: timings are segregated
 under a "timings" key and never enter the verdict body.
@@ -397,10 +399,14 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         _HANDLERS[args.command](args, report)
-        code = EXIT_CHECK_FAILED if any(not v["pass"] for v in report["verdicts"]) else EXIT_OK
     except UsageError as exc:
         report["error"] = str(exc)
+    except Exception as exc:
+        report["verdicts"].append(_verdict("internal_error", False, info=f"{type(exc).__name__}: {exc}"))
+    if "error" in report:
         code = EXIT_USAGE
+    else:
+        code = EXIT_CHECK_FAILED if any(not v["pass"] for v in report["verdicts"]) else EXIT_OK
     report["timings"] = {"total_ms": round((time.monotonic() - started) * 1000, 3)}
     if args.json:
         print(serialize.canonical_dumps(report), end="")

@@ -530,7 +530,7 @@ def _unflatten_triple(a: ChainComplex, b: ChainComplex, vec):
             for j in range(a.ranks[idx]):
                 base = offsets[idx] + (i * a.ranks[idx] + j) * N
                 if any(c := vec[base : base + N]):
-                    line[j] = GroupRingElement(G, tuple(c))
+                    line[j] = GroupRingElement._from_coeffs(G, tuple(c))
             lines.append(line)
         comps.append(GRMatrix._from_sparse_rows(G, a.ranks[idx], lines))
     return tuple(comps)

@@ -156,7 +156,7 @@ class GRMatrix:
                         mrow = mul[ia]
                         for ib, cb in sb:
                             c[mrow[ib]] += ca * cb
-            lines.append({j: GroupRingElement(G, tuple(c)) for j, c in acc.items() if any(c)})
+            lines.append({j: GroupRingElement._from_coeffs(G, tuple(c)) for j, c in acc.items() if any(c)})
         return GRMatrix._from_sparse_rows(G, other.cols, lines)
 
     def __add__(self, other: GRMatrix) -> GRMatrix:
@@ -248,7 +248,7 @@ def fold_columns(group: FiniteGroup, X: IntegerMatrix, gr_cols: int) -> GRMatrix
             if c is None:
                 c = row[l] = [0] * N
             c[a] = v
-    lines = [{l: GroupRingElement(group, tuple(c)) for l, c in row.items()} for row in coeffs]
+    lines = [{l: GroupRingElement._from_coeffs(group, tuple(c)) for l, c in row.items()} for row in coeffs]
     return GRMatrix._from_sparse_rows(group, X.cols, lines)
 
 

@@ -10,6 +10,7 @@ Everything here is immutable and pure; values can be shared freely.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -162,7 +163,12 @@ def _check_associativity(table, identity) -> None:
 
 @dataclass(frozen=True)
 class GroupRingElement:
-    """An element of Z[G]: the formal sum of coeffs[i] * g_i."""
+    """An element of Z[G]: the formal sum of coeffs[i] * g_i.
+
+    The constructor and ``from_terms`` check their coefficients; the ring
+    operations combine coefficients that were checked already and build
+    their results unchecked (``_from_coeffs``).
+    """
 
     group: FiniteGroup
     coeffs: tuple[int, ...]
@@ -172,24 +178,37 @@ class GroupRingElement:
             raise ValueError(
                 f"coefficient vector has length {len(self.coeffs)}, group order is {self.group.order}"
             )
+        # operator.index refuses a float or a string, and stores a bool or sympy.Integer as int
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
+
+    @staticmethod
+    def _from_coeffs(group: FiniteGroup, coeffs: tuple[int, ...]) -> GroupRingElement:
+        """The element with these coefficients, for the library's own ring
+        operations.  Nothing is checked: ``coeffs`` must be a tuple of
+        group.order ints.
+        """
+        e = object.__new__(GroupRingElement)
+        object.__setattr__(e, "group", group)
+        object.__setattr__(e, "coeffs", coeffs)
+        return e
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(group: FiniteGroup) -> GroupRingElement:
-        return GroupRingElement(group, (0,) * group.order)
+        return GroupRingElement._from_coeffs(group, (0,) * group.order)
 
     @staticmethod
     def one(group: FiniteGroup) -> GroupRingElement:
         c = [0] * group.order
         c[group.identity_index] = 1
-        return GroupRingElement(group, tuple(c))
+        return GroupRingElement._from_coeffs(group, tuple(c))
 
     @staticmethod
     def basis(group: FiniteGroup, index: int) -> GroupRingElement:
         c = [0] * group.order
         c[index] = 1
-        return GroupRingElement(group, tuple(c))
+        return GroupRingElement._from_coeffs(group, tuple(c))
 
     @staticmethod
     def from_terms(group: FiniteGroup, terms) -> GroupRingElement:
@@ -198,8 +217,8 @@ class GroupRingElement:
         for coeff, idx in terms:
             if not (0 <= idx < group.order):
                 raise ValueError(f"element index {idx} out of range for order {group.order}")
-            c[idx] += coeff
-        return GroupRingElement(group, tuple(c))
+            c[idx] += operator.index(coeff)
+        return GroupRingElement._from_coeffs(group, tuple(c))
 
     # -- ring structure -----------------------------------------------
 
@@ -209,18 +228,18 @@ class GroupRingElement:
 
     def __add__(self, other: GroupRingElement) -> GroupRingElement:
         self._check_same_group(other)
-        return GroupRingElement(
+        return GroupRingElement._from_coeffs(
             self.group, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __sub__(self, other: GroupRingElement) -> GroupRingElement:
         self._check_same_group(other)
-        return GroupRingElement(
+        return GroupRingElement._from_coeffs(
             self.group, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     def __neg__(self) -> GroupRingElement:
-        return GroupRingElement(self.group, tuple(-a for a in self.coeffs))
+        return GroupRingElement._from_coeffs(self.group, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -235,7 +254,8 @@ class GroupRingElement:
         return NotImplemented
 
     def scale(self, k: int) -> GroupRingElement:
-        return GroupRingElement(self.group, tuple(k * a for a in self.coeffs))
+        k = operator.index(k)
+        return GroupRingElement._from_coeffs(self.group, tuple(k * a for a in self.coeffs))
 
     @property
     def is_zero(self) -> bool:
@@ -252,7 +272,7 @@ class GroupRingElement:
         c = [0] * self.group.order
         for i, a in enumerate(self.coeffs):
             c[inv[i]] = a
-        return GroupRingElement(self.group, tuple(c))
+        return GroupRingElement._from_coeffs(self.group, tuple(c))
 
     def augmentation(self) -> int:
         """Sum of coefficients: the ring map Z[G] -> Z collapsing G to 1."""
@@ -276,9 +296,9 @@ def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
         row = mul[i]
         for j, bj in sb:
             c[row[j]] += ai * bj
-    return GroupRingElement(a.group, tuple(c))
+    return GroupRingElement._from_coeffs(a.group, tuple(c))
 
 
 def norm_element(group: FiniteGroup) -> GroupRingElement:
     """The sum of all group elements (written Sigma for cyclic groups)."""
-    return GroupRingElement(group, (1,) * group.order)
+    return GroupRingElement._from_coeffs(group, (1,) * group.order)

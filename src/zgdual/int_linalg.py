@@ -248,12 +248,20 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     is kept as sparse rows, and the row and column operations are logged
     (see SmithDecomposition).
 
-    At step t, live rows hold no entry left of column t, so every row
+    Columns are permuted, not moved: rows stay keyed by the column of A,
+    ``perm[t]`` is the column of A at position t and ``pos`` is its
+    inverse, so a column swap exchanges two entries of each list and
+    touches no row.  The pivot rule and both logs speak of positions: a
+    logged column index is a position, never a column of A, which is what
+    the replays of the column log expect.
+
+    At step t, live rows hold no entry left of position t, so every row
     operation touches only the live block.  Once column t is clear below
     the pivot, a column operation against column t changes only row t.
     """
     m, n = A.rows, A.cols
     rows = list(map(dict, A.sparse_rows))
+    perm, pos = list(range(n)), list(range(n))
     row_ops, col_ops = [], []
     t = 0
 
@@ -262,26 +270,20 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
         row_ops.append((a, b, 0))
 
     def col_swap(a, b):
-        for i in range(t, m):
-            R = rows[i]
-            if a in R or b in R:
-                va, vb = R.pop(a, 0), R.pop(b, 0)
-                if vb:
-                    R[a] = vb
-                if va:
-                    R[b] = va
+        ca, cb = perm[a], perm[b]
+        perm[a], perm[b], pos[ca], pos[cb] = cb, ca, b, a
         col_ops.append((a, b, 0))
 
     def make_pivot_positive():
         R = rows[t]
-        if R[t] < 0:
+        if R[perm[t]] < 0:
             rows[t] = {j: -v for j, v in R.items()}
             row_ops.append((t, t, -1))
 
     limit = min(m, n)
     while t < limit:
         # the first least |entry| in row-major order: the earliest row with
-        # the least row minimum, then its leftmost column with that value
+        # the least row minimum, then its leftmost position with that value
         best = pi = None
         for i in range(t, m):
             R = rows[i]
@@ -293,7 +295,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
                         break
         if pi is None:
             break
-        pj = min(j for j, v in rows[pi].items() if v == best or v == -best)
+        pj = min(pos[j] for j, v in rows[pi].items() if v == best or v == -best)
         if pi != t:
             row_swap(t, pi)
         if pj != t:
@@ -302,16 +304,17 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
 
         while True:
             # clear column t then row t; re-pivot on any nonzero remainder
-            p = rows[t][t]
+            c = perm[t]
+            p = rows[t][c]
             dirty = False
             for i in range(t + 1, m):
-                v = rows[i].get(t)
+                v = rows[i].get(c)
                 if v:
                     q = v // p
                     if q:
                         _add_line(rows[i], rows[t], -q)
                         row_ops.append((i, t, -q))
-                    if t in rows[i]:
+                    if c in rows[i]:
                         row_swap(t, i)  # remainder is smaller than |p|
                         make_pivot_positive()
                         dirty = True
@@ -319,17 +322,18 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             if dirty:
                 continue
             R = rows[t]
-            for j in sorted(R):
+            for j in sorted(map(pos.__getitem__, R)):
                 if j == t:
                     continue
-                v = R[j]
+                k = perm[j]
+                v = R[k]
                 q = v // p
                 if q:
                     v -= q * p
                     if v:
-                        R[j] = v
+                        R[k] = v
                     else:
-                        del R[j]
+                        del R[k]
                     col_ops.append((j, t, -q))
                 if v:
                     col_swap(t, j)
@@ -339,7 +343,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             if dirty:
                 continue
             # column and row are clear; enforce divisibility of the block
-            p = rows[t][t]
+            p = rows[t][c]
             if p == 1:
                 break
             bad = next((i for i in range(t + 1, m) if any(v % p for v in rows[i].values())), None)
@@ -350,7 +354,7 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
         t += 1
 
     # every row is now empty or holds its diagonal entry alone
-    diagonal = tuple(rows[i][i] for i in range(t))
+    diagonal = tuple(rows[i][perm[i]] for i in range(t))
     return SmithDecomposition(m, n, diagonal, row_ops=tuple(row_ops), col_ops=tuple(col_ops))
 
 

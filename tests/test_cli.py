@@ -530,3 +530,34 @@ class TestExitRule:
         body = json.loads(out)
         assert code == (2 if "error" in body else 1 if any(not v["pass"] for v in body["verdicts"]) else 0)
         assert code == expected
+
+
+class TestInternalErrors:
+    """An exception inside a handler is a failing verdict, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "target, exc, argv",
+        [
+            ("zgdual.dual_form.assemble_dual_form", ValueError("no inverse"),
+             ("dualform", "{lens3}", "--assemble", "-o", "{out}")),
+            ("zgdual.complexes.five_complex_report", AssertionError("broken invariant"), ("check", "{lens3}")),
+        ],
+    )
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_exit_1_with_the_report(self, capsys, tmp_path, monkeypatch, target, exc, argv, as_json):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(target, fail)
+        files = {"lens3": write_lens(tmp_path, 3, "lens3.json"), "out": str(tmp_path / "out.json")}
+        words = [word.format(**files) for word in argv]
+        info = f"{type(exc).__name__}: {exc}"
+        code, out, err = run(capsys, *words, *(["--json"] if as_json else []))
+        assert code == 1
+        assert "Traceback" not in out + err and err == ""
+        if as_json:
+            body = json.loads(out)
+            assert "error" not in body
+            assert body["verdicts"][-1] == {"name": "internal_error", "pass": False, "info": info}
+        else:
+            assert f"FAIL internal_error  ({info})" in out.splitlines()

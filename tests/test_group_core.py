@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -331,3 +332,41 @@ def test_nonabelian_involution_moves_coefficients():
     i = next(i for i in range(G.order) if G.inv_table[i] != i)
     e = GroupRingElement.basis(G, i)
     assert e.involute() == GroupRingElement.basis(G, G.inv_table[i])
+
+
+class TestCheckedCoefficients:
+    @pytest.mark.parametrize("value", [0.5, 2.0, "1", Fraction(1, 2), None])
+    def test_non_integer_coefficients_are_rejected(self, value):
+        G = cyclic_group(3)
+        with pytest.raises(TypeError):
+            GroupRingElement(G, (value, 0, 0))
+        with pytest.raises(TypeError):
+            GroupRingElement.from_terms(G, [(value, 1)])
+
+    def test_from_terms_rejects_a_float_that_sums_to_an_integer(self):
+        with pytest.raises(TypeError):
+            GroupRingElement.from_terms(cyclic_group(3), [(0.5, 1), (0.5, 1)])
+
+    def test_scale_rejects_a_float(self):
+        with pytest.raises(TypeError):
+            GroupRingElement.one(cyclic_group(3)).scale(0.5)
+
+    def test_integer_like_coefficients_are_stored_as_int(self):
+        from sympy import Integer
+
+        G = cyclic_group(3)
+        for e in (
+            GroupRingElement(G, [True, Integer(-2), False]),
+            GroupRingElement.from_terms(G, [(True, 0), (Integer(-2), 1)]),
+        ):
+            assert e.coeffs == (1, -2, 0)
+            assert all(type(a) is int for a in e.coeffs)
+            assert e == poly(G, (1, 0), (-2, 1))
+
+    def test_ring_operations_return_plain_int_tuples(self, groups):
+        rng = random.Random(29)
+        for G in groups:
+            a, b = (GroupRingElement(G, tuple(rng.randint(-3, 3) for _ in range(G.order))) for _ in range(2))
+            for e in (a + b, a - b, -a, a.scale(3), 2 * a, a.involute(), a * b, gr_mul(a, b)):
+                assert e.group == G and type(e.coeffs) is tuple and len(e.coeffs) == G.order
+                assert all(type(c) is int for c in e.coeffs)
