@@ -175,27 +175,33 @@ class ChainComplex:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validate_complex; failures carry the offending degree."""
+class DegreewiseReport:
+    """An identity checked one degree at a time: (degree, holds) pairs and
+    one failure string per degree where it does not hold."""
 
-    compositions: tuple[tuple[int, bool], ...]  # (middle degree, boundary.boundary == 0)
+    degrees: tuple[tuple[int, bool], ...]
     failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return all(flag for _, flag in self.compositions)
+        return all(flag for _, flag in self.degrees)
 
 
-def validate_complex(C: ChainComplex) -> ValidationReport:
+def _by_degree(degrees, holds, failure) -> DegreewiseReport:
+    """holds(i) at each degree i, with failure(i) for each degree where it
+    is False.  Every verdict on complexes, chain maps and homotopies is read
+    through here."""
+    checked = tuple((i, holds(i)) for i in degrees)
+    return DegreewiseReport(checked, tuple(failure(i) for i, ok in checked if not ok))
+
+
+def validate_complex(C: ChainComplex) -> DegreewiseReport:
     """Check d.d == 0 at every internal degree (shapes hold by construction)."""
-    comps = []
-    failures = []
-    for i in range(1, C.top_degree):
-        ok = C.composition_zero(i)
-        comps.append((i, ok))
-        if not ok:
-            failures.append(f"boundary({i}) . boundary({i + 1}) is nonzero at degree {i}")
-    return ValidationReport(compositions=tuple(comps), failures=tuple(failures))
+    return _by_degree(
+        range(1, C.top_degree),
+        C.composition_zero,
+        lambda i: f"boundary({i}) . boundary({i + 1}) is nonzero at degree {i}",
+    )
 
 
 def euler_characteristic(C: ChainComplex) -> int:
@@ -519,6 +525,16 @@ def _end_scalar(functional, target, aug) -> int | None:
     return _proportionality(_combine_rows(functional, aug), target)
 
 
+def commuting_squares(source: ChainComplex, target: ChainComplex, components, degrees) -> DegreewiseReport:
+    """Check target.boundary(i) @ components[i] == components[i-1] @
+    source.boundary(i) at each of ``degrees``: the chain-map squares."""
+    return _by_degree(
+        degrees,
+        lambda i: target.boundary(i) @ components[i] == components[i - 1] @ source.boundary(i),
+        lambda i: f"square at boundary({i}) does not commute",
+    )
+
+
 def is_chain_map(f: ChainMap) -> ChainMapReport:
     """Exact verification of all commuting squares plus the end scalars.
 
@@ -527,22 +543,13 @@ def is_chain_map(f: ChainMap) -> ChainMapReport:
     None when the corresponding end is not certified Z on both sides.  The
     top is read as the bottom of the transposes, like the end reports.
     """
-    squares = []
-    failures = []
-    for i in range(1, f.source.top_degree + 1):
-        lhs = f.target.boundary(i) @ f.components[i]
-        rhs = f.components[i - 1] @ f.source.boundary(i)
-        ok = lhs == rhs
-        squares.append((i, ok))
-        if not ok:
-            failures.append(f"square at boundary({i}) does not commute")
-
+    T = f.source.top_degree
+    squares = commuting_squares(f.source, f.target, f.components, range(1, T + 1))
     src_top, src_bottom = _end_generators(f.source)
     tgt_top, tgt_bottom = _end_generators(f.target)
-    T = f.source.top_degree
     bottom_scalar = _end_scalar(tgt_bottom, src_bottom, f.components[0].augmented())
     top_scalar = _end_scalar(src_top, tgt_top, f.components[T].augmented().transpose())
-    return ChainMapReport(tuple(squares), bottom_scalar, top_scalar, tuple(failures))
+    return ChainMapReport(squares.degrees, bottom_scalar, top_scalar, squares.failures)
 
 
 @dataclass(frozen=True)
@@ -568,32 +575,18 @@ class ChainHomotopy:
                 raise ValueError(f"homotopy component {i} has shape {h.rows}x{h.cols}, expected {want}")
 
 
-@dataclass(frozen=True)
-class HomotopyReport:
-    degrees: tuple[tuple[int, bool], ...]
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(flag for _, flag in self.degrees)
-
-
-def verify_homotopy(h: ChainHomotopy) -> HomotopyReport:
+def verify_homotopy(h: ChainHomotopy) -> DegreewiseReport:
     """Exact check of f_i - g_i == boundary(i+1) I_i + I_{i-1} boundary(i)."""
     f, g = h.first, h.second
     src, tgt = f.source, f.target
     T = src.top_degree
-    out = []
-    failures = []
-    for i in range(T + 1):
-        delta = f.components[i] - g.components[i]
+
+    def holds(i):
         acc = GRMatrix.zeros(src.group, tgt.ranks[i], src.ranks[i])
         if i < T:
             acc = acc + tgt.boundary(i + 1) @ h.components[i]
         if i > 0:
             acc = acc + h.components[i - 1] @ src.boundary(i)
-        ok = delta == acc
-        out.append((i, ok))
-        if not ok:
-            failures.append(f"homotopy identity fails at degree {i}")
-    return HomotopyReport(tuple(out), tuple(failures))
+        return f.components[i] - g.components[i] == acc
+
+    return _by_degree(range(T + 1), holds, lambda i: f"homotopy identity fails at degree {i}")

@@ -8,9 +8,10 @@ so boundary(5) == dual(boundary(1)) and boundary(4) == dual(boundary(2)).
 The middle map d3 then encodes a G-invariant bilinear form on the dual J of
 ker(d2).  This module provides:
 
-* stabilization and simple homotopy moves, each a direct sum with a free
-  summand that ``_direct_sum`` appends after the existing blocks (a move's
-  equivalences are the leading-block inclusion and projection);
+* stabilization, which appends free generators to the top module, and
+  simple homotopy moves, each a direct sum with a free summand that
+  ``_direct_sum`` appends after the existing blocks (a move's equivalences
+  are the leading-block inclusion and projection);
 * the five-move pipeline taking any algebraic 5-complex to a mirrored
   stage-6 shape, with the middle gluing isomorphism chosen as the identity
   (legitimate because the Euler characteristic forces the two middle ranks
@@ -25,13 +26,14 @@ ker(d2).  This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd
 
 from zgdual.complexes import (
     ChainComplex,
     ChainHomotopy,
     ChainMap,
+    commuting_squares,
     dualize_complex,
     five_complex_report,
     homology,
@@ -55,34 +57,36 @@ from zgdual.int_linalg import (
 # -- stabilization and simple homotopy moves ---------------------------
 
 
-def _direct_sum(C: ChainComplex, extra, identity_at: int = 0) -> ChainComplex:
-    """C plus ``extra[k]`` free generators after the existing ones in each
-    degree k.  A boundary that grows keeps its rows, zero-padded, over new
-    rows that are the identity on the new columns at boundary(identity_at)
-    and zero elsewhere; one that does not grow is kept as it is.  The end
-    certificates are zero-padded.
+def _direct_sum(C: ChainComplex, plan) -> ChainComplex:
+    """C plus one free summand per (position, rank) move of ``plan``, in
+    order.  A move appends ``rank`` generators after the existing ones at
+    degrees position and position+1: boundary(position+1) gains rows that
+    are the identity on its new columns, boundary(position+2) gains zero
+    rows, and every boundary is zero-padded on its new columns, as are the
+    end certificates.
     """
     G = C.group
     one = GroupRingElement.one(G)
-    diffs = list(C.differentials)
-    for k, d in enumerate(C.differentials, start=1):
-        r, c = extra[k - 1], extra[k]
-        if r or c:
-            new = [{d.cols + i: one} if k == identity_at else {} for i in range(r)]
-            diffs[k - 1] = GRMatrix._from_sparse_rows(G, d.cols + c, d.sparse_rows + tuple(new))
+    ranks = list(C.ranks)
+    lines = [list(d.sparse_rows) for d in C.differentials]  # lines[k - 1]: the rows of boundary(k)
+    for p, r in plan:
+        lines[p].extend({ranks[p + 1] + i: one} for i in range(r))
+        if p + 1 < len(lines):
+            lines[p + 1].extend({} for _ in range(r))
+        ranks[p] += r
+        ranks[p + 1] += r
     top, bottom = C.top_generator, C.bottom_generator
     return ChainComplex(
         G,
-        tuple(r + e for r, e in zip(C.ranks, extra)),
-        tuple(diffs),
-        top_generator=None if top is None else tuple(top) + (0,) * extra[-1],
-        bottom_generator=None if bottom is None else tuple(bottom) + (0,) * extra[0],
+        tuple(ranks),
+        tuple(GRMatrix._from_sparse_rows(G, cols, rows) for cols, rows in zip(ranks[1:], lines)),
+        top_generator=None if top is None else tuple(top) + (0,) * (ranks[-1] - C.ranks[-1]),
+        bottom_generator=None if bottom is None else tuple(bottom) + (0,) * (ranks[0] - C.ranks[0]),
     )
 
 
 def stabilize(C: ChainComplex, n: int) -> ChainComplex:
-    """Add a free rank-n summand to the top module, boundary extended by 0
-    (appended by ``_direct_sum``).
+    """Add a free rank-n summand to the top module, boundary extended by 0.
 
     The top kernel grows by Z[G]^n, so the top generator certificate is
     dropped (for n > 0); homology below the top degree is unchanged.
@@ -94,7 +98,14 @@ def stabilize(C: ChainComplex, n: int) -> ChainComplex:
     T = C.top_degree
     if T == 0:
         return ChainComplex(C.group, (C.ranks[0] + n,), ())
-    return replace(_direct_sum(C, (0,) * T + (n,)), top_generator=None)
+    d = C.boundary(T)
+    top = GRMatrix._from_sparse_rows(C.group, d.cols + n, d.sparse_rows)
+    return ChainComplex(
+        C.group,
+        C.ranks[:T] + (C.ranks[T] + n,),
+        C.differentials[: T - 1] + (top,),
+        bottom_generator=C.bottom_generator,
+    )
 
 
 @dataclass(frozen=True)
@@ -112,16 +123,6 @@ class SimpleMoveResult:
     forward: ChainMap  # original -> new
     backward: ChainMap  # new -> original
     record: MoveRecord
-
-
-def _expanded(C: ChainComplex, position: int, rank: int) -> ChainComplex:
-    """C with a free rank-``rank`` summand appended by ``_direct_sum`` at
-    degrees position+1 and position, the new differential block being the
-    identity.
-    """
-    extra = [0] * len(C.ranks)
-    extra[position] = extra[position + 1] = rank
-    return _direct_sum(C, extra, identity_at=position + 1)
 
 
 def _leading_block_maps(small: ChainComplex, big: ChainComplex) -> tuple[ChainMap, ChainMap]:
@@ -164,7 +165,7 @@ def _collapse_move(C: ChainComplex, position: int, rank: int) -> SimpleMoveResul
         top_generator=None if top is None else tuple(top[: ranks[-1]]),
         bottom_generator=None if bottom is None else tuple(bottom[: ranks[0]]),
     )
-    E = _expanded(core, p, f)
+    E = _direct_sum(core, [(p, f)])
     if E != C:
         differs = [f"boundary({i})" for i in range(1, C.top_degree + 1) if E.boundary(i) != C.boundary(i)]
         differs.append("the top generator" if E.top_generator != C.top_generator else "the bottom generator")
@@ -186,7 +187,7 @@ def simple_move(C: ChainComplex, position: int, rank: int, direction: str = "exp
     if rank < 0:
         raise ValueError("move rank must be non-negative")
     if direction == "expand":
-        new = _expanded(C, position, rank)
+        new = _direct_sum(C, [(position, rank)])
         inclusion, projection = _leading_block_maps(C, new)
         return SimpleMoveResult(new, inclusion, projection, MoveRecord("expand", position, rank))
     if direction == "collapse":
@@ -216,9 +217,9 @@ def to_dual_form_stage6(C: ChainComplex) -> PipelineResult:
     the dual of degree 0 at (5,4); then duals of the two enlarged modules at
     (4,3) and (2,1); finally the matched middle pair at (3,2), glued by the
     identity isomorphism (the ranks agree exactly because the Euler
-    characteristic vanishes).  Each move appends after the existing blocks,
-    so the composite equivalences are the leading-block inclusion and
-    projection, built once.
+    characteristic vanishes).  One ``_direct_sum`` appends the five
+    summands in that order after the existing blocks, so the composite
+    equivalences are the leading-block inclusion and projection.
     """
     report = five_complex_report(C)
     if not report.is_member:
@@ -234,11 +235,9 @@ def to_dual_form_stage6(C: ChainComplex) -> PipelineResult:
         (1, c[4] + c[0]),
         (2, middle),
     ]
-    current = C
-    for position, rank in plan:
-        current = _expanded(current, position, rank)
+    stage6 = _direct_sum(C, plan)
     moves = tuple(MoveRecord("expand", position, rank) for position, rank in plan)
-    return PipelineResult(current, moves, *_leading_block_maps(C, current))
+    return PipelineResult(stage6, moves, *_leading_block_maps(C, stage6))
 
 
 # -- dual-form recognition ----------------------------------------------
@@ -464,12 +463,6 @@ class ChainIsoPair:
     k: tuple[GRMatrix, GRMatrix, GRMatrix]
 
 
-def _is_segment_chain_map(a: ChainComplex, b: ChainComplex, comps) -> bool:
-    return all(
-        b.boundary(i) @ comps[i] == comps[i - 1] @ a.boundary(i) for i in (1, 2)
-    )
-
-
 def _lattice_offsets(a: ChainComplex, b: ChainComplex):
     N = a.group.order
     sizes = [b.ranks[i] * a.ranks[i] * N for i in range(3)]
@@ -550,7 +543,7 @@ def _flatten(matrices) -> list[int]:
 def _certified_pair(a: ChainComplex, b: ChainComplex, comps) -> ChainIsoPair | None:
     """comps with its inverse, when comps is a chain map a -> b whose
     components all invert over Z[G] with a chain-map inverse; else None."""
-    if not _is_segment_chain_map(a, b, comps):
+    if not commuting_squares(a, b, comps, (1, 2)).ok:
         return None
     inverses = []
     for m in comps:
@@ -558,7 +551,7 @@ def _certified_pair(a: ChainComplex, b: ChainComplex, comps) -> ChainIsoPair | N
         if inv is None:
             return None
         inverses.append(inv)
-    if not _is_segment_chain_map(b, a, tuple(inverses)):
+    if not commuting_squares(b, a, inverses, (1, 2)).ok:
         return None
     return ChainIsoPair(h=tuple(comps), k=tuple(inverses))
 
@@ -568,8 +561,9 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
 
     At most ``budget`` trials, in this order:
 
-    1. the identity, a chain map exactly when tail and head have equal
-       boundaries, and then its own inverse;
+    1. the identity, which is a chain map exactly when tail and head have
+       equal boundaries, so this trial compares boundaries and multiplies
+       nothing; the identity is then its own inverse;
     2. the affine point id + x, where x solves A x == -A vec(id) for the
        constraint matrix A of chain maps tail -> head (one SNF of A, free
        coordinates zero);
@@ -591,8 +585,7 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
     if budget < 1:
         return None
     ident = tuple(GRMatrix.identity(tail.group, r) for r in tail.ranks)
-    if _is_segment_chain_map(tail, head, ident):
-        # tail and head have equal boundaries, so the identity is its own inverse
+    if tail.differentials == head.differentials:
         return ChainIsoPair(h=ident, k=ident)
     if budget < 2:
         return None
@@ -634,7 +627,7 @@ def assemble_dual_form(C6: ChainComplex, iso: ChainIsoPair) -> AssembledDualForm
     head = dual_head_segment(C6)
     if tail.ranks != head.ranks:
         raise ValueError("tail and dual head ranks disagree; run the stage-6 pipeline first")
-    if not _is_segment_chain_map(tail, head, iso.h) or not _is_segment_chain_map(head, tail, iso.k):
+    if not (commuting_squares(tail, head, iso.h, (1, 2)).ok and commuting_squares(head, tail, iso.k, (1, 2)).ok):
         raise ValueError("iso is not a pair of chain maps between the tail and the dual head")
     for h_i, k_i in zip(iso.h, iso.k):
         if k_i @ h_i != GRMatrix.identity(C6.group, h_i.cols) or h_i @ k_i != GRMatrix.identity(

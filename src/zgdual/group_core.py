@@ -206,9 +206,8 @@ class GroupRingElement:
 
     @staticmethod
     def basis(group: FiniteGroup, index: int) -> GroupRingElement:
-        c = [0] * group.order
-        c[index] = 1
-        return GroupRingElement._from_coeffs(group, tuple(c))
+        """The group element g_index; the index is checked as by ``from_terms``."""
+        return GroupRingElement.from_terms(group, [(1, index)])
 
     @staticmethod
     def from_terms(group: FiniteGroup, terms) -> GroupRingElement:

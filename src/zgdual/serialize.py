@@ -90,12 +90,13 @@ def matrix_from_json(group: FiniteGroup, data) -> GRMatrix:
     grid = data["entries"]
     if len(grid) != rows or any(len(r) != cols for r in grid):
         raise ValueError(f"matrix entry grid does not match declared shape {rows}x{cols}")
-    return GRMatrix(
-        group,
-        rows,
-        cols,
-        tuple(tuple(element_from_json(group, cell) for cell in row) for row in grid),
-    )
+    # an empty cell builds no element; the others are read in row-major
+    # order, so the first bad cell is the one reported
+    lines = []
+    for row in grid:
+        cells = ((j, element_from_json(group, cell)) for j, cell in enumerate(row) if cell != [])
+        lines.append({j: e for j, e in cells if e.support})
+    return GRMatrix._from_sparse_rows(group, cols, lines)
 
 
 # -- complexes -----------------------------------------------------------

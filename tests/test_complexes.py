@@ -75,7 +75,8 @@ class TestValidation:
         C = one_by_one_complex(G, one, one)  # boundary(1) = boundary(2) = [1]
         rep = validate_complex(C)
         assert not rep.ok
-        assert rep.compositions == ((1, False),)
+        assert rep.degrees == ((1, False),)
+        assert rep.failures == ("boundary(1) . boundary(2) is nonzero at degree 1",)
 
     def test_empty_complex_valid(self):
         G = cyclic_group(3)
@@ -435,7 +436,7 @@ class TestMemoizedReductions:
 
     def test_raises_at_broken_spots_and_answers_at_valid_ones(self):
         B = broken_lens(5)
-        assert [i for i, ok in validate_complex(B).compositions if not ok] == [1, 2]
+        assert [i for i, ok in validate_complex(B).degrees if not ok] == [1, 2]
         for d in (1, 2):
             with pytest.raises(ValueError, match=f"nonzero at degree {d}"):
                 homology(B, d, "integral")
@@ -518,6 +519,7 @@ class TestChainMaps:
         failing = [i for i, ok in rep.squares if not ok]
         # square 4 still commutes because Sigma absorbs the unit t
         assert failing == [3]
+        assert rep.failures == ("square at boundary(3) does not commute",)
 
     def test_compose_and_dual(self):
         A = lens_complex(5)
@@ -539,6 +541,8 @@ class TestChainMaps:
         zero_h = tuple(GRMatrix.zeros(G, 1, 1) for _ in range(5))
         rep = verify_homotopy(ChainHomotopy(ident, other, zero_h))
         assert not rep.ok
+        # id - (-id) = 2 id is nonzero everywhere, and the zero homotopy adds nothing
+        assert rep.failures == tuple(f"homotopy identity fails at degree {i}" for i in range(6))
 
     def test_homotopic_maps_act_equally_on_homology(self):
         # a chain homotopy forces (f - g) to carry kernels into images

@@ -476,9 +476,14 @@ class TestChainIsomorphismSolver:
         def no_inversion(M):
             raise AssertionError("the identity trial inverts nothing")
 
+        def no_product(A, B):
+            raise AssertionError("the identity trial multiplies nothing")
+
+        inputs = [lens_complex(n) for n in range(2, 7)] + [sym3_presentation()[0]]
+        segments = [stage6_segments(C) for C in inputs]
         monkeypatch.setattr(dual_form, "invert_gr_matrix", no_inversion)
-        for C in [lens_complex(n) for n in range(2, 7)] + [sym3_presentation()[0]]:
-            tail, head = stage6_segments(C)
+        monkeypatch.setattr(GRMatrix, "__matmul__", no_product)
+        for tail, head in segments:
             iso = solve_chain_isomorphism(tail, head, budget=1)
             assert iso.h == iso.k == identity_triple(tail)
 

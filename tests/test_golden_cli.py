@@ -4,8 +4,9 @@ Each case runs zgdual.cli.main in process, in a fresh directory holding the
 recorded input files, once with --json and once without.  A --json body is
 compared without its wall-clock "timings"; human output and stderr are
 compared as text, and the file a case writes byte for byte.  The inputs are
-L(7), its duality map, the S3 presentation complex and twisted L(4), as the
-library writes them.
+L(7), its duality map, the S3 presentation complex, twisted L(4) and L(5)
+with boundary(2) broken (conftest.broken_lens), as the library writes them.
+The broken complex pins the wording of a failing check's witness.
 """
 
 import io
@@ -14,7 +15,7 @@ import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from conftest import sym3_presentation, twisted_lens
+from conftest import broken_lens, sym3_presentation, twisted_lens
 from zgdual.cli import main
 from zgdual.lens import lens_complex, lens_duality_map
 from zgdual.serialize import canonical_dumps, complex_to_json, duality_map_to_json
@@ -30,6 +31,7 @@ def inputs():
         "L7_map.json": canonical_dumps(duality_map_to_json(lens_duality_map(7))),
         "S3.json": canonical_dumps(complex_to_json(sym3_presentation()[0])),
         "twisted_L4.json": canonical_dumps(complex_to_json(twisted_lens(4))),
+        "broken_L5.json": canonical_dumps(complex_to_json(broken_lens(5))),
     }
 
 
@@ -51,6 +53,8 @@ CASES = {
     **_per_complex("S3"),
     "normalize_L7": ("normalize", "L7.json", "L7_map.json"),
     "dualform_assemble_twisted_L4": ("dualform", "twisted_L4.json", "--assemble", "-o", WRITTEN),
+    "check_broken_L5": ("check", "broken_L5.json"),
+    "homology_broken_L5": ("homology", "broken_L5.json"),
 }
 
 

@@ -343,6 +343,15 @@ class TestCheckedCoefficients:
         with pytest.raises(TypeError):
             GroupRingElement.from_terms(G, [(value, 1)])
 
+    def test_basis_checks_its_index_like_from_terms(self):
+        G = cyclic_group(3)
+        for index in (-1, G.order):
+            with pytest.raises(ValueError, match=f"element index {index} out of range for order 3"):
+                GroupRingElement.basis(G, index)
+            with pytest.raises(ValueError, match=f"element index {index} out of range for order 3"):
+                GroupRingElement.from_terms(G, [(1, index)])
+        assert [GroupRingElement.basis(G, i).coeffs for i in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
     def test_from_terms_rejects_a_float_that_sums_to_an_integer(self):
         with pytest.raises(TypeError):
             GroupRingElement.from_terms(cyclic_group(3), [(0.5, 1), (0.5, 1)])

@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -85,6 +87,36 @@ class TestMatrixJson:
         G = make_sym3()
         with pytest.raises(ValueError):
             matrix_from_json(G, {"rows": 1, "cols": 1, "entries": [["1 - t"]]})
+
+    def test_empty_cells_allocate_no_elements(self):
+        # a 120x120 grid of [] over C_60: one dense zero element per cell
+        # would be 14,400 tuples of 60 ints, about 10 MB at the peak
+        G = cyclic_group(60)
+        data = {"rows": 120, "cols": 120, "entries": [[[] for _ in range(120)] for _ in range(120)]}
+        tracemalloc.start()
+        try:
+            A = matrix_from_json(G, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert A == GRMatrix.zeros(G, 120, 120)
+        assert peak < 500_000
+
+    def test_cells_fail_in_row_major_order(self):
+        G = cyclic_group(3)
+        bad = {"empty string": "", "zero": 0, "null": None, "out of range": [[1, 3]], "float": [[0.5, 1]]}
+        for first, cell in bad.items():
+            for other in bad.values():
+                data = {"rows": 2, "cols": 2, "entries": [[[], [[1, 0], [0, 2]]], [cell, other]]}
+                with pytest.raises((ValueError, TypeError)) as expected:
+                    matrix_from_json(G, {"rows": 1, "cols": 1, "entries": [[cell]]})
+                with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+                    matrix_from_json(G, data)
+
+    def test_zero_terms_leave_no_entry(self):
+        G = cyclic_group(3)
+        A = matrix_from_json(G, {"rows": 1, "cols": 3, "entries": [[[[0, 1]], [[1, 2], [-1, 2]], "0"]]})
+        assert A.sparse_rows == ({},)
 
 
 class TestComplexJson:
