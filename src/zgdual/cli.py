@@ -146,6 +146,8 @@ def _cmd_homology(args, report):
 
 
 def _cmd_dualform(args, report):
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
     C = _load_complex(args.file)
     verdicts = report["verdicts"]
     try:
@@ -269,6 +271,8 @@ def _cmd_lens(args, report):
     n = args.n
     if n < 2:
         raise UsageError("lens spaces need n >= 2")
+    if n > serialize.MAX_CYCLIC_ORDER:
+        raise UsageError(f"lens spaces need n <= {serialize.MAX_CYCLIC_ORDER}, the cyclic order limit")
     status = lens.asd_status(n)
     if args.asd and status != "anti-self-dual":
         raise UsageError(f"--asd needs n = 4k+1 with k >= 1; n={n}")

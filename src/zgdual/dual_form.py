@@ -245,18 +245,24 @@ def to_dual_form_stage6(C: ChainComplex) -> PipelineResult:
 
 @dataclass(frozen=True)
 class DualFormView:
-    """A recognized dual-form complex with its derived form data.
+    """A complex recognized in dual form, and the form data read from it.
 
-    ``j_rank`` is the Z-rank of J (the dual of ker(d2)); ``form_rank`` the
-    Z-rank of the bilinear form carried by d3.
+    The view holds only the complex; readers take d_i as base.boundary(i).
+    ``j_rank`` (the Z-rank of J, the dual of ker(d2)) and ``form_rank`` (the
+    Z-rank of the form carried by d3) are read when asked for from
+    base.reduction(2) and (3), which the complex memoizes.
     """
 
     base: ChainComplex
-    d1: GRMatrix
-    d2: GRMatrix
-    d3: GRMatrix
-    j_rank: int
-    form_rank: int
+
+    @property
+    def j_rank(self) -> int:
+        C = self.base
+        return C.group.order * C.ranks[2] - C.reduction(2).rank
+
+    @property
+    def form_rank(self) -> int:
+        return self.base.reduction(3).rank
 
 
 def dual_form_mismatch_reasons(C: ChainComplex) -> tuple[str, ...]:
@@ -277,14 +283,7 @@ def dual_form_mismatch_reasons(C: ChainComplex) -> tuple[str, ...]:
 
 def recognize_dual_form(C: ChainComplex):
     """The DualFormView of C, or None when C is not in dual form."""
-    if dual_form_mismatch_reasons(C):
-        return None
-    d1 = C.boundary(1)
-    d2 = C.boundary(2)
-    d3 = C.boundary(3)
-    j_rank = C.group.order * C.ranks[2] - C.reduction(2).rank
-    form_rank = C.reduction(3).rank
-    return DualFormView(base=C, d1=d1, d2=d2, d3=d3, j_rank=j_rank, form_rank=form_rank)
+    return None if dual_form_mismatch_reasons(C) else DualFormView(C)
 
 
 # -- anti-self-duality and the parity obstruction ------------------------
@@ -292,7 +291,8 @@ def recognize_dual_form(C: ChainComplex):
 
 def is_anti_self_dual(view: DualFormView) -> bool:
     """True exactly when d3* == -d3 (the form is antisymmetric)."""
-    return view.d3.dual() == -view.d3
+    d3 = view.base.boundary(3)
+    return d3.dual() == -d3
 
 
 @dataclass(frozen=True)
@@ -334,9 +334,10 @@ class NormalizedDuality:
     """A duality equivalence pushed to the shape (-1,-1,theta2,theta1,1,1).
 
     ``homotopy`` connects psi to the (possibly globally negated) input phi.
-    The central square d3 theta2 == theta1 d3* always holds exactly.  The
-    diagonal augmentation residues of theta1/theta2 mod |G| are recorded
-    but only asserted for specific families by callers.
+    The central square d3 theta2 == theta1 d3* always holds exactly: it is
+    psi's checked square at boundary(3), the dual's boundary(3) being d3*.
+    The diagonal augmentation residues of theta1/theta2 mod |G| are
+    recorded but only asserted for specific families by callers.
     """
 
     phi: ChainMap
@@ -367,7 +368,7 @@ def normalize_duality(view: DualFormView, phi: ChainMap) -> NormalizedDuality:
     """Homotope phi: dual(C) -> C to psi = (-1, -1, theta2, theta1, 1, 1).
 
     Requires end scalars (1, -1); a phi with scalars (-1, 1) is globally
-    negated first, which preserves the complex (the stored d3 is never
+    negated first, which preserves the complex (boundary(3) is never
     touched).  The lifts I0, I1 and the dualized I4, I3 exist exactly
     because the complex is exact at degrees 1 and 4 with Z ends; I2 = 0.
     """
@@ -387,7 +388,7 @@ def normalize_duality(view: DualFormView, phi: ChainMap) -> NormalizedDuality:
         raise ValueError(f"end scalars must be (1, -1) up to global sign, got {scalars}")
 
     G = C.group
-    d1, d2, d3 = view.d1, view.d2, view.d3
+    d1, d2 = C.boundary(1), C.boundary(2)
     r0, r1, r2 = C.ranks[0], C.ranks[1], C.ranks[2]
     one0 = GRMatrix.identity(G, r0)
     one1 = GRMatrix.identity(G, r1)
@@ -405,20 +406,12 @@ def normalize_duality(view: DualFormView, phi: ChainMap) -> NormalizedDuality:
     theta1 = p2 + I1 @ d2
     theta2 = p3 + d2.dual() @ I3
 
-    psi = ChainMap(
-        phi.source,
-        phi.target,
-        (one0, one1, theta1, theta2, -one1, -one0),
-    )
-    psi_report = is_chain_map(psi)
-    if not psi_report.is_chain_map:
+    psi = ChainMap(phi.source, phi.target, (one0, one1, theta1, theta2, -one1, -one0))
+    if not is_chain_map(psi).is_chain_map:
         raise AssertionError("normalized psi fails the chain map check")
-    if d3 @ theta2 != theta1 @ d3.dual():
-        raise AssertionError("central square identity fails for the normalized psi")
 
     homotopy = ChainHomotopy(first=psi, second=phi, components=(I0, I1, I2, I3, I4))
-    hreport = verify_homotopy(homotopy)
-    if not hreport.ok:
+    if not verify_homotopy(homotopy).ok:
         raise AssertionError("constructed homotopy fails verification")
 
     return NormalizedDuality(
@@ -540,20 +533,27 @@ def _flatten(matrices) -> list[int]:
     return out
 
 
+def _is_chain_iso(a: ChainComplex, b: ChainComplex, h, k) -> bool:
+    """True exactly when h: a -> b and k: b -> a are chain maps of 3-term
+    complexes with k_i h_i == 1 == h_i k_i at every degree.  The search and
+    assemble_dual_form both certify through here."""
+    one = GRMatrix.identity
+    return (
+        commuting_squares(a, b, h, (1, 2)).ok
+        and commuting_squares(b, a, k, (1, 2)).ok
+        and all(k_i @ h_i == one(a.group, h_i.cols) and h_i @ k_i == one(a.group, h_i.rows) for h_i, k_i in zip(h, k))
+    )
+
+
 def _certified_pair(a: ChainComplex, b: ChainComplex, comps) -> ChainIsoPair | None:
-    """comps with its inverse, when comps is a chain map a -> b whose
-    components all invert over Z[G] with a chain-map inverse; else None."""
-    if not commuting_squares(a, b, comps, (1, 2)).ok:
-        return None
+    """comps with its inverse, when every component inverts over Z[G] and
+    the two are mutually inverse chain isomorphisms a -> b; else None."""
     inverses = []
     for m in comps:
-        inv = invert_gr_matrix(m)
-        if inv is None:
+        inverses.append(invert_gr_matrix(m))
+        if inverses[-1] is None:
             return None
-        inverses.append(inv)
-    if not commuting_squares(b, a, inverses, (1, 2)).ok:
-        return None
-    return ChainIsoPair(h=tuple(comps), k=tuple(inverses))
+    return ChainIsoPair(h=tuple(comps), k=tuple(inverses)) if _is_chain_iso(a, b, comps, inverses) else None
 
 
 def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int = 64):
@@ -571,19 +571,19 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
        kernel of A, read from the same SNF.
 
     So budget 1 tries the identity only, 2 adds the affine trial, and 3 or
-    more adds Babai.  The affine and Babai candidates are certified the
-    same way: a chain map whose components all invert over Z[G] with a
-    chain-map inverse.
-    Returns a ChainIsoPair or None; None means the search failed, not that
-    no isomorphism exists.
+    more adds Babai; a budget below 1 is a ValueError.  The affine and
+    Babai candidates lie in ker A, so they are chain maps; each is inverted
+    over Z[G] and the pair is certified by _is_chain_iso.
+    Returns a ChainIsoPair or None; None means the search ran and failed,
+    not that no isomorphism exists.
     """
     if tail.group != head.group or tail.ranks != head.ranks:
         raise ValueError("segments must share the group and the per-degree ranks")
     if tail.top_degree != 2 or head.top_degree != 2:
         raise ValueError("segments must be 3-term complexes")
-
     if budget < 1:
-        return None
+        raise ValueError(f"the search budget must be at least 1, got {budget}")
+
     ident = tuple(GRMatrix.identity(tail.group, r) for r in tail.ranks)
     if tail.differentials == head.differentials:
         return ChainIsoPair(h=ident, k=ident)
@@ -617,9 +617,15 @@ def assemble_dual_form(C6: ChainComplex, iso: ChainIsoPair) -> AssembledDualForm
     """Conjugate a stage-6 complex into honest dual form.
 
     ``iso`` must be a pair of mutually inverse chain isomorphisms from the
-    tail of C6 to the dual of its head.  The new middle differential is
-    boundary(3) composed with the dual of the inverse's middle component;
-    the outer differentials become exact mirror duals.
+    tail of C6 to the dual of its head; _is_chain_iso checks it once.  The
+    new middle differential is boundary(3) composed with the dual of the
+    inverse's middle component; the outer differentials become exact mirror
+    duals.  The result is validated, since C6 never is, and then mirrors
+    by construction, so its view needs no recognition.
+
+    The conjugation (1, 1, 1, h2*, h1*, h0*) is a chain map by proof, not
+    by check: its squares at degrees 1-2 are identities on the shared d1,
+    d2; at 3, d3 k2* h2* == d3 (h2 k2)* == d3; at 4-5, the duals of h's.
     """
     if C6.top_degree != 5:
         raise ValueError("assembly requires a length-6 complex")
@@ -627,13 +633,8 @@ def assemble_dual_form(C6: ChainComplex, iso: ChainIsoPair) -> AssembledDualForm
     head = dual_head_segment(C6)
     if tail.ranks != head.ranks:
         raise ValueError("tail and dual head ranks disagree; run the stage-6 pipeline first")
-    if not (commuting_squares(tail, head, iso.h, (1, 2)).ok and commuting_squares(head, tail, iso.k, (1, 2)).ok):
-        raise ValueError("iso is not a pair of chain maps between the tail and the dual head")
-    for h_i, k_i in zip(iso.h, iso.k):
-        if k_i @ h_i != GRMatrix.identity(C6.group, h_i.cols) or h_i @ k_i != GRMatrix.identity(
-            C6.group, h_i.rows
-        ):
-            raise ValueError("iso components are not mutually inverse")
+    if not _is_chain_iso(tail, head, iso.h, iso.k):
+        raise ValueError("iso is not a pair of mutually inverse chain maps between the tail and the dual head")
 
     G = C6.group
     d1 = C6.boundary(1)
@@ -658,21 +659,6 @@ def assemble_dual_form(C6: ChainComplex, iso: ChainIsoPair) -> AssembledDualForm
     if not validate_complex(assembled).ok:
         raise ValueError("assembled complex has nonzero compositions; iso was not a chain isomorphism")
 
-    conj = ChainMap(
-        C6,
-        assembled,
-        (
-            GRMatrix.identity(G, C6.ranks[0]),
-            GRMatrix.identity(G, C6.ranks[1]),
-            GRMatrix.identity(G, C6.ranks[2]),
-            iso.h[2].dual(),
-            iso.h[1].dual(),
-            iso.h[0].dual(),
-        ),
-    )
-    if not is_chain_map(conj).is_chain_map:
-        raise ValueError("conjugation by iso does not commute with the differentials")
-    view = recognize_dual_form(assembled)
-    if view is None:
-        raise ValueError("assembled complex failed dual-form recognition")
-    return AssembledDualForm(complex=assembled, conjugation=conj, view=view)
+    ident = tuple(GRMatrix.identity(G, r) for r in C6.ranks[:3])
+    conj = ChainMap(C6, assembled, ident + tuple(h_i.dual() for h_i in reversed(iso.h)))
+    return AssembledDualForm(complex=assembled, conjugation=conj, view=DualFormView(assembled))

@@ -150,7 +150,7 @@ def test_criterion_7_duality_normalization():
         assert psi[2] == nd.theta1 and psi[3] == nd.theta2
         assert is_chain_map(nd.psi).is_chain_map
         assert verify_homotopy(nd.homotopy).ok
-        assert view.d3 @ nd.theta2 == nd.theta1 @ view.d3.dual()
+        assert view.base.boundary(3) @ nd.theta2 == nd.theta1 @ view.base.boundary(3).dual()
     report(7, "duality normalization to (-1,-1,theta2,theta1,1,1)", "n = 2..20")
 
 

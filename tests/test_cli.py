@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from zgdual.group_core import GroupRingElement
 from zgdual.gr_linalg import GRMatrix
 from zgdual.lens import lens_complex, lens_duality_map
 from zgdual.serialize import (
+    MAX_CYCLIC_ORDER,
     canonical_dumps,
     complex_to_json,
     duality_map_to_json,
@@ -303,6 +305,52 @@ class TestHostileJson:
         path = tmp_path / "order.json"
         path.write_text(text.replace('"order": 2', '"order": ' + "7" * 5000))
         self.assert_usage_error(capsys, ("check", str(path)), "is not valid JSON: Exceeds the limit")
+
+
+class TestBoundedArguments:
+    """A search budget below 1 and a cyclic order above MAX_CYCLIC_ORDER
+    are usage errors, reported before any work is done."""
+
+    def assert_usage_error(self, capsys, argv, as_json, message):
+        code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 2
+        if as_json:
+            report = json.loads(out)
+            assert (report["error"], report["verdicts"], err) == (message, [], "")
+        else:
+            assert (out, err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_budget_below_one(self, capsys, tmp_path, budget, as_json):
+        out_file = tmp_path / "stage6.json"
+        argv = ["dualform", write_lens(tmp_path, 3), "--assemble", "--budget", str(budget), "-o", str(out_file)]
+        self.assert_usage_error(capsys, argv, as_json, f"--budget must be at least 1, got {budget}")
+        assert not out_file.exists()
+        # checked before the file is read
+        argv[1] = str(tmp_path / "missing.json")
+        self.assert_usage_error(capsys, argv, as_json, f"--budget must be at least 1, got {budget}")
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_cyclic_order_above_the_limit(self, capsys, tmp_path, as_json):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(_c2_file(group={"type": "cyclic", "order": 10**9})))
+        tracemalloc.start()
+        try:
+            self.assert_usage_error(
+                capsys, ("check", str(path)), as_json,
+                f"{path}: malformed complex file: cyclic group order {10**9} exceeds the limit {MAX_CYCLIC_ORDER}",
+            )
+            for n in (10**9, MAX_CYCLIC_ORDER + 1):
+                self.assert_usage_error(
+                    capsys, ("lens", "--n", str(n)), as_json,
+                    f"lens spaces need n <= {MAX_CYCLIC_ORDER}, the cyclic order limit",
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a table of order 10**9 would need 10**18 entries; none is started
+        assert peak < 1_000_000
 
 
 class TestHomologyCommand:

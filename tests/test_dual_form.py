@@ -13,10 +13,11 @@ from conftest import (
     twisted_lens,
     twisted_sym3_presentation,
 )
-from zgdual import dual_form
+from zgdual import complexes, dual_form
 from zgdual.complexes import (
     ChainComplex,
     ChainMap,
+    commuting_squares,
     compose_maps,
     dualize_complex,
     euler_characteristic,
@@ -352,7 +353,7 @@ class TestRecognition:
         for n in (2, 5, 9):
             view = recognize_dual_form(lens_complex(n))
             assert view is not None
-            assert view.d3 == GRMatrix.one_by_one(poly(cyclic_group(n), (1, 0), (-1, -1)))
+            assert view.base.boundary(3) == GRMatrix.one_by_one(poly(cyclic_group(n), (1, 0), (-1, -1)))
             assert view.j_rank == n - 1
             assert view.form_rank == n - 1
 
@@ -360,7 +361,7 @@ class TestRecognition:
         t = lens_asd_transform(5)
         view = recognize_dual_form(t.complex)
         assert view is not None
-        assert view.d3 == GRMatrix.one_by_one(t.unit.alpha)
+        assert view.base.boundary(3) == GRMatrix.one_by_one(t.unit.alpha)
 
     def test_twisted_lens_not_recognized(self):
         C = twisted_lens(5)
@@ -386,6 +387,22 @@ class TestRecognition:
         views.append(recognize_dual_form(to_dual_form_stage6(lens_complex(4)).complex))
         for v in views:
             assert v.form_rank <= v.j_rank
+
+    def test_recognition_and_asd_reduce_nothing(self, monkeypatch):
+        # the view reads j_rank and form_rank from the complex when asked
+        def no_reduction(A):
+            raise AssertionError("recognition and the ASD check reduce nothing")
+
+        cases = [(lens_complex(n), False) for n in (2, 5, 9, 12)]
+        cases += [(lens_asd_transform(n).complex, True) for n in (5, 9)]
+        cases.append((to_dual_form_stage6(lens_complex(4)).complex, False))
+        monkeypatch.setattr(complexes, "smith_normal_form", no_reduction)
+        monkeypatch.setattr(dual_form, "smith_normal_form", no_reduction)
+        views = [recognize_dual_form(C) for C, _ in cases]
+        assert [is_anti_self_dual(v) for v in views] == [asd for _, asd in cases]
+        assert recognize_dual_form(twisted_lens(5)) is None
+        monkeypatch.undo()
+        assert [v.j_rank for v in views[:4]] == [1, 4, 8, 11]
 
 
 class TestPerStageInvariance:
@@ -586,6 +603,13 @@ class TestChainIsomorphismSolver:
                 vec_h = IntegerMatrix.from_rows([[v] for v in dual_form._flatten(h)])
                 assert A @ vec_h == IntegerMatrix.from_rows([[v] for v in dual_form._flatten(residual)])
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_is_an_error(self, budget):
+        # None means a search ran and failed; a budget below 1 runs none
+        tail, head = stage6_segments(lens_complex(3))
+        with pytest.raises(ValueError, match=f"the search budget must be at least 1, got {budget}"):
+            solve_chain_isomorphism(tail, head, budget=budget)
+
     def test_shape_mismatch(self):
         p5 = to_dual_form_stage6(lens_complex(5))
         p3 = to_dual_form_stage6(lens_complex(3))
@@ -628,6 +652,36 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_dual_form(pipe.complex, ChainIsoPair(h=two, k=two))
 
+    def test_rejects_an_invertible_pair_that_is_not_a_chain_map(self):
+        # h = (1, diag(t, 1, 1, 1), 1) inverts degreewise but breaks the square at boundary(1)
+        pipe = to_dual_form_stage6(lens_complex(5))
+        G = pipe.complex.group
+        tail, head = tail_segment(pipe.complex), dual_head_segment(pipe.complex)
+
+        def diag_first(u):
+            return GRMatrix.identity(G, 4) + GRMatrix.from_rows(
+                G, [[u - GroupRingElement.one(G) if i == j == 0 else GroupRingElement.zero(G) for j in range(4)]
+                    for i in range(4)]
+            )
+
+        h = (GRMatrix.identity(G, 2), diag_first(tpow(G, 1)), GRMatrix.identity(G, 6))
+        k = (GRMatrix.identity(G, 2), diag_first(tpow(G, -1)), GRMatrix.identity(G, 6))
+        assert all(k_i @ h_i == h_i @ k_i == GRMatrix.identity(G, h_i.rows) for h_i, k_i in zip(h, k))
+        assert commuting_squares(tail, head, h, (1, 2)).failures == ("square at boundary(1) does not commute",)
+        with pytest.raises(ValueError, match="not a pair of mutually inverse chain maps"):
+            assemble_dual_form(pipe.complex, ChainIsoPair(h=h, k=k))
+
+    @pytest.mark.parametrize("make", [partial(twisted_lens, n) for n in range(3, 12)] + [twisted_sym3_presentation])
+    def test_conjugation_and_inverse_hold_as_oracles(self, make):
+        # assemble_dual_form proves these instead of checking them at run time
+        pipe = to_dual_form_stage6(make())
+        tail, head = tail_segment(pipe.complex), dual_head_segment(pipe.complex)
+        iso = solve_chain_isomorphism(tail, head, budget=2)
+        asm = assemble_dual_form(pipe.complex, iso)
+        assert is_chain_map(asm.conjugation).is_chain_map
+        assert_mutual_chain_isomorphism(tail, head, iso)
+        assert asm.view == recognize_dual_form(asm.complex)
+
 
 class TestNormalizeDuality:
     def test_lens_fixed_point(self):
@@ -664,7 +718,7 @@ class TestNormalizeDuality:
         assert nd.theta1_aug_residue == 1
         assert nd.theta2_aug_residue == 4
         # central square identity is part of the construction; re-check
-        assert view.d3 @ nd.theta2 == nd.theta1 @ view.d3.dual()
+        assert view.base.boundary(3) @ nd.theta2 == nd.theta1 @ view.base.boundary(3).dual()
 
     def test_rejects_non_chain_map(self):
         A = lens_complex(5)

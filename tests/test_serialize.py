@@ -11,6 +11,7 @@ from zgdual.group_core import GroupRingElement, cyclic_group, norm_element
 from zgdual.gr_linalg import GRMatrix
 from zgdual.lens import lens_asd_transform, lens_complex, lens_duality_map
 from zgdual.serialize import (
+    MAX_CYCLIC_ORDER,
     canonical_dumps,
     complex_from_json,
     complex_to_json,
@@ -40,6 +41,12 @@ class TestGroupJson:
     def test_bad_type(self):
         with pytest.raises(ValueError):
             group_from_json({"type": "free"})
+
+    def test_cyclic_order_is_bounded(self):
+        assert group_from_json({"type": "cyclic", "order": MAX_CYCLIC_ORDER}).order == MAX_CYCLIC_ORDER
+        for order in (MAX_CYCLIC_ORDER + 1, 10**9):
+            with pytest.raises(ValueError, match=f"cyclic group order {order} exceeds the limit"):
+                group_from_json({"type": "cyclic", "order": order})
 
     def test_standard_cyclic_table_serializes_as_cyclic(self):
         table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
