@@ -22,6 +22,11 @@ else 1 when any verdict has "pass": false, else 0.  Any other exception
 from a handler becomes the failing verdict "internal_error", so the
 report is still printed and the exit code is 1, never a traceback.
 
+normalize reports "psi_is_chain_map" and "central_square_identity" as
+passing whenever normalize_duality returns: they hold by the proof in its
+docstring (psi differs from the checked phi by the checked homotopy), so
+they are not multiplied out again.
+
 Reports are deterministic for identical inputs: timings are segregated
 under a "timings" key and never enter the verdict body.
 """

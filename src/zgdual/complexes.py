@@ -542,6 +542,8 @@ def is_chain_map(f: ChainMap) -> ChainMapReport:
     the top scalar y the one induced on ker(boundary(top)) = Z; either is
     None when the corresponding end is not certified Z on both sides.  The
     top is read as the bottom of the transposes, like the end reports.
+    It is for callers that read the end scalars; every other caller checks
+    only the squares, with commuting_squares.
     """
     T = f.source.top_degree
     squares = commuting_squares(f.source, f.target, f.components, range(1, T + 1))

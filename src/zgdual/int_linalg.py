@@ -222,6 +222,8 @@ class SmithDecomposition:
 
     def U_row(self, i: int) -> tuple[int, ...]:
         """Row i of U, by one replay of the row log."""
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range for {self.rows} rows")
         return _unit_columns(self.row_ops, self.rows, i, i + 1)[0]
 
     def kernel_columns(self) -> list[tuple[int, ...]]:

@@ -16,6 +16,7 @@ from conftest import (
 from zgdual import complexes, dual_form
 from zgdual.complexes import (
     ChainComplex,
+    ChainHomotopy,
     ChainMap,
     commuting_squares,
     compose_maps,
@@ -25,6 +26,7 @@ from zgdual.complexes import (
     homology,
     identity_map,
     is_chain_map,
+    scalar_diagonal_map,
     validate_complex,
     verify_homotopy,
 )
@@ -83,6 +85,37 @@ def assert_mutual_chain_isomorphism(tail, head, iso):
     for h, k in zip(iso.h, iso.k):
         assert k @ h == GRMatrix.identity(G, h.cols)
         assert h @ k == GRMatrix.identity(G, h.rows)
+
+
+def perturbed(phi, rng):
+    """phi + d S + S D for a seeded sparse S, D and d the boundaries of
+    phi's source and target: a chain map homotopic to phi through S, drawn
+    again until it moves an end component, so that normalizing it from a
+    phi with +-1 ends needs a nonzero lift.  Returns the map and S."""
+    src, tgt = phi.source, phi.target
+    G = src.group
+    T = src.top_degree
+
+    def entry():
+        if rng.random() < 0.5:
+            return GroupRingElement.zero(G)
+        terms = [(rng.choice((-2, -1, 1, 2)), rng.randrange(G.order)) for _ in range(rng.randint(1, 3))]
+        return GroupRingElement.from_terms(G, terms)
+
+    while True:
+        S = tuple(
+            GRMatrix.from_rows(G, [[entry() for _ in range(src.ranks[i])] for _ in range(tgt.ranks[i + 1])])
+            for i in range(T)
+        )
+        comps = []
+        for i, c in enumerate(phi.components):
+            if i < T:
+                c = c + tgt.boundary(i + 1) @ S[i]
+            if i > 0:
+                c = c + S[i - 1] @ src.boundary(i)
+            comps.append(c)
+        if comps[0] != phi.components[0] or comps[T] != phi.components[T]:
+            return ChainMap(src, tgt, tuple(comps)), S
 
 
 class TestStabilize:
@@ -671,6 +704,14 @@ class TestAssembly:
         with pytest.raises(ValueError, match="not a pair of mutually inverse chain maps"):
             assemble_dual_form(pipe.complex, ChainIsoPair(h=h, k=k))
 
+    @pytest.mark.parametrize("h_len, k_len", [(3, 2), (2, 2), (4, 3)])
+    def test_iso_needs_three_components_per_side(self, h_len, k_len):
+        pipe = to_dual_form_stage6(lens_complex(5))
+        iso = solve_chain_isomorphism(tail_segment(pipe.complex), dual_head_segment(pipe.complex), budget=1)
+        h, k = (iso.h + iso.h)[:h_len], (iso.k + iso.k)[:k_len]
+        with pytest.raises(ValueError, match="not a pair of mutually inverse chain maps"):
+            assemble_dual_form(pipe.complex, ChainIsoPair(h=h, k=k))
+
     @pytest.mark.parametrize("make", [partial(twisted_lens, n) for n in range(3, 12)] + [twisted_sym3_presentation])
     def test_conjugation_and_inverse_hold_as_oracles(self, make):
         # assemble_dual_form proves these instead of checking them at run time
@@ -720,6 +761,25 @@ class TestNormalizeDuality:
         # central square identity is part of the construction; re-check
         assert view.base.boundary(3) @ nd.theta2 == nd.theta1 @ view.base.boundary(3).dual()
 
+    @pytest.mark.parametrize("n", [*range(2, 14), 29, 41, "sym3"])
+    def test_perturbed_duality_normalizes(self, n):
+        # psi is a chain map by proof; these re-check it as oracles
+        if n == "sym3":
+            C = sym3_presentation()[0]
+            phi = scalar_diagonal_map(dualize_complex(C), C, (1, 1, 1, -1, -1, -1))
+        else:
+            C, phi = lens_complex(n), lens_duality_map(n)
+        phi2, S = perturbed(phi, random.Random(f"perturb-{n}"))
+        assert verify_homotopy(ChainHomotopy(phi2, phi, S)).ok
+        view = recognize_dual_form(C)
+        nd = normalize_duality(view, phi2)
+        assert not all(I.is_zero for I in nd.homotopy.components)
+        assert is_chain_map(nd.psi).is_chain_map
+        assert verify_homotopy(nd.homotopy).ok
+        assert C.boundary(3) @ nd.theta2 == nd.theta1 @ C.boundary(3).dual()
+        if n != "sym3":
+            assert (nd.theta1_aug_residue, nd.theta2_aug_residue) == (1, n - 1)
+
     def test_rejects_non_chain_map(self):
         A = lens_complex(5)
         view = recognize_dual_form(A)
@@ -734,6 +794,51 @@ class TestNormalizeDuality:
         view = recognize_dual_form(A)
         with pytest.raises(ValueError):
             normalize_duality(view, identity_map(A))
+
+
+class TestChainMapChecksRunOnce:
+    """Each chain-map fact is multiplied out once; the rest hold by the
+    proofs in the docstrings of normalize_duality, lens_asd_transform and
+    _is_chain_iso."""
+
+    @pytest.fixture
+    def square_checks(self, monkeypatch):
+        calls = []
+        real = complexes.commuting_squares
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(complexes, "commuting_squares", counting)
+        monkeypatch.setattr(dual_form, "commuting_squares", counting)
+        return calls
+
+    def test_normalize_checks_phi_only(self, square_checks):
+        maps = [(lens_complex(n), lens_duality_map(n)) for n in (2, 5, 7)]
+        t = lens_asd_transform(5)
+        maps.append((t.complex, t.homotopy.first))
+        for C, phi in maps:
+            square_checks.clear()
+            normalize_duality(recognize_dual_form(C), phi)
+            assert [args[2] for args in square_checks] == [phi.components]
+
+    def test_asd_transform_checks_no_squares(self, square_checks):
+        for n in (5, 9):
+            lens_asd_transform(n)
+        assert square_checks == []
+
+    @pytest.mark.parametrize("make", [partial(twisted_lens, 5), twisted_sym3_presentation])
+    def test_chain_iso_checks_h_only(self, make, square_checks):
+        pipe = to_dual_form_stage6(make())
+        tail, head = tail_segment(pipe.complex), dual_head_segment(pipe.complex)
+        iso = solve_chain_isomorphism(tail, head, budget=2)
+        square_checks.clear()
+        assert dual_form._is_chain_iso(tail, head, iso.h, iso.k)
+        assert [args[2] for args in square_checks] == [iso.h]
+        square_checks.clear()
+        assemble_dual_form(pipe.complex, iso)
+        assert [args[2] for args in square_checks] == [iso.h]
 
 
 class TestAntiSelfDuality:

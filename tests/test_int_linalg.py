@@ -102,6 +102,13 @@ class TestSmithNormalForm:
         B = IntegerMatrix.from_rows([[3], [6], [9]])
         assert smith_normal_form(B).diagonal == (3,)
 
+    def test_u_row_checks_its_index(self):
+        snf = smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
+        assert [snf.U_row(i) for i in range(2)] == [tuple(row) for row in snf.U.entries]
+        for i in (2, -1, 99):
+            with pytest.raises(IndexError, match="out of range"):
+                snf.U_row(i)
+
     def test_rank_oracle_up_to_12(self):
         rng = random.Random(101)
         for _ in range(20):

@@ -162,6 +162,11 @@ class TestAsdTransform:
         assert t.f.components == (one, one, GRMatrix.one_by_one(t.unit.beta), one, one, one)
         assert is_chain_map(t.f).is_chain_map
 
+    @pytest.mark.parametrize("n", range(5, 42, 4))
+    def test_f_is_a_chain_map(self, n):
+        # f is a chain map by proof from asd_unit's identities; checked here as an oracle
+        assert is_chain_map(lens_asd_transform(n).f).is_chain_map
+
     def test_n13_full(self):
         t = lens_asd_transform(13)
         view = recognize_dual_form(t.complex)
