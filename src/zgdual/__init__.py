@@ -28,13 +28,11 @@ from zgdual.complexes import (
     ChainComplex,
     ChainHomotopy,
     ChainMap,
-    cohomology,
     dualize_complex,
     dual_map,
     euler_characteristic,
     five_complex_report,
     homology,
-    identity_map,
     is_chain_map,
     validate_complex,
     verify_homotopy,
@@ -48,9 +46,7 @@ from zgdual.dual_form import (
     normalize_duality,
     obstruction_check,
     recognize_dual_form,
-    simple_move,
     solve_chain_isomorphism,
-    stabilize,
     to_dual_form_stage6,
 )
 from zgdual.lens import (

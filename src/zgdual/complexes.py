@@ -234,11 +234,11 @@ def dualize_complex(C: ChainComplex) -> ChainComplex:
 # -- homology ------------------------------------------------------------
 
 
-def _spot(C: ChainComplex, degree: int, coefficients: str, outgoing: int, incoming: int) -> AbelianGroupInfo:
-    """The rank identity of int_linalg.homology_from_invariants at C's
-    module of the given degree, from C's reductions: the rank of
-    boundary(outgoing) and the invariant factors of boundary(incoming).
-    An index outside 1..top_degree stands for a zero map at an end.
+def homology(C: ChainComplex, degree: int, coefficients: str = "integral") -> AbelianGroupInfo:
+    """ker(boundary(degree)) / im(boundary(degree+1)), from C's reductions:
+    the rank identity of int_linalg.homology_from_invariants, with the rank
+    of boundary(degree) and the invariant factors of boundary(degree+1).  A
+    boundary outside 1..top_degree is a zero map at an end.
 
     Raises ValueError when the two boundaries at the spot do not compose to
     zero (see ChainComplex.composition_zero); other spots still answer.
@@ -254,28 +254,9 @@ def _spot(C: ChainComplex, degree: int, coefficients: str, outgoing: int, incomi
             "not a complex at this spot"
         )
     middle = C.ranks[degree] * (C.group.order if coefficients == "integral" else 1)
-    outgoing_rank = C.reduction(outgoing, coefficients).rank if 1 <= outgoing <= T else 0
-    incoming_factors = C.reduction(incoming, coefficients).diagonal if 1 <= incoming <= T else ()
+    outgoing_rank = C.reduction(degree, coefficients).rank if degree >= 1 else 0
+    incoming_factors = C.reduction(degree + 1, coefficients).diagonal if degree < T else ()
     return homology_from_invariants(middle, outgoing_rank, incoming_factors)
-
-
-def homology(C: ChainComplex, degree: int, coefficients: str = "integral") -> AbelianGroupInfo:
-    """ker(boundary(degree)) / im(boundary(degree+1)), from C's reductions."""
-    return _spot(C, degree, coefficients, degree, degree + 1)
-
-
-def cohomology(C: ChainComplex, degree: int, coefficients: str = "integral") -> AbelianGroupInfo:
-    """Homology of dualize_complex(C) at degree top - degree, read from C's
-    own reductions, so it reduces nothing that homology does not.
-
-    The coboundary out of degree i is dual(boundary(i+1)) and the one into
-    it is dual(boundary(i)).  Expansion and augmentation turn the dual into
-    the transpose, which has the same rank and invariant factors (Hatcher,
-    Algebraic Topology, 3.1).  So the free rank is the middle rank minus
-    rank(boundary(i+1)) minus rank(boundary(i)), and the torsion is the
-    invariant factors of boundary(i) above 1.
-    """
-    return _spot(C, degree, coefficients, degree + 1, degree)
 
 
 # -- augmented ends ----------------------------------------------------
@@ -432,9 +413,6 @@ class ChainMap:
                     f"component {i} has shape {f.rows}x{f.cols}, expected "
                     f"{self.target.ranks[i]}x{self.source.ranks[i]}"
                 )
-
-def identity_map(C: ChainComplex) -> ChainMap:
-    return ChainMap(C, C, tuple(GRMatrix.identity(C.group, r) for r in C.ranks))
 
 
 def negate_map(f: ChainMap) -> ChainMap:

@@ -8,14 +8,12 @@ so boundary(5) == dual(boundary(1)) and boundary(4) == dual(boundary(2)).
 The middle map d3 then encodes a G-invariant bilinear form on the dual J of
 ker(d2).  This module provides:
 
-* stabilization, which appends free generators to the top module, and
-  simple homotopy moves, each a direct sum with a free summand that
-  ``_direct_sum`` appends after the existing blocks (a move's equivalences
-  are the leading-block inclusion and projection);
 * the five-move pipeline taking any algebraic 5-complex to a mirrored
   stage-6 shape, with the middle gluing isomorphism chosen as the identity
   (legitimate because the Euler characteristic forces the two middle ranks
-  to agree);
+  to agree); each move is a simple homotopy expansion, a direct sum with a
+  free summand that ``_direct_sum`` appends after the existing blocks, so
+  the equivalences are the leading-block inclusion and projection;
 * a best-effort solver for the final chain isomorphism between the tail of
   the stage-6 complex and the dual of its head, plus the conjugation step
   that produces an honest dual-form complex from it;
@@ -54,16 +52,16 @@ from zgdual.int_linalg import (
 )
 
 
-# -- stabilization and simple homotopy moves ---------------------------
+# -- the stage-6 pipeline ----------------------------------------------
 
 
 def _direct_sum(C: ChainComplex, plan) -> ChainComplex:
     """C plus one free summand per (position, rank) move of ``plan``, in
-    order.  A move appends ``rank`` generators after the existing ones at
-    degrees position and position+1: boundary(position+1) gains rows that
-    are the identity on its new columns, boundary(position+2) gains zero
-    rows, and every boundary is zero-padded on its new columns, as are the
-    end certificates.
+    order, each a simple homotopy expansion.  A move appends ``rank``
+    generators after the existing ones at degrees position and position+1:
+    boundary(position+1) gains rows that are the identity on its new
+    columns, boundary(position+2) gains zero rows, and every boundary is
+    zero-padded on its new columns, as are the end certificates.
     """
     G = C.group
     one = GroupRingElement.one(G)
@@ -85,44 +83,11 @@ def _direct_sum(C: ChainComplex, plan) -> ChainComplex:
     )
 
 
-def stabilize(C: ChainComplex, n: int) -> ChainComplex:
-    """Add a free rank-n summand to the top module, boundary extended by 0.
-
-    The top kernel grows by Z[G]^n, so the top generator certificate is
-    dropped (for n > 0); homology below the top degree is unchanged.
-    """
-    if n < 0:
-        raise ValueError("stabilization rank must be non-negative")
-    if n == 0:
-        return C
-    T = C.top_degree
-    if T == 0:
-        return ChainComplex(C.group, (C.ranks[0] + n,), ())
-    d = C.boundary(T)
-    top = GRMatrix._from_sparse_rows(C.group, d.cols + n, d.sparse_rows)
-    return ChainComplex(
-        C.group,
-        C.ranks[:T] + (C.ranks[T] + n,),
-        C.differentials[: T - 1] + (top,),
-        bottom_generator=C.bottom_generator,
-    )
-
-
 @dataclass(frozen=True)
 class MoveRecord:
-    direction: str  # "expand" | "collapse"
+    direction: str  # "expand": the pipeline only expands
     position: int  # the lower of the two degrees touched
     rank: int
-
-
-@dataclass(frozen=True)
-class SimpleMoveResult:
-    """``forward``/``backward`` are the mutually inverse equivalences."""
-
-    complex: ChainComplex
-    forward: ChainMap  # original -> new
-    backward: ChainMap  # new -> original
-    record: MoveRecord
 
 
 def _leading_block_maps(small: ChainComplex, big: ChainComplex) -> tuple[ChainMap, ChainMap]:
@@ -139,63 +104,6 @@ def _leading_block_maps(small: ChainComplex, big: ChainComplex) -> tuple[ChainMa
         ChainMap(small, big, tuple(leading(R, r) for r, R in pairs)),
         ChainMap(big, small, tuple(leading(r, R) for r, R in pairs)),
     )
-
-
-def _collapse_move(C: ChainComplex, position: int, rank: int) -> SimpleMoveResult:
-    """Inverse of an expansion: the leading blocks of C, accepted only when
-    expanding them again gives C back exactly.
-    """
-    p, f = position, rank
-    ranks = list(C.ranks)
-    ranks[p] -= f
-    ranks[p + 1] -= f
-    if ranks[p] < 0 or ranks[p + 1] < 0:
-        raise ValueError("collapse rank exceeds the module ranks at the move position")
-    diffs = tuple(
-        GRMatrix._from_sparse_rows(
-            C.group, c, [{j: e for j, e in line.items() if j < c} for line in d.sparse_rows[:r]]
-        )
-        for d, r, c in zip(C.differentials, ranks, ranks[1:])
-    )
-    top, bottom = C.top_generator, C.bottom_generator
-    core = ChainComplex(
-        C.group,
-        tuple(ranks),
-        diffs,
-        top_generator=None if top is None else tuple(top[: ranks[-1]]),
-        bottom_generator=None if bottom is None else tuple(bottom[: ranks[0]]),
-    )
-    E = _direct_sum(core, [(p, f)])
-    if E != C:
-        differs = [f"boundary({i})" for i in range(1, C.top_degree + 1) if E.boundary(i) != C.boundary(i)]
-        differs.append("the top generator" if E.top_generator != C.top_generator else "the bottom generator")
-        raise ValueError(f"cannot collapse: {differs[0]} is not the expansion of its leading blocks")
-    backward, forward = _leading_block_maps(core, C)
-    return SimpleMoveResult(core, forward, backward, MoveRecord("collapse", p, f))
-
-
-def simple_move(C: ChainComplex, position: int, rank: int, direction: str = "expand") -> SimpleMoveResult:
-    """Add (expand) or remove (collapse) a free rank-``rank`` summand at
-    degrees position+1 and position, the new differential block being the
-    identity.  Neighbouring differentials compose with the inclusion and
-    projection, so the result is simple homotopy equivalent to the input.
-    ``_direct_sum`` appends the summand after the existing blocks, so the
-    equivalences are the leading-block inclusion and projection.
-    """
-    if not 0 <= position <= C.top_degree - 1:
-        raise ValueError(f"move position {position} out of range 0..{C.top_degree - 1}")
-    if rank < 0:
-        raise ValueError("move rank must be non-negative")
-    if direction == "expand":
-        new = _direct_sum(C, [(position, rank)])
-        inclusion, projection = _leading_block_maps(C, new)
-        return SimpleMoveResult(new, inclusion, projection, MoveRecord("expand", position, rank))
-    if direction == "collapse":
-        return _collapse_move(C, position, rank)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-# -- the stage-6 pipeline ----------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -543,18 +451,22 @@ def _flatten(matrices) -> list[int]:
 def _is_chain_iso(a: ChainComplex, b: ChainComplex, h, k) -> bool:
     """True exactly when h: a -> b and k: b -> a are chain maps of 3-term
     complexes, three components each, with k_i h_i == 1 == h_i k_i at every
-    degree.  The search and
-    assemble_dual_form both certify through here.
+    degree.  The search and assemble_dual_form both certify through here;
+    both require a and b to have equal ranks.
 
-    Only h's squares are multiplied out: with D the boundary of b and d
-    that of a, k's follow from h's and the inverse identities, as
+    Shapes are compared first: each h_i and k_i must be (a.ranks[i],
+    a.ranks[i]), so no product meets a wrong shape.  Then only h's squares
+    and h_i k_i == 1 are multiplied out.  The components being square,
+    k_i h_i == 1 follows (see invert_gr_matrix), and with D the boundary of
+    b and d that of a, k's squares follow from h's and the inverse
+    identities, as
     k_{i-1} D_i == k_{i-1} D_i h_i k_i == k_{i-1} h_{i-1} d_i k_i == d_i k_i.
     """
-    one = GRMatrix.identity
     return (
         len(h) == len(k) == 3
+        and all((m.rows, m.cols) == (r, r) for r, h_i, k_i in zip(a.ranks, h, k) for m in (h_i, k_i))
         and commuting_squares(a, b, h, (1, 2)).ok
-        and all(k_i @ h_i == one(a.group, h_i.cols) and h_i @ k_i == one(a.group, h_i.rows) for h_i, k_i in zip(h, k))
+        and all(h_i @ k_i == GRMatrix.identity(a.group, r) for r, h_i, k_i in zip(a.ranks, h, k))
     )
 
 

@@ -269,12 +269,15 @@ def solve_gr_linear(A: GRMatrix, B: GRMatrix):
 
 
 def invert_gr_matrix(A: GRMatrix):
-    """Two-sided inverse of a square GRMatrix, or None if not a unit."""
+    """Two-sided inverse of a square GRMatrix, or None if not a unit.
+
+    Only A @ X == I is solved, exactly, and that suffices: for square
+    matrices over Z[G], G finite, a one-sided inverse is two-sided.  expand
+    is an injective ring map into square integer matrices, so A X == I gives
+    expand(A) expand(X) == I.  Over Z the determinants multiply to 1, so
+    expand(A) is invertible and expand(X) expand(A) == I too; that is
+    expand(X A), and injectivity gives X A == I.
+    """
     if A.rows != A.cols:
         raise ValueError("only square matrices can be inverted")
-    X = solve_gr_linear(A, GRMatrix.identity(A.group, A.rows))
-    if X is None:
-        return None
-    if (X @ A) != GRMatrix.identity(A.group, A.rows):
-        return None
-    return X
+    return solve_gr_linear(A, GRMatrix.identity(A.group, A.rows))

@@ -15,7 +15,8 @@ import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from zgdual.complexes import ChainComplex
+from zgdual import dual_form
+from zgdual.complexes import ChainComplex, ChainMap
 from zgdual.group_core import GroupRingElement, cyclic_group, group_from_table
 from zgdual.gr_linalg import GRMatrix
 from zgdual.int_linalg import IntegerMatrix, kernel_basis, smith_normal_form, solve_integer
@@ -121,6 +122,18 @@ def groups():
 
 
 # -- complexes ------------------------------------------------------------
+
+
+def identity_map(C):
+    return ChainMap(C, C, tuple(GRMatrix.identity(C.group, r) for r in C.ranks))
+
+
+def expansion(C, position, rank):
+    """One simple homotopy expansion of C by a free rank-``rank`` summand at
+    degrees position and position+1, as the stage-6 pipeline makes it: the
+    complex, with the inclusion and the projection of its leading blocks."""
+    E = dual_form._direct_sum(C, [(position, rank)])
+    return (E, *dual_form._leading_block_maps(C, E))
 
 
 def twist_degree_one(C, u, u_inv):

@@ -511,9 +511,6 @@ class TestNormalizeCommand:
     def test_non_duality_map_fails(self, capsys, tmp_path):
         path = write_lens(tmp_path, 5)
         # identity components do not form a chain map dual(A) -> A
-        from zgdual.complexes import dualize_complex, identity_map
-
-        A = lens_complex(5)
         bogus = {"components": [{"rows": 1, "cols": 1, "entries": [[[[1, 0]]]]} for _ in range(6)]}
         map_path = tmp_path / "bogus.json"
         map_path.write_text(canonical_dumps(bogus))

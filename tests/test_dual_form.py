@@ -1,11 +1,11 @@
 import random
-import re
-from dataclasses import replace
 from functools import partial
 
 import pytest
 
 from conftest import (
+    expansion,
+    identity_map,
     make_dihedral4,
     make_quaternion8,
     make_sym3,
@@ -24,7 +24,6 @@ from zgdual.complexes import (
     euler_characteristic,
     five_complex_report,
     homology,
-    identity_map,
     is_chain_map,
     scalar_diagonal_map,
     validate_complex,
@@ -39,15 +38,13 @@ from zgdual.dual_form import (
     normalize_duality,
     obstruction_check,
     recognize_dual_form,
-    simple_move,
     solve_chain_isomorphism,
-    stabilize,
     tail_segment,
     to_dual_form_stage6,
 )
 from zgdual.group_core import GroupRingElement, cyclic_group, norm_element
-from zgdual.gr_linalg import GRMatrix
-from zgdual.int_linalg import IntegerMatrix, kernel_basis
+from zgdual.gr_linalg import GRMatrix, invert_gr_matrix
+from zgdual.int_linalg import IntegerMatrix
 from zgdual.lens import lens_asd_transform, lens_complex, lens_duality_map
 
 
@@ -118,120 +115,34 @@ def perturbed(phi, rng):
             return ChainMap(src, tgt, tuple(comps)), S
 
 
-class TestStabilize:
-    def test_zero_is_identity(self):
-        A = lens_complex(5)
-        assert stabilize(A, 0) == A
-
-    def test_adds_zero_columns(self):
-        A = lens_complex(5)
-        S = stabilize(A, 2)
-        assert S.ranks == (1, 1, 1, 1, 1, 3)
-        z = GroupRingElement.zero(A.group)
-        assert S.boundary(5) == grid(A.group, [[poly(A.group, (1, 0), (-1, -1)), z, z]])
-
-    def test_drops_the_top_certificate_only(self):
-        # the top kernel grows by Z[G]^n, so the top certificate no longer holds
-        A = lens_complex(5)
-        S = stabilize(A, 2)
-        assert S.top_generator is None
-        assert S.bottom_generator == A.bottom_generator == (1,)
-
-    def test_homology_effect(self):
-        A = lens_complex(5)
-        S = stabilize(A, 2)
-        for d in range(5):
-            assert homology(S, d, "integral") == homology(A, d, "integral")
-        # degree-5 kernel rank grows by 2 |G|
-        before = kernel_basis(A.boundary(5).expand()).cols
-        after = kernel_basis(S.boundary(5).expand()).cols
-        assert after == before + 2 * A.group.order
-
-
 class TestSimpleMove:
+    """The pipeline's moves, one expansion at a time (conftest.expansion)."""
+
     def test_expand_lens_at_zero(self):
         A = lens_complex(5)
         G = A.group
-        res = simple_move(A, 0, 1, "expand")
-        assert res.complex.ranks == (2, 2, 1, 1, 1, 1)
+        E, _, _ = expansion(A, 0, 1)
+        assert E.ranks == (2, 2, 1, 1, 1, 1)
         one = GroupRingElement.one(G)
         z = GroupRingElement.zero(G)
-        assert res.complex.boundary(1) == grid(G, [[poly(G, (1, 0), (-1, 1)), z], [z, one]])
-        assert res.complex.boundary(2) == grid(G, [[norm_element(G)], [z]])
-
-    def test_expand_then_collapse_round_trip(self):
-        A = lens_complex(4)
-        for pos in range(5):
-            res = simple_move(A, pos, 2, "expand")
-            back = simple_move(res.complex, pos, 2, "collapse")
-            assert back.complex == A
-            assert back.complex.top_generator == back.complex.bottom_generator == (1,)
-            assert back.forward == ChainMap(res.complex, A, res.backward.components)
-            assert back.backward == ChainMap(A, res.complex, res.forward.components)
-            assert back.record == dual_form.MoveRecord("collapse", pos, 2)
+        assert E.boundary(1) == grid(G, [[poly(G, (1, 0), (-1, 1)), z], [z, one]])
+        assert E.boundary(2) == grid(G, [[norm_element(G)], [z]])
 
     def test_maps_are_chain_maps_and_compose_to_identity(self):
         A = lens_complex(3)
-        res = simple_move(A, 2, 1, "expand")
-        assert is_chain_map(res.forward).is_chain_map
-        assert is_chain_map(res.backward).is_chain_map
-        roundtrip = compose_maps(res.backward, res.forward)
+        _, inclusion, projection = expansion(A, 2, 1)
+        assert is_chain_map(inclusion).is_chain_map
+        assert is_chain_map(projection).is_chain_map
+        roundtrip = compose_maps(projection, inclusion)
         assert roundtrip.components == identity_map(A).components
 
     def test_homology_invariant_under_expand(self):
         A = lens_complex(5)
         for pos in (0, 2, 4):
-            res = simple_move(A, pos, 2, "expand")
+            E, _, _ = expansion(A, pos, 2)
             for coeff in ("integral", "trivial"):
                 for d in range(6):
-                    assert homology(res.complex, d, coeff) == homology(A, d, coeff)
-
-    def test_collapse_requires_identity_block(self):
-        A = lens_complex(5)
-        with pytest.raises(ValueError):
-            simple_move(A, 1, 1, "collapse")
-
-    @pytest.mark.parametrize("pos", range(5))
-    def test_collapse_rejects_every_perturbed_expansion(self, pos):
-        # L(4) has rank 1 everywhere, so the added summand is rows/columns 1, 2
-        A = lens_complex(4)
-        C = simple_move(A, pos, 2, "expand").complex
-        t = tpow(A.group, 1)
-
-        def with_entry(i, row, col, value):
-            entries = [list(r) for r in C.boundary(i).entries]
-            entries[row][col] = value
-            diffs = list(C.differentials)
-            diffs[i - 1] = grid(C.group, entries)
-            return ChainComplex(C.group, C.ranks, tuple(diffs), C.top_generator, C.bottom_generator)
-
-        cases = [
-            (with_entry(pos + 1, 0, 1, t), f"boundary({pos + 1})"),  # off-diagonal, top right
-            (with_entry(pos + 1, 2, 0, t), f"boundary({pos + 1})"),  # off-diagonal, bottom left
-            (with_entry(pos + 1, 2, 2, t), f"boundary({pos + 1})"),  # trailing block not the identity
-        ]
-        if pos + 2 <= 5:  # the incoming differential hits the summand
-            cases.append((with_entry(pos + 2, 1, 0, t), f"boundary({pos + 2})"))
-        if pos >= 1:  # the outgoing differential reads the summand
-            cases.append((with_entry(pos, 0, 2, t), f"boundary({pos})"))
-        if pos == 4:
-            cases.append((replace(C, top_generator=(1, 0, 1)), "the top generator"))
-        if pos == 0:
-            cases.append((replace(C, bottom_generator=(1, 1, 0)), "the bottom generator"))
-        for bad, witness in cases:
-            assert bad != C
-            with pytest.raises(ValueError, match=rf"cannot collapse: {re.escape(witness)} is not"):
-                simple_move(bad, pos, 2, "collapse")
-
-    def test_position_bounds(self):
-        A = lens_complex(3)
-        with pytest.raises(ValueError):
-            simple_move(A, 5, 1, "expand")
-
-    def test_unknown_direction(self):
-        A = lens_complex(3)
-        with pytest.raises(ValueError, match="unknown direction 'sideways'"):
-            simple_move(A, 0, 1, "sideways")
+                    assert homology(E, d, coeff) == homology(A, d, coeff)
 
 
 def c3_with_a_rank_zero_module():
@@ -248,36 +159,35 @@ class TestZeroRankSummands:
     def test_rank_zero_move_is_the_identity(self, make):
         C = make()
         for pos in range(C.top_degree):
-            for direction in ("expand", "collapse"):
-                res = simple_move(C, pos, 0, direction)
-                assert res.complex == C
-                assert res.forward == res.backward == identity_map(C)
+            E, inclusion, projection = expansion(C, pos, 0)
+            assert E == C
+            assert inclusion == projection == identity_map(C)
 
     @pytest.mark.parametrize("make", ZERO_RANK_CASES)
     @pytest.mark.parametrize("rank", [1, 2])
     def test_expand_then_collapse_returns_the_input(self, make, rank):
+        # collapsing is the projection onto the leading blocks: it restricts
+        # every boundary of the expansion back to the input's
         C = make()
         for pos in range(C.top_degree):
-            E = simple_move(C, pos, rank).complex
+            E, inclusion, projection = expansion(C, pos, rank)
             assert validate_complex(E).ok
-            assert simple_move(E, pos, rank, "collapse").complex == C
+            for k in range(1, C.top_degree + 1):
+                restricted = projection.components[k - 1] @ E.boundary(k) @ inclusion.components[k]
+                assert restricted == C.boundary(k)
 
     def test_grids_next_to_the_rank_zero_module(self):
         C = c3_with_a_rank_zero_module()
         G = C.group
         one, z = GroupRingElement.one(G), GroupRingElement.zero(G)
-        E = simple_move(C, 0, 2).complex
+        E, _, _ = expansion(C, 0, 2)
         assert E.ranks == (3, 2, 1)
         assert E.boundary(1) == grid(G, [[z, z], [one, z], [z, one]])
         assert E.boundary(2) == grid(G, [[z], [z]])
-        E = simple_move(C, 1, 2).complex
+        E, _, _ = expansion(C, 1, 2)
         assert E.ranks == (1, 2, 3)
         assert E.boundary(1) == grid(G, [[z, z]])
         assert E.boundary(2) == grid(G, [[z, one, z], [z, z, one]])
-        S = stabilize(C, 2)
-        assert S.ranks == (1, 0, 3)
-        assert S.boundary(1) == GRMatrix(G, 1, 0, ((),))
-        assert S.boundary(2) == GRMatrix(G, 0, 3, ())
 
 
 class TestStageSixPipeline:
@@ -364,10 +274,9 @@ class TestStageSixPipeline:
         plan = [(0, c[5]), (4, c[0]), (3, c[1] + c[5]), (1, c[4] + c[0]), (2, c[2] + c[4] + c[0])]
         current, forward, backward = C, identity_map(C), identity_map(C)
         for pos, rank in plan:
-            step = simple_move(current, pos, rank, "expand")
-            forward = compose_maps(step.forward, forward)
-            backward = compose_maps(backward, step.backward)
-            current = step.complex
+            current, inclusion, projection = expansion(current, pos, rank)
+            forward = compose_maps(inclusion, forward)
+            backward = compose_maps(backward, projection)
         assert pipe.complex == current
         assert pipe.moves == tuple(dual_form.MoveRecord("expand", pos, rank) for pos, rank in plan)
         assert pipe.forward == forward
@@ -453,7 +362,7 @@ class TestPerStageInvariance:
             plan = [(0, c[5]), (4, c[0]), (3, c[1] + c[5]), (1, c[4] + c[0]), (2, c[2] + c[4] + c[0])]
             current = A
             for pos, rank in plan:
-                current = simple_move(current, pos, rank, "expand").complex
+                current, _, _ = expansion(current, pos, rank)
                 assert validate_complex(current).ok
                 assert euler_characteristic(current) == 0
                 assert five_complex_report(current).is_member
@@ -712,6 +621,23 @@ class TestAssembly:
         with pytest.raises(ValueError, match="not a pair of mutually inverse chain maps"):
             assemble_dual_form(pipe.complex, ChainIsoPair(h=h, k=k))
 
+    @pytest.mark.parametrize("side", ["h", "k"])
+    @pytest.mark.parametrize("shape", [(7, 7), (6, 7)], ids=["7x7", "6x7"])
+    def test_iso_components_need_the_segment_shapes(self, side, shape, monkeypatch):
+        # L(5)'s stage-6 segments have ranks (2, 4, 6): a third component of
+        # any other shape is rejected before anything is multiplied
+        pipe = to_dual_form_stage6(lens_complex(5))
+        iso = solve_chain_isomorphism(tail_segment(pipe.complex), dual_head_segment(pipe.complex), budget=1)
+        wrong = iso.h[:2] + (GRMatrix.zeros(pipe.complex.group, *shape),)
+        pair = ChainIsoPair(h=wrong, k=iso.k) if side == "h" else ChainIsoPair(h=iso.h, k=wrong)
+
+        def no_product(A, B):
+            raise AssertionError("a wrong shape reached a product")
+
+        monkeypatch.setattr(GRMatrix, "__matmul__", no_product)
+        with pytest.raises(ValueError, match="not a pair of mutually inverse chain maps"):
+            assemble_dual_form(pipe.complex, pair)
+
     @pytest.mark.parametrize("make", [partial(twisted_lens, n) for n in range(3, 12)] + [twisted_sym3_presentation])
     def test_conjugation_and_inverse_hold_as_oracles(self, make):
         # assemble_dual_form proves these instead of checking them at run time
@@ -839,6 +765,34 @@ class TestChainMapChecksRunOnce:
         square_checks.clear()
         assemble_dual_form(pipe.complex, iso)
         assert [args[2] for args in square_checks] == [iso.h]
+
+
+    @pytest.mark.parametrize("make", [partial(twisted_lens, 5), twisted_sym3_presentation])
+    def test_inverse_identities_are_multiplied_on_one_side(self, make, monkeypatch):
+        # invert_gr_matrix only solves A X == I; _is_chain_iso multiplies
+        # h's two squares (4 products) and h_i k_i (3), never k_i h_i
+        pipe = to_dual_form_stage6(make())
+        tail, head = tail_segment(pipe.complex), dual_head_segment(pipe.complex)
+        iso = solve_chain_isomorphism(tail, head, budget=2)
+        products, in_squares = [], []
+        matmul, squares = GRMatrix.__matmul__, complexes.commuting_squares
+
+        def counting_matmul(A, B):
+            products.append((A, B))
+            return matmul(A, B)
+
+        def counting_squares(*args):
+            before = len(products)
+            report = squares(*args)
+            in_squares.append(len(products) - before)
+            return report
+
+        monkeypatch.setattr(GRMatrix, "__matmul__", counting_matmul)
+        monkeypatch.setattr(dual_form, "commuting_squares", counting_squares)
+        assert tuple(invert_gr_matrix(h_i) for h_i in iso.h) == iso.k
+        assert products == []
+        assert dual_form._is_chain_iso(tail, head, iso.h, iso.k)
+        assert (in_squares, len(products)) == ([4], 4 + 3)
 
 
 class TestAntiSelfDuality:

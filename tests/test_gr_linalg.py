@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -240,6 +241,33 @@ class TestSolveGrLinear:
         assert inv is not None
         assert GRMatrix.one_by_one(beta) @ inv == GRMatrix.identity(G, 1)
         assert inv @ GRMatrix.one_by_one(beta) == GRMatrix.identity(G, 1)
+
+    @pytest.mark.parametrize(
+        "name, make_group", [("C6", partial(cyclic_group, 6)), ("S3", make_sym3), ("Q8", make_quaternion8)]
+    )
+    def test_inverse_is_two_sided_on_units(self, name, make_group):
+        # units built as products of signed group elements on the diagonal
+        # and elementary matrices; invert_gr_matrix solves A X == I only,
+        # and both identities are checked here as oracles
+        G = make_group()
+        rng = random.Random(f"units-{name}")
+        one, z = GroupRingElement.one(G), GroupRingElement.zero(G)
+        for _ in range(25):
+            n = rng.randint(1, 3)
+            A = GRMatrix.identity(G, n)
+            for _ in range(rng.randint(1, 6)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i == j:
+                    e = GroupRingElement.basis(G, rng.randrange(G.order)).scale(rng.choice((-1, 1)))
+                else:
+                    e = rand_element(rng, G, 2)
+                A = A @ GRMatrix.from_rows(
+                    G, [[e if (r, c) == (i, j) else one if r == c else z for c in range(n)] for r in range(n)]
+                )
+            X = invert_gr_matrix(A)
+            assert X is not None
+            assert X @ A == GRMatrix.identity(G, n)
+            assert A @ X == GRMatrix.identity(G, n)
 
     def test_norm_not_a_unit(self):
         G = cyclic_group(2)
