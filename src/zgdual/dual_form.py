@@ -85,7 +85,8 @@ def _direct_sum(C: ChainComplex, plan) -> ChainComplex:
 
 @dataclass(frozen=True)
 class MoveRecord:
-    direction: str  # "expand": the pipeline only expands
+    """One expansion move; the pipeline has no other kind."""
+
     position: int  # the lower of the two degrees touched
     rank: int
 
@@ -144,7 +145,7 @@ def to_dual_form_stage6(C: ChainComplex) -> PipelineResult:
         (2, middle),
     ]
     stage6 = _direct_sum(C, plan)
-    moves = tuple(MoveRecord("expand", position, rank) for position, rank in plan)
+    moves = tuple(MoveRecord(position, rank) for position, rank in plan)
     return PipelineResult(stage6, moves, *_leading_block_maps(C, stage6))
 
 

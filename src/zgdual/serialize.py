@@ -11,8 +11,15 @@ Complex files:
 Matrices are grids of term lists; a group-ring element is a list of
 [coefficient, element_index] pairs with zero terms omitted.  Serialization
 is canonical (sorted keys, two-space indent, terms by ascending index), so
-load/dump round-trips are bit-exact.  Every number read is a JSON integer
-(no bool, float or string), and ranks, rows and cols are >= 0.
+load/dump round-trips are bit-exact.  ``canonical_dumps`` writes exactly
+the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.
+With ``indent`` set, json runs its pure-Python encoder, so one recursive
+writer emits dicts with string keys, lists, tuples, strings (through
+json's C string escaper), ints, bools, None and finite floats itself, and
+hands every other value to ``json.dumps``.  Every number read is a JSON
+integer (no bool, float or string), and ranks, rows and cols are >= 0.
+Term lists are type-checked in bulk and walked term by term only when
+that check fails, so the first bad term is the one reported.
 
 Cyclic groups additionally accept polynomial strings such as "1 - t^4".
 Their order is at most MAX_CYCLIC_ORDER, checked before any table is built.
@@ -21,7 +28,9 @@ Their order is at most MAX_CYCLIC_ORDER, checked before any table is built.
 from __future__ import annotations
 
 import json
+import math
 import re
+from itertools import chain
 
 from zgdual.complexes import ChainComplex, ChainMap, dualize_complex
 from zgdual.group_core import FiniteGroup, GroupRingElement, cyclic_group, group_from_table
@@ -33,8 +42,56 @@ from zgdual.gr_linalg import GRMatrix
 MAX_CYCLIC_ORDER = 1000
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte."""
+    out = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o, nl: str, emit) -> None:
+    """Emit the indented JSON text of ``o``, whose first line starts at the
+    indentation that follows ``nl`` ("\\n" plus the current indent)."""
+    t = type(o)
+    if t is str:
+        emit(_encode_str(o))
+    elif t is int:
+        emit(int.__repr__(o))
+    elif t is bool:
+        emit("true" if o else "false")
+    elif o is None:
+        emit("null")
+    elif t is float and math.isfinite(o):
+        emit(float.__repr__(o))
+    elif t is list or t is tuple:
+        if not o:
+            emit("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in o:
+            emit(sep)
+            _write(item, inner, emit)
+            sep = "," + inner
+        emit(nl + "]")
+    elif t is dict and not o:
+        emit("{}")
+    elif t is dict and set(map(type, o)) == {str}:
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            emit(sep + _encode_str(key) + ": ")
+            _write(o[key], inner, emit)
+            sep = "," + inner
+        emit(nl + "}")
+    else:
+        # NaN, infinities, non-str keys, subclasses: json indents relative to
+        # the outermost value, so its text shifted to this indent is exact
+        emit(json.dumps(o, sort_keys=True, indent=2).replace("\n", nl))
 
 
 def _integer(value, what: str) -> int:
@@ -82,8 +139,14 @@ def element_from_json(group: FiniteGroup, terms) -> GroupRingElement:
         if not group.is_cyclic:
             raise ValueError("polynomial strings are only defined for cyclic groups")
         return parse_poly(group, terms)
-    pairs = [(_integer(c, "coefficient"), _integer(i, "element index")) for c, i in terms]
-    return GroupRingElement.from_terms(group, pairs)
+    try:
+        checked = set(map(len, terms)) <= {2} and set(map(type, chain.from_iterable(terms))) <= {int}
+    except TypeError:
+        checked = False
+    if not checked:
+        # walk the terms in order, so the first bad one is the error raised
+        terms = [(_integer(c, "coefficient"), _integer(i, "element index")) for c, i in terms]
+    return GroupRingElement.from_terms(group, terms)
 
 
 def matrix_to_json(A: GRMatrix) -> dict:

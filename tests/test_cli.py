@@ -199,6 +199,8 @@ MALFORMED_NUMBERS = [
     (_c2_file(differentials=_c2_cell([1, 0], [-1.0, 1])), "coefficient must be an integer, got -1.0"),
     (_c2_file(differentials=_c2_cell([1, "0"], [-1, 1])), "element index must be an integer, got '0'"),
     (_c2_file(generators={"bottom": [1.0]}), "generator entry must be an integer, got 1.0"),
+    # the first bad term is reported, not the three-number term after it
+    (_c2_file(differentials=_c2_cell([True, 0], [1, 2, 3])), "coefficient must be an integer, got True"),
 ]
 
 

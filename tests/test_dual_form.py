@@ -278,7 +278,7 @@ class TestStageSixPipeline:
             forward = compose_maps(inclusion, forward)
             backward = compose_maps(backward, projection)
         assert pipe.complex == current
-        assert pipe.moves == tuple(dual_form.MoveRecord("expand", pos, rank) for pos, rank in plan)
+        assert pipe.moves == tuple(dual_form.MoveRecord(pos, rank) for pos, rank in plan)
         assert pipe.forward == forward
         assert pipe.backward == backward
 

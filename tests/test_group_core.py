@@ -82,10 +82,15 @@ class TestGroupFromTable:
             ([[0, 1.5], [1, 0]], "range", "row 0 contains an out-of-range index"),
             ([[0, 1.0], [1.0, 0]], "range", "row 0 contains an out-of-range index"),
             ([[False, True], [True, False]], "range", "row 0 contains an out-of-range index"),
+            # C3 with True in place of the 1 that starts row 1
+            ([[0, 1, 2], [True, 2, 0], [2, 0, 1]], "range", "row 1 contains an out-of-range index"),
+            # every row is checked for range before any row for being a permutation
+            ([[0, 0, 1], [1, 2, 0], [2, 0, 3]], "range", "row 2 contains an out-of-range index"),
         ],
         ids=[
             "empty", "ragged", "entry-minus-1", "entry-n", "string-entry", "None-entry",
-            "entry-1.5", "integral-float-entry", "bool-entries",
+            "entry-1.5", "integral-float-entry", "bool-entries", "one-bool-entry",
+            "latin-row-0-then-range-row-2",
         ],
     )
     def test_shape_and_range_reasons(self, table, reason, message):
@@ -98,6 +103,18 @@ class TestGroupFromTable:
         with pytest.raises(GroupTableError) as err:
             group_from_table([[0, 1], [1, 1]])
         assert err.value.reason == "latin"
+        assert str(err.value) == "row 1 is not a permutation (not a Latin square)"
+
+    def test_rows_are_permutations_but_a_column_is_not(self):
+        with pytest.raises(GroupTableError) as err:
+            group_from_table([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+        assert err.value.reason == "latin"
+        assert str(err.value) == "column 1 is not a permutation (not a Latin square)"
+
+    def test_order_one(self):
+        G = group_from_table([[0]])
+        assert G == cyclic_group(1)
+        assert (G.inv_table, G.identity_index, G.is_cyclic) == ((0,), 0, True)
 
     def test_missing_identity(self):
         # Latin square whose only left identity is not a right identity

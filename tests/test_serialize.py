@@ -2,8 +2,10 @@ import json
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_sym3
 from zgdual.complexes import dualize_complex
@@ -24,6 +26,50 @@ from zgdual.serialize import (
     parse_poly,
     poly_string,
 )
+
+
+GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
+
+
+def json_dumps_reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# escapes, control characters, a lone surrogate, non-ASCII and astral characters
+_strings = st.text(alphabet=st.sampled_from('a"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600 '))
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | _strings
+)
+json_like = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_strings, inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestCanonicalDumps:
+    """canonical_dumps writes the bytes of json.dumps(sort_keys=True, indent=2)
+    plus a newline."""
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN_CLI.glob("*.json")), ids=lambda p: p.name)
+    def test_matches_json_on_every_cli_golden(self, path):
+        obj = json.loads(path.read_text())
+        assert canonical_dumps(obj) == json_dumps_reference(obj)
+
+    @settings(max_examples=200)
+    @given(json_like)
+    @example({"b": [1.5, {"c": {2: [True, None, float("nan")]}}], "a": (), "d": {}, "e": [[]]})
+    @example([-(10**80), float("-inf"), float("inf"), -0.0, "\u00e9\"\n"])
+    def test_matches_json_on_nested_objects(self, obj):
+        assert canonical_dumps(obj) == json_dumps_reference(obj)
 
 
 class TestGroupJson:
