@@ -13,7 +13,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 
 class GroupTableError(ValueError):
@@ -94,16 +93,13 @@ def group_from_table(mul_table) -> FiniteGroup:
     if any(len(row) != n for row in table):
         raise GroupTableError("shape", "multiplication table is not square")
     full = set(range(n))
-    # 1.0 and True compare equal to indices, so the entry types are checked too;
-    # a table that fails this bulk check is walked row by row, so that the
-    # first range error, and only then the first non-permutation row, is raised
-    if not (set(map(type, chain.from_iterable(table))) <= {int} and all(map(full.__eq__, map(set, table)))):
-        for i, row in enumerate(table):
-            if not (full.issuperset(row) and set(map(type, row)) <= {int}):
-                raise GroupTableError("range", f"row {i} contains an out-of-range index")
-        for i, row in enumerate(table):
-            if set(row) != full:
-                raise GroupTableError("latin", f"row {i} is not a permutation (not a Latin square)")
+    for i, row in enumerate(table):
+        # 1.0 and True compare equal to indices, so the entry types are checked too
+        if not (full.issuperset(row) and set(map(type, row)) <= {int}):
+            raise GroupTableError("range", f"row {i} contains an out-of-range index")
+    for i, row in enumerate(table):
+        if set(row) != full:
+            raise GroupTableError("latin", f"row {i} is not a permutation (not a Latin square)")
     for j, column in enumerate(zip(*table)):
         if set(column) != full:
             raise GroupTableError("latin", f"column {j} is not a permutation (not a Latin square)")

@@ -18,8 +18,6 @@ writer emits dicts with string keys, lists, tuples, strings (through
 json's C string escaper), ints, bools, None and finite floats itself, and
 hands every other value to ``json.dumps``.  Every number read is a JSON
 integer (no bool, float or string), and ranks, rows and cols are >= 0.
-Term lists are type-checked in bulk and walked term by term only when
-that check fails, so the first bad term is the one reported.
 
 Cyclic groups additionally accept polynomial strings such as "1 - t^4".
 Their order is at most MAX_CYCLIC_ORDER, checked before any table is built.
@@ -30,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import chain
 
 from zgdual.complexes import ChainComplex, ChainMap, dualize_complex
 from zgdual.group_core import FiniteGroup, GroupRingElement, cyclic_group, group_from_table
@@ -139,14 +136,8 @@ def element_from_json(group: FiniteGroup, terms) -> GroupRingElement:
         if not group.is_cyclic:
             raise ValueError("polynomial strings are only defined for cyclic groups")
         return parse_poly(group, terms)
-    try:
-        checked = set(map(len, terms)) <= {2} and set(map(type, chain.from_iterable(terms))) <= {int}
-    except TypeError:
-        checked = False
-    if not checked:
-        # walk the terms in order, so the first bad one is the error raised
-        terms = [(_integer(c, "coefficient"), _integer(i, "element index")) for c, i in terms]
-    return GroupRingElement.from_terms(group, terms)
+    pairs = [(_integer(c, "coefficient"), _integer(i, "element index")) for c, i in terms]
+    return GroupRingElement.from_terms(group, pairs)
 
 
 def matrix_to_json(A: GRMatrix) -> dict:
