@@ -20,8 +20,9 @@ Augmented ends are never included: degree 0 is a cokernel, the top degree a
 kernel, exactly as for the raw complex.
 
 Each complex reduces every differential once per coefficient system up to
-duality; matrices are built when read.  The Smith decompositions and the
-d.d == 0 checks are memoized on the instance (never across instances); the
+duality; matrices are built when read.  The Smith decompositions, the
+d.d == 0 checks and the dual complex are memoized on the instance (never
+across instances), and each matrix keeps its own dual (GRMatrix.dual); the
 integer matrices are not, so an expansion is dropped once it is reduced.
 ChainComplex.reduction is the one read path.  A boundary equal to an
 earlier one shares that decomposition, and one equal to the dual of an
@@ -218,17 +219,21 @@ def dualize_complex(C: ChainComplex) -> ChainComplex:
     """Reverse the grading and replace each boundary by its dual.  No signs.
 
     The generator certificates swap roles: the dual of the degree-0
-    augmentation becomes the top kernel generator and vice versa.
+    augmentation becomes the top kernel generator and vice versa.  Built
+    once per complex and memoized on it, so every reader of the dual, and
+    of the dual's reductions, shares one complex.
     """
-    T = C.top_degree
-    diffs = tuple(C.boundary(T + 1 - i).dual() for i in range(1, T + 1))
-    return ChainComplex(
-        group=C.group,
-        ranks=tuple(reversed(C.ranks)),
-        differentials=diffs,
-        top_generator=C.bottom_generator,
-        bottom_generator=C.top_generator,
-    )
+    D = C._memo.get("dual")
+    if D is None:
+        T = C.top_degree
+        D = C._memo["dual"] = ChainComplex(
+            group=C.group,
+            ranks=tuple(reversed(C.ranks)),
+            differentials=tuple(C.boundary(T + 1 - i).dual() for i in range(1, T + 1)),
+            top_generator=C.bottom_generator,
+            bottom_generator=C.top_generator,
+        )
+    return D
 
 
 # -- homology ------------------------------------------------------------

@@ -40,7 +40,7 @@ from zgdual.complexes import (
     validate_complex,
     verify_homotopy,
 )
-from zgdual.group_core import GroupRingElement
+from zgdual.group_core import GroupRingElement, _nonzero
 from zgdual.gr_linalg import GRMatrix, invert_gr_matrix
 from zgdual.int_linalg import (
     IntegerMatrix,
@@ -431,8 +431,8 @@ def _unflatten_triple(a: ChainComplex, b: ChainComplex, vec):
             line = {}
             for j in range(a.ranks[idx]):
                 base = offsets[idx] + (i * a.ranks[idx] + j) * N
-                if any(c := vec[base : base + N]):
-                    line[j] = GroupRingElement._from_coeffs(G, tuple(c))
+                if support := _nonzero(vec[base : base + N]):
+                    line[j] = GroupRingElement._from_support(G, support)
             lines.append(line)
         comps.append(GRMatrix._from_sparse_rows(G, a.ranks[idx], lines))
     return tuple(comps)

@@ -1,9 +1,10 @@
 """Matrices over Z[G] and the bridge to exact integer linear algebra.
 
 A GRMatrix holds its nonzero entries as sparse rows, a dict column ->
-nonzero GroupRingElement per row, as IntegerMatrix holds its integers.
-Products, sums, duals, expansion and augmentation read and build only
-those; the dense ``entries`` grid is built only when something reads it.
+nonzero GroupRingElement per row, as IntegerMatrix holds its integers, and
+each entry holds only its nonzero terms.  Products, sums, duals, expansion
+and augmentation read and build only those; the dense ``entries`` grid is
+built only when something reads it, and each matrix builds its dual once.
 
 Conventions, fixed once so non-abelian groups work unchanged:
 
@@ -22,7 +23,9 @@ Conventions, fixed once so non-abelian groups work unchanged:
 
 from __future__ import annotations
 
-from zgdual.group_core import FiniteGroup, GroupRingElement
+import weakref
+
+from zgdual.group_core import FiniteGroup, GroupRingElement, _nonzero
 from zgdual.int_linalg import IntegerMatrix, solve_integer
 
 
@@ -35,10 +38,11 @@ class GRMatrix:
     entries)``, ``from_rows``, ``scalar``, ``one_by_one``), by ``zeros`` and
     ``identity``, or, by the library's builders, from sparse rows.
     Equality reads the shape, the group and the nonzeros; hashing reads the
-    shape and the nonzero coefficients.
+    shape and the nonzero coefficients.  ``dual()`` is built once and kept;
+    a pickle or copy carries only the group, shape and sparse rows.
     """
 
-    __slots__ = ("group", "rows", "cols", "sparse_rows", "_entries")
+    __slots__ = ("group", "rows", "cols", "sparse_rows", "_entries", "_dual", "_dual_of", "__weakref__")
 
     def __init__(self, group: FiniteGroup, rows: int, cols: int, entries):
         if cols < 0 or len(entries) != rows or any(len(r) != cols for r in entries):
@@ -47,7 +51,8 @@ class GRMatrix:
             for e in row:
                 if e.group != group:
                     raise ValueError("matrix entry belongs to a different group")
-        self.group, self.rows, self.cols, self._entries = group, rows, cols, None
+        self.group, self.rows, self.cols = group, rows, cols
+        self._entries = self._dual = self._dual_of = None
         self.sparse_rows = tuple({j: e for j, e in enumerate(row) if e.support} for row in entries)
 
     # -- constructors -------------------------------------------------
@@ -61,7 +66,8 @@ class GRMatrix:
         """
         M = object.__new__(GRMatrix)
         M.sparse_rows = tuple(lines)
-        M.group, M.rows, M.cols, M._entries = group, len(M.sparse_rows), cols, None
+        M.group, M.rows, M.cols = group, len(M.sparse_rows), cols
+        M._entries = M._dual = M._dual_of = None
         return M
 
     @property
@@ -82,8 +88,11 @@ class GRMatrix:
         )
 
     def __hash__(self):
-        lines = tuple(frozenset((j, e.coeffs) for j, e in line.items()) for line in self.sparse_rows)
+        lines = tuple(frozenset((j, e.support) for j, e in line.items()) for line in self.sparse_rows)
         return hash((self.rows, self.cols, lines))
+
+    def __reduce__(self):
+        return GRMatrix._from_sparse_rows, (self.group, self.cols, self.sparse_rows)
 
     def __repr__(self):
         shape = f"rows={self.rows!r}, cols={self.cols!r}"
@@ -142,7 +151,7 @@ class GRMatrix:
         other_rows = [[(j, e.support) for j, e in line.items()] for line in other.sparse_rows]
         lines = []
         for line in self.sparse_rows:
-            acc = {}  # column -> coefficient list of the output entry
+            acc = {}  # column -> dense coefficient list of the output entry
             for k, a in line.items():
                 brow = other_rows[k]
                 if not brow:
@@ -156,7 +165,7 @@ class GRMatrix:
                         mrow = mul[ia]
                         for ib, cb in sb:
                             c[mrow[ib]] += ca * cb
-            lines.append({j: GroupRingElement._from_coeffs(G, tuple(c)) for j, c in acc.items() if any(c)})
+            lines.append({j: GroupRingElement._from_support(G, t) for j, c in acc.items() if (t := _nonzero(c))})
         return GRMatrix._from_sparse_rows(G, other.cols, lines)
 
     def __add__(self, other: GRMatrix) -> GRMatrix:
@@ -188,12 +197,24 @@ class GRMatrix:
         return not any(self.sparse_rows)
 
     def dual(self) -> GRMatrix:
-        """Involute-transpose: the dual map Z[G]^rows -> Z[G]^cols."""
-        lines = [{} for _ in range(self.cols)]
-        for i, line in enumerate(self.sparse_rows):
-            for j, e in line.items():
-                lines[j][i] = e.involute()
-        return GRMatrix._from_sparse_rows(self.group, self.rows, lines)
+        """Involute-transpose: the dual map Z[G]^rows -> Z[G]^cols.
+
+        Built once per matrix and kept, which is safe because no builder
+        changes a matrix after it is built.  The dual refers back to this
+        matrix only by a weak reference, so its own dual() is this matrix
+        while it lives, and no reference cycle keeps either alive.
+        """
+        D = self._dual
+        if D is None and self._dual_of is not None:
+            D = self._dual_of()
+        if D is None:
+            lines = [{} for _ in range(self.cols)]
+            for i, line in enumerate(self.sparse_rows):
+                for j, e in line.items():
+                    lines[j][i] = e.involute()
+            D = self._dual = GRMatrix._from_sparse_rows(self.group, self.rows, lines)
+            D._dual_of = weakref.ref(self)
+        return D
 
     def expand(self) -> IntegerMatrix:
         """Integer matrix of the same map on Z-bases (see module docstring),
@@ -239,16 +260,17 @@ def stack_columns(B: GRMatrix) -> IntegerMatrix:
 def fold_columns(group: FiniteGroup, X: IntegerMatrix, gr_cols: int) -> GRMatrix:
     """Inverse of stack_columns: the gr_cols x X.cols matrix over Z[G]."""
     N = group.order
-    coeffs = [{} for _ in range(gr_cols)]  # row -> column -> coefficient list
+    terms = [{} for _ in range(gr_cols)]  # row -> column -> support, in index order
     for i, line in enumerate(X.sparse_rows):
         j, a = divmod(i, N)
-        row = coeffs[j]
+        row = terms[j]
         for l, v in line.items():
-            c = row.get(l)
-            if c is None:
-                c = row[l] = [0] * N
-            c[a] = v
-    lines = [{l: GroupRingElement._from_coeffs(group, tuple(c)) for l, c in row.items()} for row in coeffs]
+            t = row.get(l)
+            if t is None:
+                row[l] = [(a, v)]
+            else:
+                t.append((a, v))
+    lines = [{l: GroupRingElement._from_support(group, tuple(t)) for l, t in row.items()} for row in terms]
     return GRMatrix._from_sparse_rows(group, X.cols, lines)
 
 

@@ -2,7 +2,13 @@
 
 A group of order N is stored as an N x N table of element indices together
 with the derived inverse table and identity index.  Elements of the integral
-group ring Z[G] are dense integer coefficient vectors indexed the same way.
+group ring Z[G] are sparse: each keeps only its nonzero terms, as
+(element index, coefficient) pairs in index order, and every ring operation
+reads and builds those.  Sums, negation, scaling, the involution and
+comparisons cost the number of terms, not |G|.  A product adds its term
+products up in a scratch list of |G| coefficients: on the products of the
+lens and presentation complexes that is faster than a dict, which wins
+only below about |G|/4 term products.
 All coefficients are Python ints, so no operation can overflow.
 
 Everything here is immutable and pure; values can be shared freely.
@@ -12,7 +18,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 
 class GroupTableError(ValueError):
@@ -163,48 +168,57 @@ def _check_associativity(table, identity) -> None:
                 raise GroupTableError("associativity", f"associativity fails at ({x},{s},{y})")
 
 
-@dataclass(frozen=True)
-class GroupRingElement:
-    """An element of Z[G]: the formal sum of coeffs[i] * g_i.
+def _support(c: dict) -> tuple[tuple[int, int], ...]:
+    """The nonzero items of an index -> coefficient dict, sorted by index."""
+    terms = sorted(c.items())
+    return tuple(terms) if all(c.values()) else tuple([t for t in terms if t[1]])
 
-    The constructor and ``from_terms`` check their coefficients; the ring
-    operations combine coefficients that were checked already and build
-    their results unchecked (``_from_coeffs``).
+
+def _nonzero(coeffs) -> tuple[tuple[int, int], ...]:
+    """The (index, coefficient) pairs of the nonzero entries of a dense vector."""
+    return tuple([(i, a) for i, a in enumerate(coeffs) if a])
+
+
+class GroupRingElement:
+    """An element of Z[G]: the formal sum of a * g_i over its terms (i, a).
+
+    ``support`` holds the nonzero terms as (element_index, coefficient)
+    pairs in ascending index order; the dense ``coeffs`` vector is built
+    from it on each read.  The constructor, which takes that dense vector, and
+    ``from_terms`` check what they are given; the ring operations combine
+    supports that were checked already and build their results unchecked
+    (``_from_support``).  Equality reads the group and the support, hashing
+    the support.
     """
 
-    group: FiniteGroup
-    coeffs: tuple[int, ...]
+    __slots__ = ("group", "support")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.group.order:
-            raise ValueError(
-                f"coefficient vector has length {len(self.coeffs)}, group order is {self.group.order}"
-            )
+    def __init__(self, group: FiniteGroup, coeffs):
+        if len(coeffs) != group.order:
+            raise ValueError(f"coefficient vector has length {len(coeffs)}, group order is {group.order}")
+        self.group = group
         # operator.index refuses a float or a string, and stores a bool or sympy.Integer as int
-        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
+        self.support = _nonzero(map(operator.index, coeffs))
 
     @staticmethod
-    def _from_coeffs(group: FiniteGroup, coeffs: tuple[int, ...]) -> GroupRingElement:
-        """The element with these coefficients, for the library's own ring
-        operations.  Nothing is checked: ``coeffs`` must be a tuple of
-        group.order ints.
+    def _from_support(group: FiniteGroup, support: tuple[tuple[int, int], ...]) -> GroupRingElement:
+        """The element with these terms, for the library's own ring
+        operations.  Nothing is checked: ``support`` must be a tuple of
+        (index, nonzero int) pairs with indices ascending in range(group.order).
         """
         e = object.__new__(GroupRingElement)
-        object.__setattr__(e, "group", group)
-        object.__setattr__(e, "coeffs", coeffs)
+        e.group, e.support = group, support
         return e
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(group: FiniteGroup) -> GroupRingElement:
-        return GroupRingElement._from_coeffs(group, (0,) * group.order)
+        return GroupRingElement._from_support(group, ())
 
     @staticmethod
     def one(group: FiniteGroup) -> GroupRingElement:
-        c = [0] * group.order
-        c[group.identity_index] = 1
-        return GroupRingElement._from_coeffs(group, tuple(c))
+        return GroupRingElement._from_support(group, ((group.identity_index, 1),))
 
     @staticmethod
     def basis(group: FiniteGroup, index: int) -> GroupRingElement:
@@ -213,13 +227,35 @@ class GroupRingElement:
 
     @staticmethod
     def from_terms(group: FiniteGroup, terms) -> GroupRingElement:
-        """Build from [coefficient, element_index] pairs; repeats accumulate."""
-        c = [0] * group.order
+        """Build from [coefficient, element_index] pairs; repeats accumulate.
+
+        Both are passed through operator.index, like the constructor's
+        coefficients, and the index must lie in range(group.order).
+        """
+        index, order = operator.index, group.order
+        c = {}
         for coeff, idx in terms:
-            if not (0 <= idx < group.order):
-                raise ValueError(f"element index {idx} out of range for order {group.order}")
-            c[idx] += operator.index(coeff)
-        return GroupRingElement._from_coeffs(group, tuple(c))
+            idx = index(idx)
+            if not 0 <= idx < order:
+                raise ValueError(f"element index {idx} out of range for order {order}")
+            c[idx] = c.get(idx, 0) + index(coeff)
+        return GroupRingElement._from_support(group, _support(c))
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The dense coefficient vector: coeffs[i] is the coefficient of g_i."""
+        c = [0] * self.group.order
+        for i, a in self.support:
+            c[i] = a
+        return tuple(c)
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupRingElement:
+            return NotImplemented
+        return self.support == other.support and self.group == other.group
+
+    def __hash__(self):
+        return hash(self.support)
 
     # -- ring structure -----------------------------------------------
 
@@ -229,18 +265,20 @@ class GroupRingElement:
 
     def __add__(self, other: GroupRingElement) -> GroupRingElement:
         self._check_same_group(other)
-        return GroupRingElement._from_coeffs(
-            self.group, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        c = dict(self.support)
+        for i, b in other.support:
+            c[i] = c.get(i, 0) + b
+        return GroupRingElement._from_support(self.group, _support(c))
 
     def __sub__(self, other: GroupRingElement) -> GroupRingElement:
         self._check_same_group(other)
-        return GroupRingElement._from_coeffs(
-            self.group, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        c = dict(self.support)
+        for i, b in other.support:
+            c[i] = c.get(i, 0) - b
+        return GroupRingElement._from_support(self.group, _support(c))
 
     def __neg__(self) -> GroupRingElement:
-        return GroupRingElement._from_coeffs(self.group, tuple(-a for a in self.coeffs))
+        return GroupRingElement._from_support(self.group, tuple((i, -a) for i, a in self.support))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -256,32 +294,24 @@ class GroupRingElement:
 
     def scale(self, k: int) -> GroupRingElement:
         k = operator.index(k)
-        return GroupRingElement._from_coeffs(self.group, tuple(k * a for a in self.coeffs))
+        return GroupRingElement._from_support(self.group, tuple((i, k * a) for i, a in self.support) if k else ())
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    @cached_property
-    def support(self) -> tuple[tuple[int, int], ...]:
-        """(element_index, coefficient) pairs of the nonzero terms, found once."""
-        return tuple((i, a) for i, a in enumerate(self.coeffs) if a)
+        return not self.support
 
     def involute(self) -> GroupRingElement:
         """The anti-automorphism sending g to g^{-1} (coefficients follow)."""
         inv = self.group.inv_table
-        c = [0] * self.group.order
-        for i, a in enumerate(self.coeffs):
-            c[inv[i]] = a
-        return GroupRingElement._from_coeffs(self.group, tuple(c))
+        return GroupRingElement._from_support(self.group, tuple(sorted((inv[i], a) for i, a in self.support)))
 
     def augmentation(self) -> int:
         """Sum of coefficients: the ring map Z[G] -> Z collapsing G to 1."""
-        return sum(self.coeffs)
+        return sum(a for _, a in self.support)
 
     def terms(self) -> list[list[int]]:
         """[coefficient, element_index] pairs with zero terms omitted."""
-        return [[a, i] for i, a in enumerate(self.coeffs) if a]
+        return [[a, i] for i, a in self.support]
 
     def __repr__(self):
         return f"GroupRingElement({self.terms()!r} over order {self.group.order})"
@@ -297,9 +327,9 @@ def gr_mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
         row = mul[i]
         for j, bj in sb:
             c[row[j]] += ai * bj
-    return GroupRingElement._from_coeffs(a.group, tuple(c))
+    return GroupRingElement._from_support(a.group, _nonzero(c))
 
 
 def norm_element(group: FiniteGroup) -> GroupRingElement:
     """The sum of all group elements (written Sigma for cyclic groups)."""
-    return GroupRingElement._from_coeffs(group, (1,) * group.order)
+    return GroupRingElement._from_support(group, tuple((i, 1) for i in range(group.order)))

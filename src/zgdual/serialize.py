@@ -259,9 +259,7 @@ def parse_poly(group: FiniteGroup, text: str) -> GroupRingElement:
 def poly_string(e: GroupRingElement) -> str:
     """Render an element of Z[C_n] as a polynomial in t."""
     parts = []
-    for exp, c in enumerate(e.coeffs):
-        if not c:
-            continue
+    for exp, c in e.support:
         if exp == 0:
             head = str(abs(c))
         else:

@@ -16,7 +16,7 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from zgdual import dual_form
-from zgdual.complexes import ChainComplex, ChainMap
+from zgdual.complexes import ChainComplex, ChainMap, compose_maps, dual_map, dualize_complex, scalar_diagonal_map
 from zgdual.group_core import GroupRingElement, cyclic_group, group_from_table
 from zgdual.gr_linalg import GRMatrix
 from zgdual.int_linalg import IntegerMatrix, kernel_basis, smith_normal_form, solve_integer
@@ -221,8 +221,8 @@ def sym3_presentation():
     return presentation_complex(_perm_group(perms), [perms.index(g) for g in gens]), perms.index(gens[0])
 
 
-def twisted_sym3_presentation():
-    """sym3_presentation twisted by diag(g, 1) in degree 1, g the transposition."""
+def _sym3_twist():
+    """sym3_presentation with the twist diag(g, 1) and its inverse, g the transposition."""
     C, g = sym3_presentation()
     G = C.group
     one, zero = GroupRingElement.one(G), GroupRingElement.zero(G)
@@ -231,7 +231,30 @@ def twisted_sym3_presentation():
         return GRMatrix.from_rows(G, [[x, zero], [zero, one]])
 
     g_elt = GroupRingElement.basis(G, g)
-    return twist_degree_one(C, diag(g_elt), diag(g_elt.involute()))
+    return C, diag(g_elt), diag(g_elt.involute())
+
+
+def twisted_sym3_presentation():
+    """sym3_presentation twisted by diag(g, 1) in degree 1, g the transposition."""
+    return twist_degree_one(*_sym3_twist())
+
+
+def twisted_sym3_duality():
+    """The dual form assembled from twisted_sym3_presentation, and a duality
+    map on it: the view and f phi f*, where phi is the sign diagonal of the
+    untwisted presentation complex P and f: P -> assembled composes the
+    twist, the pipeline's inclusion and the assembly's conjugation.
+    """
+    P, u, u_inv = _sym3_twist()
+    T = twist_degree_one(P, u, u_inv)
+    twist = ChainMap(P, T, tuple(u if i == 1 else GRMatrix.identity(P.group, r) for i, r in enumerate(P.ranks)))
+    pipe = dual_form.to_dual_form_stage6(T)
+    head = dual_form.dual_head_segment(pipe.complex)
+    iso = dual_form.solve_chain_isomorphism(dual_form.tail_segment(pipe.complex), head, budget=2)
+    asm = dual_form.assemble_dual_form(pipe.complex, iso)
+    f = compose_maps(asm.conjugation, compose_maps(pipe.forward, twist))
+    phi = scalar_diagonal_map(dualize_complex(P), P, (1, 1, 1, -1, -1, -1))
+    return asm.view, compose_maps(f, compose_maps(phi, dual_map(f)))
 
 
 def broken_lens(n):

@@ -1,4 +1,8 @@
+import copy
+import gc
+import pickle
 import random
+import weakref
 from functools import partial
 
 import pytest
@@ -11,6 +15,7 @@ from conftest import (
     make_sym3,
     sym3_presentation,
     twisted_lens,
+    twisted_sym3_duality,
     twisted_sym3_presentation,
 )
 from zgdual import complexes, dual_form
@@ -793,6 +798,109 @@ class TestChainMapChecksRunOnce:
         assert products == []
         assert dual_form._is_chain_iso(tail, head, iso.h, iso.k)
         assert (in_squares, len(products)) == ([4], 4 + 3)
+
+
+def _nonzero_entries(*matrices):
+    return sum(len(line) for M in matrices for line in M.sparse_rows)
+
+
+def _reaches_itself(M):
+    """Whether M is among the objects that its slots reach through
+    matrices, elements, dicts, tuples and lists (gc.get_referents)."""
+    seen, stack = set(), list(gc.get_referents(M))
+    while stack:
+        o = stack.pop()
+        if o is M:
+            return True
+        if id(o) not in seen and isinstance(o, (GRMatrix, GroupRingElement, dict, tuple, list)):
+            seen.add(id(o))
+            stack.extend(gc.get_referents(o))
+    return False
+
+
+def _lens5_duality():
+    return recognize_dual_form(lens_complex(5)), lens_duality_map(5)
+
+
+class TestDualsBuiltOnce:
+    """Each matrix builds its dual once, and each complex its dual complex;
+    the dual's dual is the matrix itself, and no matrix is part of a
+    reference cycle, so matrices are still freed by reference counting."""
+
+    @pytest.fixture
+    def involutes(self, monkeypatch):
+        calls = [0]
+        real = GroupRingElement.involute
+
+        def counting(e):
+            calls[0] += 1
+            return real(e)
+
+        monkeypatch.setattr(GroupRingElement, "involute", counting)
+        return calls
+
+    @pytest.mark.parametrize("make", [_lens5_duality, twisted_sym3_duality], ids=["L5", "twisted-S3"])
+    def test_normalize_dualizes_each_matrix_once(self, make, involutes):
+        view, phi = make()
+        involutes[0] = 0
+        normalize_duality(view, phi)
+        first = involutes[0]
+        involutes[0] = 0
+        nd = normalize_duality(view, phi)
+        # a repeat dualizes only the lifts I3* and I4*, which each call
+        # solves afresh: the boundaries, the dual complex and phi's
+        # components kept their duals
+        lifts = _nonzero_entries(*nd.homotopy.components[3:])
+        assert involutes[0] == lifts
+        # and the first call dualized each of those matrices at most once
+        assert first - lifts <= _nonzero_entries(*view.base.differentials, *phi.components[4:])
+
+    def test_dual_of_the_dual_is_the_matrix(self):
+        for C in (lens_complex(5), twisted_sym3_presentation()):
+            for M in C.differentials:
+                D = M.dual()
+                assert M.dual() is D
+                assert D.dual() is M
+                assert M.dual().dual() == M
+
+    def test_dual_complex_is_built_once(self):
+        for C in (lens_complex(5), twisted_sym3_presentation()):
+            D = dualize_complex(C)
+            assert dualize_complex(C) is D
+            assert all(a is b for a, b in zip(dualize_complex(D).differentials, C.differentials))
+
+    def test_no_matrix_reaches_itself(self):
+        view, phi = twisted_sym3_duality()
+        nd = normalize_duality(view, phi)
+        C = view.base
+        matrices = [
+            *C.differentials,
+            *dualize_complex(C).differentials,
+            *phi.components,
+            *nd.psi.components,
+            *nd.homotopy.components,
+        ]
+        matrices += [M.dual() for M in matrices]
+        assert not any(_reaches_itself(M) for M in matrices)
+
+    def test_complexes_and_duals_are_freed_by_reference_counting(self):
+        gc.disable()
+        try:
+            C = lens_complex(5)
+            D = dualize_complex(C)
+            assert all(M.dual().dual() is M for M in C.differentials)
+            refs = [weakref.ref(x) for x in (C, D, *C.differentials, *D.differentials)]
+            del C, D
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_pickles_and_copies_carry_no_dual(self):
+        M = twisted_sym3_presentation().boundary(2)
+        for X in (M, M.dual()):
+            for Y in (pickle.loads(pickle.dumps(X)), copy.copy(X), copy.deepcopy(X)):
+                assert Y == X and Y is not X
+                assert Y.dual() == X.dual() and Y.dual() is not X.dual()
 
 
 class TestAntiSelfDuality:

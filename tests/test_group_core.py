@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import KLEIN_TABLE, c70_loop_table, make_klein, make_sym3, small_groups
 from zgdual.group_core import (
@@ -369,6 +371,26 @@ class TestCheckedCoefficients:
                 GroupRingElement.from_terms(G, [(1, index)])
         assert [GroupRingElement.basis(G, i).coeffs for i in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
+    @pytest.mark.parametrize("index", [1.0, "1", None])
+    def test_non_integer_indices_are_rejected(self, index):
+        G = cyclic_group(3)
+        with pytest.raises(TypeError):
+            GroupRingElement.from_terms(G, [(1, index)])
+        with pytest.raises(TypeError):
+            GroupRingElement.basis(G, index)
+
+    def test_integer_like_indices_are_stored_as_int(self):
+        from sympy import Integer
+
+        G = cyclic_group(3)
+        for e in (
+            GroupRingElement.from_terms(G, [(1, True), (2, Integer(2))]),
+            GroupRingElement.basis(G, True) + GroupRingElement.basis(G, Integer(2)).scale(2),
+        ):
+            assert e.support == ((1, 1), (2, 2))
+            assert all(type(i) is int for i, _ in e.support)
+            assert e.terms() == [[1, 1], [2, 2]]
+
     def test_from_terms_rejects_a_float_that_sums_to_an_integer(self):
         with pytest.raises(TypeError):
             GroupRingElement.from_terms(cyclic_group(3), [(0.5, 1), (0.5, 1)])
@@ -396,3 +418,74 @@ class TestCheckedCoefficients:
             for e in (a + b, a - b, -a, a.scale(3), 2 * a, a.involute(), a * b, gr_mul(a, b)):
                 assert e.group == G and type(e.coeffs) is tuple and len(e.coeffs) == G.order
                 assert all(type(c) is int for c in e.coeffs)
+
+
+class TestSparseElementsAgainstDenseVectors:
+    """Each element stores its nonzero terms; every operation must agree
+    with plain coefficient tuples, the representation it replaced."""
+
+    @staticmethod
+    def _vector(G, data):
+        # mostly zeros, so that supports of every size occur
+        coefficient = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+        return data.draw(st.lists(coefficient, min_size=G.order, max_size=G.order).map(tuple))
+
+    @staticmethod
+    def _dense(e, G):
+        """e's coefficient tuple, after checking that its support is the
+        ascending nonzero terms of that tuple, in plain ints."""
+        assert e.group == G
+        c = e.coeffs
+        assert type(c) is tuple and len(c) == G.order
+        assert e.support == tuple((i, a) for i, a in enumerate(c) if a)
+        assert all(type(i) is int and type(a) is int for i, a in e.support)
+        return c
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_operations_match_coefficient_tuples(self, groups, data):
+        G = data.draw(st.sampled_from(groups))
+        N = G.order
+        u = self._vector(G, data)
+        v = u if data.draw(st.booleans()) else self._vector(G, data)
+        k = data.draw(st.integers(-3, 3))
+        a, b = GroupRingElement(G, u), GroupRingElement(G, v)
+        product = [0] * N
+        involute = [0] * N
+        for i in range(N):
+            involute[G.inv_table[i]] = u[i]
+            for j in range(N):
+                product[G.mul_table[i][j]] += u[i] * v[j]
+
+        assert self._dense(a, G) == u
+        assert self._dense(a + b, G) == tuple(x + y for x, y in zip(u, v))
+        assert self._dense(a - b, G) == tuple(x - y for x, y in zip(u, v))
+        assert self._dense(-a, G) == tuple(-x for x in u)
+        assert self._dense(a.scale(k), G) == tuple(k * x for x in u)
+        assert self._dense(a.scale(0), G) == (0,) * N
+        assert self._dense(a.involute(), G) == tuple(involute)
+        assert self._dense(gr_mul(a, b), G) == tuple(product)
+        assert a.augmentation() == sum(u)
+        assert a.is_zero == (not any(u))
+        assert (a == b) == (u == v)
+        assert a.terms() == [[x, i] for i, x in enumerate(u) if x]
+        # the same terms, shuffled, split and padded with zeros, build an equal element
+        terms = [(0, i) for i in range(N)] + [t for i, x in enumerate(u) if x for t in ((x - 1, i), (1, i))]
+        data.draw(st.randoms(use_true_random=False)).shuffle(terms)
+        again = GroupRingElement.from_terms(G, terms)
+        assert again == a and hash(again) == hash(a)
+        assert hash(GroupRingElement(G, v)) == hash(b)
+
+    def test_adding_sparse_elements_allocates_nothing_of_the_group_size(self):
+        G = cyclic_group(1000)
+        a = GroupRingElement.from_terms(G, [(1, 0), (-1, 1)])
+        b = GroupRingElement.from_terms(G, [(1, 1), (3, 500)])
+        tracemalloc.start()
+        try:
+            total = a + b
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total.terms() == [[1, 0], [3, 500]]
+        # a dense vector of 1000 coefficients alone takes 8 kB
+        assert peak < 1000
