@@ -561,17 +561,20 @@ class ChainHomotopy:
 
 
 def verify_homotopy(h: ChainHomotopy) -> DegreewiseReport:
-    """Exact check of f_i - g_i == boundary(i+1) I_i + I_{i-1} boundary(i)."""
+    """Exact check of f_i == g_i + boundary(i+1) I_i + I_{i-1} boundary(i),
+    which is f_i - g_i == boundary(i+1) I_i + I_{i-1} boundary(i) with no
+    zero matrix, negation or difference built.
+    """
     f, g = h.first, h.second
     src, tgt = f.source, f.target
     T = src.top_degree
 
     def holds(i):
-        acc = GRMatrix.zeros(src.group, tgt.ranks[i], src.ranks[i])
+        rhs = g.components[i]
         if i < T:
-            acc = acc + tgt.boundary(i + 1) @ h.components[i]
+            rhs = rhs + tgt.boundary(i + 1) @ h.components[i]
         if i > 0:
-            acc = acc + h.components[i - 1] @ src.boundary(i)
-        return f.components[i] - g.components[i] == acc
+            rhs = rhs + h.components[i - 1] @ src.boundary(i)
+        return f.components[i] == rhs
 
     return _by_degree(range(T + 1), holds, lambda i: f"homotopy identity fails at degree {i}")

@@ -413,9 +413,15 @@ def back_substitute(snf: SmithDecomposition, B: IntegerMatrix):
     A @ X == B becomes D @ Y == U @ B with X == V @ Y.  U @ B is the row
     log replayed on the rows of B; free coordinates of Y are zero, and
     V @ Y is the column log replayed backwards on the rows of Y.
+
+    A zero B returns the zero snf.cols x B.cols matrix without a replay:
+    both logs act linearly, so U @ 0 == 0, Y == 0 and V @ Y == 0, which is
+    the X the full replay gives.
     """
     if B.rows != snf.rows:
         raise ValueError(f"A has {snf.rows} rows but B has {B.rows}")
+    if not any(B.sparse_rows):
+        return IntegerMatrix.zeros(snf.cols, B.cols)
     r = snf.rank
     C = _replay(snf.row_ops, list(map(dict, B.sparse_rows)))
     # rows past the rank must vanish; divisibility on the rest

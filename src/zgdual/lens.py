@@ -74,7 +74,11 @@ def lens_duality_map(n: int) -> ChainMap:
     Its end scalars are (1, -1): +1 on the degree-0 cokernel, -1 on the
     degree-5 kernel.
     """
-    A = lens_complex(n)
+    return _duality_map(lens_complex(n))
+
+
+def _duality_map(A: ChainComplex) -> ChainMap:
+    """lens_duality_map on the lens complex A, built by its caller."""
     G = A.group
     one = GRMatrix.identity(G, 1)
     minus_t = GRMatrix.one_by_one(_t_power(G, 1).scale(-1))
@@ -110,20 +114,31 @@ def asd_unit(n: int) -> AsdUnit:
     All defining identities are verified exactly here:
     beta (1 - t^-1) == alpha, Sigma beta == Sigma,
     alpha (t^{1+k} + t^{1-k}) == t^2 - 1, and beta beta_inv == 1.
+    Sigma beta == Sigma is certified as eps(beta) == 1: g Sigma == Sigma
+    for every g, so Sigma beta == eps(beta) Sigma in any Z[G], and the two
+    checks are equivalent.
     """
+    _check_asd(n)
+    return _asd_unit(cyclic_group(n))
+
+
+def _check_asd(n: int) -> None:
     if asd_status(n) != "anti-self-dual":
         raise ValueError(f"anti-self-dual units exist for n = 4k+1, k >= 1; got n={n}")
-    k = (n - 1) // 4
-    G = cyclic_group(n)
+
+
+def _asd_unit(G: FiniteGroup) -> AsdUnit:
+    """asd_unit over the cyclic group G of order n = 4k+1, built by its
+    caller."""
+    k = (G.order - 1) // 4
     alpha = _poly(G, [(1, k + 1), (1, k), (-1, -k), (-1, -(k + 1))])
     beta = _poly(G, [(1, r) for r in range(-k + 1, k + 1)] + [(-1, r) for r in range(k + 2, 3 * k + 1)])
 
     one_minus_tinv = _poly(G, [(1, 0), (-1, -1)])
-    sigma = norm_element(G)
     if beta * one_minus_tinv != alpha:
         raise AssertionError("beta (1 - t^-1) != alpha")
-    if sigma * beta != sigma:
-        raise AssertionError("Sigma beta != Sigma")
+    if beta.augmentation() != 1:
+        raise AssertionError("Sigma beta != Sigma: eps(beta) != 1")
     two_shift = _t_power(G, 1 + k) + _t_power(G, 1 - k)
     if alpha * two_shift != _poly(G, [(1, 2), (-1, 0)]):
         raise AssertionError("alpha (t^{1+k} + t^{1-k}) != t^2 - 1")
@@ -159,11 +174,14 @@ def lens_asd_transform(n: int) -> AsdTransform:
     check: its squares at boundary(2) and boundary(3) are Sigma beta ==
     Sigma and beta (1 - t^-1) == alpha, which asd_unit checks, and those at
     boundary(1), (4) and (5) compare equal boundaries through identity
-    components.
+    components.  asd_unit checks Sigma beta == Sigma as eps(beta) == 1,
+    which is equivalent (see its docstring).  One L(n) and its group serve
+    the unit, A' and phi.
     """
-    unit = asd_unit(n)
+    _check_asd(n)
     A = lens_complex(n)
     G = A.group
+    unit = _asd_unit(G)
     m = GRMatrix.one_by_one
 
     aprime = ChainComplex(
@@ -189,7 +207,7 @@ def lens_asd_transform(n: int) -> AsdTransform:
         raise AssertionError("alpha x = beta - 1 has no solution")
     x = x_mat.sparse_rows[0].get(0, GroupRingElement.zero(G))
 
-    phi = lens_duality_map(n)
+    phi = _duality_map(A)
     conjugated = compose_maps(f, compose_maps(phi, dual_map(f)))
 
     zero_comp = [GRMatrix.zeros(G, 1, 1)] * 5

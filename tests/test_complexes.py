@@ -14,6 +14,7 @@ from conftest import (
     spot_matrices,
     sym3_presentation,
     twisted_lens,
+    twisted_sym3_duality,
     twisted_sym3_presentation,
 )
 from zgdual import complexes
@@ -544,6 +545,41 @@ class TestChainMaps:
         assert not rep.ok
         # id - (-id) = 2 id is nonzero everywhere, and the zero homotopy adds nothing
         assert rep.failures == tuple(f"homotopy identity fails at degree {i}" for i in range(6))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: normalize_duality(*twisted_sym3_duality()).homotopy,
+            lambda: lens_asd_transform(5).homotopy,
+        ],
+        ids=["twisted-S3-normalize", "L5-asd"],
+    )
+    def test_homotopy_broken_at_one_degree_fails_there(self, make, monkeypatch):
+        h = make()
+        f = h.first
+        G = f.source.group
+        one, zero = GroupRingElement.one(G), GroupRingElement.zero(G)
+        T = f.source.top_degree
+        broken = {}
+        for d, c in enumerate(f.components):
+            if not c.rows * c.cols:
+                continue
+            # one more 1 in entry (0, 0) changes f_d alone, so only degree d's identity
+            bump = GRMatrix.from_rows(G, [[one if r == k == 0 else zero for k in range(c.cols)] for r in range(c.rows)])
+            comps = f.components[:d] + (c + bump,) + f.components[d + 1 :]
+            broken[d] = ChainHomotopy(ChainMap(f.source, f.target, comps), h.second, h.components)
+        assert len(broken) == T + 1
+
+        built = []
+        zeros, neg = GRMatrix.zeros, GRMatrix.__neg__
+        monkeypatch.setattr(GRMatrix, "zeros", staticmethod(lambda *a: built.append("zeros") or zeros(*a)))
+        monkeypatch.setattr(GRMatrix, "__neg__", lambda M: built.append("neg") or neg(M))
+        assert verify_homotopy(h).ok
+        for d, hd in broken.items():
+            rep = verify_homotopy(hd)
+            assert rep.degrees == tuple((i, i != d) for i in range(T + 1))
+            assert rep.failures == (f"homotopy identity fails at degree {d}",)
+        assert built == []
 
     def test_homotopic_maps_act_equally_on_homology(self):
         # a chain homotopy forces (f - g) to carry kernels into images

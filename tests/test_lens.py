@@ -1,9 +1,17 @@
+from dataclasses import replace
+
 import pytest
 
+from zgdual import lens
 from zgdual.complexes import (
+    ChainHomotopy,
+    ChainMap,
+    compose_maps,
+    dual_map,
     five_complex_report,
     homology,
     is_chain_map,
+    scalar_diagonal_map,
     validate_complex,
     verify_homotopy,
 )
@@ -184,6 +192,40 @@ class TestAsdTransform:
     def test_rejects_other_n(self):
         with pytest.raises(ValueError):
             lens_asd_transform(7)
+
+    @pytest.mark.parametrize("n", [5, 9, 13, 101])
+    def test_one_lens_complex_per_transform(self, n, monkeypatch):
+        calls = {"cyclic_group": 0, "lens_complex": 0}
+        for name in calls:
+            real = getattr(lens, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(lens, name, counted)
+        t = lens_asd_transform(n)
+        assert calls == {"cyclic_group": 1, "lens_complex": 1}
+        monkeypatch.undo()
+
+        # the same data built from the public asd_unit and lens_duality_map
+        unit = asd_unit(n)
+        assert t.unit == unit
+        A = lens_complex(n)
+        G = A.group
+        m = GRMatrix.one_by_one
+        aprime = replace(A, differentials=A.differentials[:2] + (m(unit.alpha),) + A.differentials[3:])
+        assert t.complex == aprime
+        one = GRMatrix.identity(G, 1)
+        f = ChainMap(A, aprime, (one, one, m(unit.beta), one, one, one))
+        assert t.f == f
+        assert gr_mul(unit.alpha, t.x) == unit.beta - GroupRingElement.one(G)
+        assert t.x == aprime.solve_boundary(3, m(unit.beta - GroupRingElement.one(G))).entries[0][0]
+        conjugated = compose_maps(f, compose_maps(lens_duality_map(n), dual_map(f)))
+        scalars = tuple(t.diagonal_sign * s for s in (1, 1, 1, -1, -1, -1))
+        diagonal = scalar_diagonal_map(conjugated.source, conjugated.target, scalars)
+        components = tuple(m(t.x) if i == 2 else GRMatrix.zeros(G, 1, 1) for i in range(5))
+        assert t.homotopy == ChainHomotopy(conjugated, diagonal, components)
 
 
 class TestLensInstance:

@@ -1,5 +1,6 @@
 """Property-based tests for the algebraic core."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
@@ -210,6 +211,29 @@ def test_snf_log_replays_match_the_materialized_transforms(system):
         Y = IntegerMatrix(r, 2, tuple(tuple(v // d for v in row) for d, row in zip(snf.diagonal, UB.entries)))
         assert X == first_r_columns @ Y
         assert A @ X == B
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_int_matrices(), st.integers(0, 3), st.booleans())
+@example(IntegerMatrix.zeros(0, 4), 2, False)
+@example(IntegerMatrix.zeros(4, 0), 0, True)
+@example(IntegerMatrix.identity(3), 0, True)
+def test_back_substitute_zero_rhs_is_the_zero_solution(A, b_cols, from_grid):
+    snf = smith_normal_form(A)
+    # a zero B from a grid of zeros or from sparse rows, 0 columns included
+    if from_grid:
+        B = IntegerMatrix(A.rows, b_cols, ((0,) * b_cols,) * A.rows)
+    else:
+        B = IntegerMatrix.zeros(A.rows, b_cols)
+    X = back_substitute(snf, B)
+    # the full replay on the materialized transforms: U @ B == 0, so Y == 0
+    # and X == V @ Y
+    assert not any((snf.U @ B).sparse_rows)
+    assert X == snf.V @ IntegerMatrix.zeros(A.cols, b_cols) == IntegerMatrix.zeros(A.cols, b_cols)
+    assert A @ X == B
+    # the shape is checked before the zero shortcut
+    with pytest.raises(ValueError, match="rows but B has"):
+        back_substitute(snf, IntegerMatrix.zeros(A.rows + 1, b_cols))
 
 
 # S3 and Q8 are the non-cyclic groups; C6 keeps a cyclic case with two
