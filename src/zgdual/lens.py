@@ -14,7 +14,12 @@ beta^-1 = sum_{r=k}^{3k} (-1)^{r-k} t^r, rescales the middle
 module so that the form becomes alpha = t^{k+1}+t^k-t^{-k}-t^{-(k+1)},
 which is antisymmetric (involuting alpha negates it), and the conjugated
 duality equivalence is homotopic to a +-1 diagonal via a single homotopy
-component x with alpha x = beta - 1.
+component x with alpha x = beta - 1, in closed form
+
+    x = -(sum_{r=1}^{k} t^r + sum_{j=1}^{k} t^{k+2j}).
+
+verify_homotopy certifies x: its degree-2 identity is exactly
+alpha x = beta - 1.
 """
 
 from __future__ import annotations
@@ -161,7 +166,9 @@ class AsdTransform:
     n: int
     complex: ChainComplex  # A' with middle differential x alpha
     f: ChainMap  # A -> A'
-    x: GroupRingElement  # the single homotopy component, alpha x = beta - 1
+    # the single homotopy component, x = -(sum_{r=1}^{k} t^r + sum_{j=1}^{k} t^{k+2j});
+    # verify_homotopy's degree-2 identity is exactly alpha x = beta - 1
+    x: GroupRingElement
     homotopy: ChainHomotopy
     diagonal_sign: int
     unit: AsdUnit
@@ -177,6 +184,17 @@ def lens_asd_transform(n: int) -> AsdTransform:
     components.  asd_unit checks Sigma beta == Sigma as eps(beta) == 1,
     which is equivalent (see its docstring).  One L(n) and its group serve
     the unit, A' and phi.
+
+    The homotopy component x solving alpha x = beta - 1 is written in
+    closed form, x = -(sum_{r=1}^{k} t^r + sum_{j=1}^{k} t^{k+2j}), and no
+    Smith reduction is run.  It needs no check of its own: verify_homotopy
+    checks it.  At degree 2, (f phi f*)_2 is beta, the +1 diagonal is 1,
+    I_1 is zero and boundary(3) I_2 of A' is alpha x, so that identity is
+    exactly alpha x = beta - 1; at degree 3 it is x alpha = beta - 1 up to
+    a global sign.  Against the -1 diagonal, degree 2 would need
+    alpha x = beta + 1, which no x solves (eps(alpha) = 0, eps(beta + 1)
+    = 2).  So a wrong x fails degrees 2 and 3 and raises the
+    AssertionError below.
     """
     _check_asd(n)
     A = lens_complex(n)
@@ -201,11 +219,8 @@ def lens_asd_transform(n: int) -> AsdTransform:
     one = GRMatrix.identity(G, 1)
     f = ChainMap(A, aprime, (one, one, m(unit.beta), one, one, one))
 
-    # boundary(3) of A' is alpha, so this reduction is the one its readers reuse
-    x_mat = aprime.solve_boundary(3, m(unit.beta - GroupRingElement.one(G)))
-    if x_mat is None:
-        raise AssertionError("alpha x = beta - 1 has no solution")
-    x = x_mat.sparse_rows[0].get(0, GroupRingElement.zero(G))
+    k = (n - 1) // 4
+    x = _poly(G, [(-1, r) for r in range(1, k + 1)] + [(-1, k + 2 * j) for j in range(1, k + 1)])
 
     phi = _duality_map(A)
     conjugated = compose_maps(f, compose_maps(phi, dual_map(f)))

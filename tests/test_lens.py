@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from zgdual import lens
+from zgdual import complexes, lens
 from zgdual.complexes import (
     ChainHomotopy,
     ChainMap,
@@ -226,6 +226,45 @@ class TestAsdTransform:
         diagonal = scalar_diagonal_map(conjugated.source, conjugated.target, scalars)
         components = tuple(m(t.x) if i == 2 else GRMatrix.zeros(G, 1, 1) for i in range(5))
         assert t.homotopy == ChainHomotopy(conjugated, diagonal, components)
+
+    def test_closed_form_x_is_the_snf_solution(self):
+        # the particular solution that a Smith reduction of boundary(3) of A' gives,
+        # kept as the oracle for the closed form
+        m = GRMatrix.one_by_one
+        for n in range(5, 402, 4):
+            t = lens_asd_transform(n)
+            G = t.complex.group
+            solved = t.complex.solve_boundary(3, m(t.unit.beta - GroupRingElement.one(G)))
+            assert t.x == solved.entries[0][0], n
+
+    @pytest.mark.parametrize("n", [5, 9, 13, 101])
+    def test_transform_runs_no_smith_reduction(self, n, monkeypatch):
+        calls = []
+        real = complexes.smith_normal_form
+
+        def counted(A):
+            calls.append(A)
+            return real(A)
+
+        monkeypatch.setattr(complexes, "smith_normal_form", counted)
+        lens_asd_transform(n)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [5, 9, 13, 101])
+    def test_verify_homotopy_alone_certifies_x(self, n):
+        t = lens_asd_transform(n)
+        G = t.complex.group
+
+        def failed_degrees(x):
+            comps = t.homotopy.components[:2] + (GRMatrix.one_by_one(x),) + t.homotopy.components[3:]
+            report = verify_homotopy(replace(t.homotopy, components=comps))
+            return [i for i, ok in report.degrees if not ok]
+
+        assert failed_degrees(t.x) == []
+        assert failed_degrees(t.x + GroupRingElement.one(G)) == [2, 3]
+        assert failed_degrees(t.x + tpow(G, 1)) == [2, 3]  # drops the t^1 term
+        # Sigma is in ker alpha, so x is certified only modulo it
+        assert failed_degrees(t.x + norm_element(G)) == []
 
 
 class TestLensInstance:
