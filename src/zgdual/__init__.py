@@ -51,7 +51,6 @@ from zgdual.dual_form import (
 )
 from zgdual.lens import (
     asd_status,
-    asd_unit,
     lens_asd_transform,
     lens_complex,
     lens_duality_map,

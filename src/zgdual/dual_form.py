@@ -91,31 +91,14 @@ class MoveRecord:
     rank: int
 
 
-def _leading_block_maps(small: ChainComplex, big: ChainComplex) -> tuple[ChainMap, ChainMap]:
-    """The inclusion small -> big of the leading blocks and the projection
-    big -> small onto them."""
-    G = small.group
-    one = GroupRingElement.one(G)
-
-    def leading(rows, cols):  # the identity on the first min(rows, cols) generators
-        return GRMatrix._from_sparse_rows(G, cols, [{i: one} if i < cols else {} for i in range(rows)])
-
-    pairs = tuple(zip(small.ranks, big.ranks))
-    return (
-        ChainMap(small, big, tuple(leading(R, r) for r, R in pairs)),
-        ChainMap(big, small, tuple(leading(r, R) for r, R in pairs)),
-    )
-
-
 @dataclass(frozen=True)
 class PipelineResult:
-    """``forward``/``backward`` are the inclusion of the input as the
-    leading blocks of the stage-6 complex and the projection onto them."""
+    """The stage-6 complex and its moves.  The input is its leading blocks;
+    the equivalences, the inclusion of those blocks and the projection onto
+    them, are not built."""
 
     complex: ChainComplex
     moves: tuple[MoveRecord, ...]
-    forward: ChainMap  # input -> stage-6 complex
-    backward: ChainMap  # stage-6 complex -> input
 
 
 def to_dual_form_stage6(C: ChainComplex) -> PipelineResult:
@@ -146,7 +129,7 @@ def to_dual_form_stage6(C: ChainComplex) -> PipelineResult:
     ]
     stage6 = _direct_sum(C, plan)
     moves = tuple(MoveRecord(position, rank) for position, rank in plan)
-    return PipelineResult(stage6, moves, *_leading_block_maps(C, stage6))
+    return PipelineResult(stage6, moves)
 
 
 # -- dual-form recognition ----------------------------------------------
@@ -242,16 +225,15 @@ def obstruction_check(view: DualFormView) -> ObstructionReport:
 class NormalizedDuality:
     """A duality equivalence pushed to the shape (-1,-1,theta2,theta1,1,1).
 
-    ``homotopy`` connects psi to the (possibly globally negated) input phi.
-    The central square d3 theta2 == theta1 d3* always holds exactly: it is
-    psi's square at boundary(3), the dual's boundary(3) being d3*, and
-    normalize_duality proves psi a chain map without multiplying it out.
-    The diagonal augmentation residues of theta1/theta2 mod |G| are
-    recorded but only asserted for specific families by callers.
+    ``homotopy`` connects psi, its ``first`` map, to the (possibly globally
+    negated) input phi, its ``second``.  The central square
+    d3 theta2 == theta1 d3* always holds exactly: it is psi's square at
+    boundary(3), the dual's boundary(3) being d3*, and normalize_duality
+    proves psi a chain map without multiplying it out.  The diagonal
+    augmentation residues of theta1/theta2 mod |G| are recorded but only
+    asserted for specific families by callers.
     """
 
-    phi: ChainMap
-    psi: ChainMap
     theta1: GRMatrix
     theta2: GRMatrix
     homotopy: ChainHomotopy
@@ -331,8 +313,6 @@ def normalize_duality(view: DualFormView, phi: ChainMap) -> NormalizedDuality:
         raise AssertionError("constructed homotopy fails verification")
 
     return NormalizedDuality(
-        phi=phi,
-        psi=psi,
         theta1=theta1,
         theta2=theta2,
         homotopy=homotopy,
@@ -535,7 +515,6 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
 @dataclass(frozen=True)
 class AssembledDualForm:
     complex: ChainComplex
-    conjugation: ChainMap  # stage-6 complex -> assembled dual form
     view: DualFormView
 
 
@@ -549,9 +528,10 @@ def assemble_dual_form(C6: ChainComplex, iso: ChainIsoPair) -> AssembledDualForm
     duals.  The result is validated, since C6 never is, and then mirrors
     by construction, so its view needs no recognition.
 
-    The conjugation (1, 1, 1, h2*, h1*, h0*) is a chain map by proof, not
-    by check: its squares at degrees 1-2 are identities on the shared d1,
-    d2; at 3, d3 k2* h2* == d3 (h2 k2)* == d3; at 4-5, the duals of h's.
+    The conjugation C6 -> result, (1, 1, 1, h2*, h1*, h0*), is a chain map
+    by proof, so it is not built: its squares at degrees 1-2 are identities
+    on the shared d1, d2; at 3, d3 k2* h2* == d3 (h2 k2)* == d3; at 4-5,
+    the duals of h's.
     """
     if C6.top_degree != 5:
         raise ValueError("assembly requires a length-6 complex")
@@ -584,7 +564,4 @@ def assemble_dual_form(C6: ChainComplex, iso: ChainIsoPair) -> AssembledDualForm
     )
     if not validate_complex(assembled).ok:
         raise ValueError("assembled complex has nonzero compositions; iso was not a chain isomorphism")
-
-    ident = tuple(GRMatrix.identity(G, r) for r in C6.ranks[:3])
-    conj = ChainMap(C6, assembled, ident + tuple(h_i.dual() for h_i in reversed(iso.h)))
-    return AssembledDualForm(complex=assembled, conjugation=conj, view=DualFormView(assembled))
+    return AssembledDualForm(complex=assembled, view=DualFormView(assembled))

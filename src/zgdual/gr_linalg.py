@@ -35,7 +35,7 @@ class GRMatrix:
     ``sparse_rows`` holds row i as a dict column -> nonzero entry; the
     row-major grid ``entries`` is built from them on its first read.  A
     matrix is built from a checked grid (``GRMatrix(group, rows, cols,
-    entries)``, ``from_rows``, ``scalar``, ``one_by_one``), by ``zeros`` and
+    entries)``, ``from_rows``, ``one_by_one``), by ``zeros`` and
     ``identity``, or, by the library's builders, from sparse rows.
     Equality reads the shape, the group and the nonzeros; hashing reads the
     shape and the nonzero coefficients.  ``dual()`` is built once and kept;
@@ -118,17 +118,6 @@ class GRMatrix:
         for i, line in enumerate(I.sparse_rows):
             line[i] = one
         return I
-
-    @staticmethod
-    def scalar(element: GroupRingElement, n: int) -> GRMatrix:
-        """Diagonal matrix acting by left multiplication with ``element``."""
-        z = GroupRingElement.zero(element.group)
-        return GRMatrix(
-            element.group,
-            n,
-            n,
-            tuple(tuple(element if i == j else z for j in range(n)) for i in range(n)),
-        )
 
     @staticmethod
     def one_by_one(element: GroupRingElement) -> GRMatrix:

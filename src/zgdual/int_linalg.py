@@ -91,13 +91,6 @@ class IntegerMatrix:
             raise ValueError(f"entry grid does not match declared shape {rows}x{cols}")
         return IntegerMatrix._from_sparse_rows(cols, [{} for _ in range(rows)])
 
-    @staticmethod
-    def identity(n: int) -> IntegerMatrix:
-        I = IntegerMatrix.zeros(n, n)
-        for i, line in enumerate(I.sparse_rows):
-            line[i] = 1
-        return I
-
     def __matmul__(self, other: IntegerMatrix) -> IntegerMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
@@ -569,16 +562,8 @@ class AbelianGroupInfo:
         return self.free_rank == 0 and not self.torsion
 
     @staticmethod
-    def trivial() -> AbelianGroupInfo:
-        return AbelianGroupInfo(0, ())
-
-    @staticmethod
     def free(rank: int) -> AbelianGroupInfo:
         return AbelianGroupInfo(rank, ())
-
-    @staticmethod
-    def cyclic(n: int) -> AbelianGroupInfo:
-        return AbelianGroupInfo(0, (n,)) if n > 1 else AbelianGroupInfo(0, ())
 
     def __str__(self):
         parts = []

@@ -113,8 +113,9 @@ def asd_status(n: int) -> str:
     return "unknown"
 
 
-def asd_unit(n: int) -> AsdUnit:
-    """The unit beta and antisymmetric form alpha for n = 4k+1.
+def _asd_unit(G: FiniteGroup) -> AsdUnit:
+    """The unit beta and antisymmetric form alpha over the cyclic group G
+    of order n = 4k+1, built by its caller.
 
     All defining identities are verified exactly here:
     beta (1 - t^-1) == alpha, Sigma beta == Sigma,
@@ -123,18 +124,6 @@ def asd_unit(n: int) -> AsdUnit:
     for every g, so Sigma beta == eps(beta) Sigma in any Z[G], and the two
     checks are equivalent.
     """
-    _check_asd(n)
-    return _asd_unit(cyclic_group(n))
-
-
-def _check_asd(n: int) -> None:
-    if asd_status(n) != "anti-self-dual":
-        raise ValueError(f"anti-self-dual units exist for n = 4k+1, k >= 1; got n={n}")
-
-
-def _asd_unit(G: FiniteGroup) -> AsdUnit:
-    """asd_unit over the cyclic group G of order n = 4k+1, built by its
-    caller."""
     k = (G.order - 1) // 4
     alpha = _poly(G, [(1, k + 1), (1, k), (-1, -k), (-1, -(k + 1))])
     beta = _poly(G, [(1, r) for r in range(-k + 1, k + 1)] + [(-1, r) for r in range(k + 2, 3 * k + 1)])
@@ -156,16 +145,15 @@ def _asd_unit(G: FiniteGroup) -> AsdUnit:
 
 @dataclass(frozen=True)
 class AsdTransform:
-    """The rescaling f: A -> A' plus the verified anti-self-duality data.
+    """The rescaled complex A' plus the verified anti-self-duality data.
 
-    ``diagonal_sign`` records which +-1 diagonal the conjugated duality
-    equivalence f phi f* is homotopic to: +1 for (1,1,1,-1,-1,-1) in
-    ascending degrees, -1 for its global negation.
+    ``homotopy`` runs from the conjugated duality equivalence f phi f*, f
+    the rescaling A -> A' of lens_asd_transform, to a +-1 diagonal.
+    ``diagonal_sign`` records which: +1 for (1,1,1,-1,-1,-1) in ascending
+    degrees, -1 for its global negation.
     """
 
-    n: int
     complex: ChainComplex  # A' with middle differential x alpha
-    f: ChainMap  # A -> A'
     # the single homotopy component, x = -(sum_{r=1}^{k} t^r + sum_{j=1}^{k} t^{k+2j});
     # verify_homotopy's degree-2 identity is exactly alpha x = beta - 1
     x: GroupRingElement
@@ -179,9 +167,9 @@ def lens_asd_transform(n: int) -> AsdTransform:
 
     The rescaling f = (1, 1, beta, 1, 1, 1) is a chain map by proof, not by
     check: its squares at boundary(2) and boundary(3) are Sigma beta ==
-    Sigma and beta (1 - t^-1) == alpha, which asd_unit checks, and those at
-    boundary(1), (4) and (5) compare equal boundaries through identity
-    components.  asd_unit checks Sigma beta == Sigma as eps(beta) == 1,
+    Sigma and beta (1 - t^-1) == alpha, which _asd_unit checks, and those
+    at boundary(1), (4) and (5) compare equal boundaries through identity
+    components.  _asd_unit checks Sigma beta == Sigma as eps(beta) == 1,
     which is equivalent (see its docstring).  One L(n) and its group serve
     the unit, A' and phi.
 
@@ -196,7 +184,8 @@ def lens_asd_transform(n: int) -> AsdTransform:
     = 2).  So a wrong x fails degrees 2 and 3 and raises the
     AssertionError below.
     """
-    _check_asd(n)
+    if asd_status(n) != "anti-self-dual":
+        raise ValueError(f"anti-self-dual units exist for n = 4k+1, k >= 1; got n={n}")
     A = lens_complex(n)
     G = A.group
     unit = _asd_unit(G)
@@ -235,14 +224,6 @@ def lens_asd_transform(n: int) -> AsdTransform:
         diagonal = scalar_diagonal_map(source, target, scalars)
         homotopy = ChainHomotopy(first=conjugated, second=diagonal, components=components)
         if verify_homotopy(homotopy).ok:
-            return AsdTransform(
-                n=n,
-                complex=aprime,
-                f=f,
-                x=x,
-                homotopy=homotopy,
-                diagonal_sign=sign,
-                unit=unit,
-            )
+            return AsdTransform(complex=aprime, x=x, homotopy=homotopy, diagonal_sign=sign, unit=unit)
     raise AssertionError("f phi f* is not homotopic to a +-1 diagonal via the single component x")
 

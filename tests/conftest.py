@@ -128,12 +128,50 @@ def identity_map(C):
     return ChainMap(C, C, tuple(GRMatrix.identity(C.group, r) for r in C.ranks))
 
 
+def integer_identity(n):
+    """The n x n identity over Z, from the checked grid constructor."""
+    return IntegerMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def scalar_matrix(element, n):
+    """The n x n diagonal matrix of ``element``, from the checked grid
+    constructor."""
+    z = GroupRingElement.zero(element.group)
+    grid = tuple(tuple(element if i == j else z for j in range(n)) for i in range(n))
+    return GRMatrix(element.group, n, n, grid)
+
+
+def leading_block_maps(small, big):
+    """The inclusion small -> big of the leading blocks and the projection
+    big -> small onto them: the equivalences of the pipeline's expansions,
+    which the library proves but does not build."""
+    G = small.group
+    one, zero = GroupRingElement.one(G), GroupRingElement.zero(G)
+
+    def leading(rows, cols):  # the identity on the first min(rows, cols) generators
+        grid = tuple(tuple(one if i == j else zero for j in range(cols)) for i in range(rows))
+        return GRMatrix(G, rows, cols, grid)
+
+    pairs = tuple(zip(small.ranks, big.ranks))
+    return (
+        ChainMap(small, big, tuple(leading(R, r) for r, R in pairs)),
+        ChainMap(big, small, tuple(leading(r, R) for r, R in pairs)),
+    )
+
+
+def conjugation(C6, assembled, iso):
+    """The chain map C6 -> assembled, (1, 1, 1, h2*, h1*, h0*), that
+    assemble_dual_form proves but does not build."""
+    ident = tuple(GRMatrix.identity(C6.group, r) for r in C6.ranks[:3])
+    return ChainMap(C6, assembled, ident + tuple(h.dual() for h in reversed(iso.h)))
+
+
 def expansion(C, position, rank):
     """One simple homotopy expansion of C by a free rank-``rank`` summand at
     degrees position and position+1, as the stage-6 pipeline makes it: the
     complex, with the inclusion and the projection of its leading blocks."""
     E = dual_form._direct_sum(C, [(position, rank)])
-    return (E, *dual_form._leading_block_maps(C, E))
+    return (E, *leading_block_maps(C, E))
 
 
 def twist_degree_one(C, u, u_inv):
@@ -252,7 +290,8 @@ def twisted_sym3_duality():
     head = dual_form.dual_head_segment(pipe.complex)
     iso = dual_form.solve_chain_isomorphism(dual_form.tail_segment(pipe.complex), head, budget=2)
     asm = dual_form.assemble_dual_form(pipe.complex, iso)
-    f = compose_maps(asm.conjugation, compose_maps(pipe.forward, twist))
+    inclusion, _ = leading_block_maps(T, pipe.complex)
+    f = compose_maps(conjugation(pipe.complex, asm.complex, iso), compose_maps(inclusion, twist))
     phi = scalar_diagonal_map(dualize_complex(P), P, (1, 1, 1, -1, -1, -1))
     return asm.view, compose_maps(f, compose_maps(phi, dual_map(f)))
 

@@ -42,7 +42,7 @@ from zgdual.int_linalg import AbelianGroupInfo, IntegerMatrix, kernel_basis, smi
 from zgdual.lens import lens_asd_transform, lens_complex, lens_duality_map
 
 Z = AbelianGroupInfo.free(1)
-ZERO = AbelianGroupInfo.trivial()
+ZERO = AbelianGroupInfo(0, ())
 
 
 def tpow(G, e):
@@ -223,7 +223,7 @@ class TestHomology:
     def test_lens_trivial_coefficients(self):
         for n in (2, 5, 9):
             A = lens_complex(n)
-            zn = AbelianGroupInfo.cyclic(n)
+            zn = AbelianGroupInfo(0, (n,))
             expected = [Z, zn, ZERO, zn, ZERO, Z]
             got = [homology(A, d, "trivial") for d in range(6)]
             assert got == expected
@@ -462,7 +462,7 @@ class TestCohomology:
 
     def test_lens_five(self):
         D = dualize_complex(lens_complex(5))
-        z5 = AbelianGroupInfo.cyclic(5)
+        z5 = AbelianGroupInfo(0, (5,))
         got = [homology(D, 5 - d, "trivial") for d in range(6)]
         assert got == [Z, ZERO, z5, ZERO, z5, Z]
 
@@ -485,9 +485,9 @@ class TestCohomology:
         zero = GroupRingElement.zero(G)
         C = one_by_one_complex(G, poly(G, (2, 0)), zero)  # Z -0-> Z -2-> Z
         # chain: H0 = Z/2, H1 = 0, H2 = Z; cochain: H^0 = 0, H^1 = Z/2, H^2 = Z
-        assert [homology(C, d) for d in range(3)] == [AbelianGroupInfo.cyclic(2), ZERO, Z]
+        assert [homology(C, d) for d in range(3)] == [AbelianGroupInfo(0, (2,)), ZERO, Z]
         D = dualize_complex(C)
-        assert [homology(D, 2 - d) for d in range(3)] == [ZERO, AbelianGroupInfo.cyclic(2), Z]
+        assert [homology(D, 2 - d) for d in range(3)] == [ZERO, AbelianGroupInfo(0, (2,)), Z]
 
     def test_poincare_numeric_symmetry_on_lens(self):
         # H_d == H^{5-d}, the homology of the dual at degree d

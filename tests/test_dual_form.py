@@ -8,11 +8,14 @@ from functools import partial
 import pytest
 
 from conftest import (
+    conjugation,
     expansion,
     identity_map,
+    leading_block_maps,
     make_dihedral4,
     make_quaternion8,
     make_sym3,
+    scalar_matrix,
     sym3_presentation,
     twisted_lens,
     twisted_sym3_duality,
@@ -257,9 +260,10 @@ class TestStageSixPipeline:
             for coeff in ("integral", "trivial"):
                 for d in range(6):
                     assert homology(pipe.complex, d, coeff) == homology(A, d, coeff)
-            assert is_chain_map(pipe.forward).is_chain_map
-            assert is_chain_map(pipe.backward).is_chain_map
-            roundtrip = compose_maps(pipe.backward, pipe.forward)
+            forward, backward = leading_block_maps(A, pipe.complex)
+            assert is_chain_map(forward).is_chain_map
+            assert is_chain_map(backward).is_chain_map
+            roundtrip = compose_maps(backward, forward)
             assert roundtrip.components == identity_map(A).components
 
     @pytest.mark.parametrize(
@@ -272,7 +276,9 @@ class TestStageSixPipeline:
         + ["S3-presentation", "twisted-S3-presentation"],
     )
     def test_maps_are_the_composed_move_maps(self, make):
-        # the reference: the five expansions' maps multiplied through
+        # the pipeline's equivalences are its leading-block maps, as
+        # to_dual_form_stage6 proves; the reference: the five expansions'
+        # maps multiplied through
         C = make()
         pipe = to_dual_form_stage6(C)
         c = C.ranks
@@ -284,8 +290,9 @@ class TestStageSixPipeline:
             backward = compose_maps(backward, projection)
         assert pipe.complex == current
         assert pipe.moves == tuple(dual_form.MoveRecord(pos, rank) for pos, rank in plan)
-        assert pipe.forward == forward
-        assert pipe.backward == backward
+        leading_forward, leading_backward = leading_block_maps(C, pipe.complex)
+        assert leading_forward == forward
+        assert leading_backward == backward
 
     def test_requires_membership(self):
         G = cyclic_group(3)
@@ -584,7 +591,7 @@ class TestAssembly:
         assert iso is not None, "solver should find an isomorphism for this instance"
         asm = assemble_dual_form(pipe.complex, iso)
         assert asm.view is not None
-        assert is_chain_map(asm.conjugation).is_chain_map
+        assert is_chain_map(conjugation(pipe.complex, asm.complex, iso)).is_chain_map
         for d in range(6):
             assert homology(asm.complex, d, "integral") == homology(C, d, "integral")
             assert homology(asm.complex, d, "trivial") == homology(C, d, "trivial")
@@ -594,7 +601,7 @@ class TestAssembly:
         G = pipe.complex.group
         ranks = tail_segment(pipe.complex).ranks
         two = tuple(
-            GRMatrix.scalar(GroupRingElement.one(G).scale(2), r) for r in ranks
+            scalar_matrix(GroupRingElement.one(G).scale(2), r) for r in ranks
         )
         with pytest.raises(ValueError):
             assemble_dual_form(pipe.complex, ChainIsoPair(h=two, k=two))
@@ -650,7 +657,7 @@ class TestAssembly:
         tail, head = tail_segment(pipe.complex), dual_head_segment(pipe.complex)
         iso = solve_chain_isomorphism(tail, head, budget=2)
         asm = assemble_dual_form(pipe.complex, iso)
-        assert is_chain_map(asm.conjugation).is_chain_map
+        assert is_chain_map(conjugation(pipe.complex, asm.complex, iso)).is_chain_map
         assert_mutual_chain_isomorphism(tail, head, iso)
         assert asm.view == recognize_dual_form(asm.complex)
 
@@ -663,7 +670,7 @@ class TestNormalizeDuality:
         phi = lens_duality_map(7)
         nd = normalize_duality(view, phi)
         assert not nd.negated
-        assert nd.psi.components == phi.components
+        assert nd.homotopy.first.components == phi.components
         assert nd.theta1 == GRMatrix.identity(A.group, 1)
         assert nd.theta2 == GRMatrix.one_by_one(tpow(A.group, 1).scale(-1))
         assert all(h.is_zero for h in nd.homotopy.components)
@@ -678,7 +685,10 @@ class TestNormalizeDuality:
         assert is_chain_map(neg).end_scalars == (-1, 1)
         nd = normalize_duality(view, neg)
         assert nd.negated
-        assert nd.psi.components == phi.components
+        assert nd.homotopy.first.components == phi.components
+        # the homotopy ends at the negated input negated again
+        assert nd.homotopy.second.components == phi.components
+        assert verify_homotopy(nd.homotopy).ok
 
     def test_conjugated_duality_on_asd_target(self):
         # f phi f* on the anti-self-dual representative normalizes cleanly
@@ -705,7 +715,7 @@ class TestNormalizeDuality:
         view = recognize_dual_form(C)
         nd = normalize_duality(view, phi2)
         assert not all(I.is_zero for I in nd.homotopy.components)
-        assert is_chain_map(nd.psi).is_chain_map
+        assert is_chain_map(nd.homotopy.first).is_chain_map
         assert verify_homotopy(nd.homotopy).ok
         assert C.boundary(3) @ nd.theta2 == nd.theta1 @ C.boundary(3).dual()
         if n != "sym3":
@@ -877,7 +887,7 @@ class TestDualsBuiltOnce:
             *C.differentials,
             *dualize_complex(C).differentials,
             *phi.components,
-            *nd.psi.components,
+            *nd.homotopy.first.components,
             *nd.homotopy.components,
         ]
         matrices += [M.dual() for M in matrices]

@@ -3,7 +3,7 @@ from functools import partial
 
 import pytest
 
-from conftest import make_quaternion8, make_sym3, rational_rank
+from conftest import integer_identity, make_quaternion8, make_sym3, rational_rank, scalar_matrix
 from zgdual.group_core import GroupRingElement, cyclic_group, gr_mul, norm_element
 from zgdual.gr_linalg import (
     GRMatrix,
@@ -144,7 +144,7 @@ class TestDualMatrix:
 class TestExpandRegular:
     def test_identity_over_c3(self):
         G = cyclic_group(3)
-        assert GRMatrix.identity(G, 1).expand() == IntegerMatrix.identity(3)
+        assert GRMatrix.identity(G, 1).expand() == integer_identity(3)
 
     def test_norm_is_all_ones(self):
         for n in (2, 4, 6):
@@ -201,8 +201,8 @@ class TestExpandRegular:
         for _ in range(30):
             A = rand_gr_matrix(rng, G, 2, 3)
             r = smith_normal_form(A.expand()).rank
-            u = GRMatrix.scalar(tpow(G, rng.randrange(6)).scale(rng.choice((1, -1))), 2)
-            v = GRMatrix.scalar(tpow(G, rng.randrange(6)).scale(rng.choice((1, -1))), 3)
+            u = scalar_matrix(tpow(G, rng.randrange(6)).scale(rng.choice((1, -1))), 2)
+            v = scalar_matrix(tpow(G, rng.randrange(6)).scale(rng.choice((1, -1))), 3)
             assert smith_normal_form((u @ A @ v).expand()).rank == r
 
 

@@ -7,13 +7,13 @@ at a time: the two must be equal, hash alike, and reduce to the same Smith
 decomposition, diagonal and both logs, when the reduction starts from the
 sparse rows and when it starts from the dense grid.  The other producers
 (augmented, transpose, @, the decomposition's D, U and V, kernel_basis,
-back_substitute's solution, zeros and identity) are checked against a grid
+back_substitute's solution and zeros) are checked against a grid
 computed densely: equal entries, == and hash agree, no stored zero and
 every column in range.
 
 Every GRMatrix is stored as sparse rows too.  Its producers (the checked
 constructors, zeros, identity, @, +, -, dual, fold_columns and the
-dual-form builders _direct_sum, _leading_block_maps and _unflatten_triple)
+dual-form builders _direct_sum and _unflatten_triple)
 are checked the same way against grids of GroupRingElements computed entry
 by entry, and its readers (_flatten, _diag_aug_residue, matrix_to_json)
 against the same grids.
@@ -26,10 +26,12 @@ import pytest
 
 from conftest import (
     expansion,
+    integer_identity,
     make_dihedral4,
     make_quaternion8,
     make_sym3,
     presentation_complex,
+    scalar_matrix,
     sym3_presentation,
     twisted_lens,
     twisted_sym3_presentation,
@@ -318,12 +320,12 @@ def test_zeros_and_identity():
     for rows, cols in SHAPES:
         assert_matches_grid(IntegerMatrix.zeros(rows, cols), rows, cols, [[0] * cols] * rows)
     for n in range(5):
-        assert_matches_grid(IntegerMatrix.identity(n), n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+        assert_matches_grid(integer_identity(n), n, n, [[int(i == j) for j in range(n)] for i in range(n)])
     for rows, cols in [(-1, 0), (0, -1)]:
         with pytest.raises(ValueError, match="declared shape"):
             IntegerMatrix.zeros(rows, cols)
     with pytest.raises(ValueError, match="declared shape"):
-        IntegerMatrix.identity(-1)
+        integer_identity(-1)
 
 
 # -- the Z[G] producers against dense grids ------------------------------
@@ -431,7 +433,7 @@ def test_gr_constructors(group):
 
         assert_gr_matches_grid(GRMatrix.identity(G, n), G, n, n, diagonal(one))
         for x in (z, one, random_element(rng, G)):
-            assert_gr_matches_grid(GRMatrix.scalar(x, n), G, n, n, diagonal(x))
+            assert_gr_matches_grid(scalar_matrix(x, n), G, n, n, diagonal(x))
     for x in (z, one, GroupRingElement.basis(G, G.order - 1)):
         assert_gr_matches_grid(GRMatrix.one_by_one(x), G, 1, 1, [[x]])
 
@@ -452,7 +454,7 @@ def test_gr_constructors_reject_bad_grids():
         lambda: GRMatrix.zeros(G, -1, 0),
         lambda: GRMatrix.zeros(G, 0, -1),
         lambda: GRMatrix.identity(G, -1),
-        lambda: GRMatrix.scalar(one, -1),
+        lambda: scalar_matrix(one, -1),
     ):
         with pytest.raises(ValueError, match="declared shape"):
             bad()
