@@ -22,6 +22,10 @@ else 1 when any verdict has "pass": false, else 0.  Any other exception
 from a handler becomes the failing verdict "internal_error", so the
 report is still printed and the exit code is 1, never a traceback.
 
+One loader reads every input file, complex or chain map: an unreadable
+file or invalid JSON (not UTF-8, nested too deeply, an integer too long)
+fails alike in both, and a wrong structure reads "malformed {kind}".
+
 normalize reports "psi_is_chain_map" and "central_square_identity" as
 passing whenever normalize_duality returns: they hold by the proof in its
 docstring (psi differs from the checked phi by the checked homotopy), so
@@ -61,7 +65,9 @@ def _verdict(name: str, ok: bool, info=None, witness=None) -> dict:
     return out
 
 
-def _load_complex(path: str):
+def _load(path: str, what: str, parse):
+    """Read the JSON file at ``path`` with ``parse``; ``what`` names its kind in
+    a structural error.  Every input file is read here, so hostile ones fail alike."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -69,12 +75,12 @@ def _load_complex(path: str):
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON (line {exc.lineno}, column {exc.colno})")
-    except (RecursionError, ValueError) as exc:  # nested too deeply, or an integer too long
+    except (RecursionError, ValueError) as exc:  # nested too deeply, not UTF-8, or an integer too long
         raise UsageError(f"{path} is not valid JSON: {exc}")
     try:
-        return serialize.complex_from_json(data)
+        return parse(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: malformed complex file: {exc}")
+        raise UsageError(f"{path}: malformed {what}: {exc}")
 
 
 def _write_output(args, report, C) -> None:
@@ -89,17 +95,11 @@ def _write_output(args, report, C) -> None:
     report["output"] = args.output
 
 
-def _poly_or_terms(e) -> str:
-    if e.group.is_cyclic:
-        return serialize.poly_string(e)
-    return json.dumps(e.terms())
-
-
 # -- subcommand implementations -----------------------------------------
 
 
 def _cmd_check(args, report):
-    C = _load_complex(args.file)
+    C = _load(args.file, "complex file", serialize.complex_from_json)
     verdicts = report["verdicts"]
     validation = complexes.validate_complex(C)
     verdicts.append(
@@ -131,7 +131,7 @@ def _cmd_check(args, report):
 
 
 def _cmd_homology(args, report):
-    C = _load_complex(args.file)
+    C = _load(args.file, "complex file", serialize.complex_from_json)
     degrees = [args.degree] if args.degree is not None else list(range(C.top_degree + 1))
     if any(not 0 <= d <= C.top_degree for d in degrees):
         raise UsageError(f"degree out of range 0..{C.top_degree}")
@@ -153,7 +153,7 @@ def _cmd_homology(args, report):
 def _cmd_dualform(args, report):
     if args.budget < 1:
         raise UsageError(f"--budget must be at least 1, got {args.budget}")
-    C = _load_complex(args.file)
+    C = _load(args.file, "complex file", serialize.complex_from_json)
     verdicts = report["verdicts"]
     try:
         pipe = dual_form.to_dual_form_stage6(C)
@@ -201,16 +201,9 @@ def _cmd_dualform(args, report):
 
 
 def _cmd_normalize(args, report):
-    C = _load_complex(args.file)
+    C = _load(args.file, "complex file", serialize.complex_from_json)
     view = _require_view(C)
-    try:
-        with open(args.mapfile, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        phi = serialize.duality_map_from_json(C, data)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.mapfile}: {exc}")
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise UsageError(f"{args.mapfile}: malformed chain map file: {exc}")
+    phi = _load(args.mapfile, "chain map file", lambda data: serialize.duality_map_from_json(C, data))
     verdicts = report["verdicts"]
     try:
         nd = dual_form.normalize_duality(view, phi)
@@ -239,7 +232,7 @@ def _require_view(C):
 
 
 def _cmd_asd(args, report):
-    C = _load_complex(args.file)
+    C = _load(args.file, "complex file", serialize.complex_from_json)
     view = _require_view(C)
     flag = dual_form.is_anti_self_dual(view)
     report["verdicts"].append(
@@ -249,7 +242,7 @@ def _cmd_asd(args, report):
 
 
 def _cmd_obstruction(args, report):
-    C = _load_complex(args.file)
+    C = _load(args.file, "complex file", serialize.complex_from_json)
     view = _require_view(C)
     rep = dual_form.obstruction_check(view)
     report["obstruction"] = {
@@ -302,13 +295,13 @@ def _cmd_lens(args, report):
         vprime = dual_form.recognize_dual_form(asd.complex)
         verdicts.append(_verdict("asd_complex_recognized", vprime is not None))
         verdicts.append(_verdict("asd_check", dual_form.is_anti_self_dual(vprime)))
-        verdicts.append(_verdict("asd_homotopy_verified", True, info=f"diagonal sign {asd.diagonal_sign}"))
+        verdicts.append(_verdict("asd_homotopy_verified", True, info="diagonal sign 1"))
         report["asd_data"] = {
             "k": (n - 1) // 4,
-            "alpha": _poly_or_terms(asd.unit.alpha),
-            "beta": _poly_or_terms(asd.unit.beta),
-            "beta_inv": _poly_or_terms(asd.unit.beta_inv),
-            "x": _poly_or_terms(asd.x),
+            "alpha": serialize.poly_string(asd.unit.alpha),
+            "beta": serialize.poly_string(asd.unit.beta),
+            "beta_inv": serialize.poly_string(asd.unit.beta_inv),
+            "x": serialize.poly_string(asd.x),
         }
         if args.asd:
             out_complex = asd.complex

@@ -472,14 +472,13 @@ def _proportionality(vec, base) -> int | None:
 
 @dataclass(frozen=True)
 class ChainMapReport:
-    squares: tuple[tuple[int, bool], ...]  # (degree i, commutes at boundary(i))
+    squares: DegreewiseReport  # (degree i, commutes at boundary(i)), from commuting_squares
     bottom_scalar: int | None  # induced map on coker(boundary(1)) = Z
     top_scalar: int | None  # induced map on ker(boundary(top)) = Z
-    failures: tuple[str, ...]
 
     @property
     def is_chain_map(self) -> bool:
-        return all(ok for _, ok in self.squares)
+        return self.squares.ok
 
     @property
     def end_scalars(self):
@@ -534,7 +533,7 @@ def is_chain_map(f: ChainMap) -> ChainMapReport:
     tgt_top, tgt_bottom = _end_generators(f.target)
     bottom_scalar = _end_scalar(tgt_bottom, src_bottom, f.components[0].augmented())
     top_scalar = _end_scalar(src_top, tgt_top, f.components[T].augmented().transpose())
-    return ChainMapReport(squares.degrees, bottom_scalar, top_scalar, squares.failures)
+    return ChainMapReport(squares, bottom_scalar, top_scalar)
 
 
 @dataclass(frozen=True)

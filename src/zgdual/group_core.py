@@ -5,7 +5,8 @@ with the derived inverse table and identity index.  Elements of the integral
 group ring Z[G] are sparse: each keeps only its nonzero terms, as
 (element index, coefficient) pairs in index order, and every ring operation
 reads and builds those.  Sums, negation, scaling, the involution and
-comparisons cost the number of terms, not |G|.  A product adds its term
+comparisons cost the number of terms, not |G|.  ``*`` multiplies two
+elements; an integer scales one through ``scale``.  A product adds its term
 products up in a scratch list of |G| coefficients: on the products of the
 lens and presentation complexes that is faster than a dict, which wins
 only below about |G|/4 term products.
@@ -271,25 +272,14 @@ class GroupRingElement:
         return GroupRingElement._from_support(self.group, _support(c))
 
     def __sub__(self, other: GroupRingElement) -> GroupRingElement:
-        self._check_same_group(other)
-        c = dict(self.support)
-        for i, b in other.support:
-            c[i] = c.get(i, 0) - b
-        return GroupRingElement._from_support(self.group, _support(c))
+        return self + (-other)
 
     def __neg__(self) -> GroupRingElement:
         return GroupRingElement._from_support(self.group, tuple((i, -a) for i, a in self.support))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         if isinstance(other, GroupRingElement):
             return gr_mul(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         return NotImplemented
 
     def scale(self, k: int) -> GroupRingElement:

@@ -13,13 +13,13 @@ beta = sum_{r=-k+1}^{k} t^r - sum_{r=k+2}^{3k} t^r, with inverse
 beta^-1 = sum_{r=k}^{3k} (-1)^{r-k} t^r, rescales the middle
 module so that the form becomes alpha = t^{k+1}+t^k-t^{-k}-t^{-(k+1)},
 which is antisymmetric (involuting alpha negates it), and the conjugated
-duality equivalence is homotopic to a +-1 diagonal via a single homotopy
-component x with alpha x = beta - 1, in closed form
+duality equivalence is homotopic to the +1 diagonal (1,1,1,-1,-1,-1) via a
+single homotopy component x with alpha x = beta - 1, in closed form
 
     x = -(sum_{r=1}^{k} t^r + sum_{j=1}^{k} t^{k+2j}).
 
 verify_homotopy certifies x: its degree-2 identity is exactly
-alpha x = beta - 1.
+alpha x = beta - 1; the -1 diagonal fails at degree 0, where phi_0 = 1.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ from zgdual.complexes import (
 )
 from zgdual.group_core import FiniteGroup, GroupRingElement, cyclic_group, norm_element
 from zgdual.gr_linalg import GRMatrix
-
-
-def _t_power(G: FiniteGroup, e: int) -> GroupRingElement:
-    return GroupRingElement.basis(G, e % G.order)
 
 
 def _poly(G: FiniteGroup, terms) -> GroupRingElement:
@@ -86,7 +82,7 @@ def _duality_map(A: ChainComplex) -> ChainMap:
     """lens_duality_map on the lens complex A, built by its caller."""
     G = A.group
     one = GRMatrix.identity(G, 1)
-    minus_t = GRMatrix.one_by_one(_t_power(G, 1).scale(-1))
+    minus_t = GRMatrix.one_by_one(_poly(G, [(-1, 1)]))
     return ChainMap(
         source=dualize_complex(A),
         target=A,
@@ -133,7 +129,7 @@ def _asd_unit(G: FiniteGroup) -> AsdUnit:
         raise AssertionError("beta (1 - t^-1) != alpha")
     if beta.augmentation() != 1:
         raise AssertionError("Sigma beta != Sigma: eps(beta) != 1")
-    two_shift = _t_power(G, 1 + k) + _t_power(G, 1 - k)
+    two_shift = _poly(G, [(1, 1 + k), (1, 1 - k)])
     if alpha * two_shift != _poly(G, [(1, 2), (-1, 0)]):
         raise AssertionError("alpha (t^{1+k} + t^{1-k}) != t^2 - 1")
 
@@ -148,9 +144,8 @@ class AsdTransform:
     """The rescaled complex A' plus the verified anti-self-duality data.
 
     ``homotopy`` runs from the conjugated duality equivalence f phi f*, f
-    the rescaling A -> A' of lens_asd_transform, to a +-1 diagonal.
-    ``diagonal_sign`` records which: +1 for (1,1,1,-1,-1,-1) in ascending
-    degrees, -1 for its global negation.
+    the rescaling A -> A' of lens_asd_transform, to the +1 diagonal
+    (1,1,1,-1,-1,-1) in ascending degrees.
     """
 
     complex: ChainComplex  # A' with middle differential x alpha
@@ -158,7 +153,6 @@ class AsdTransform:
     # verify_homotopy's degree-2 identity is exactly alpha x = beta - 1
     x: GroupRingElement
     homotopy: ChainHomotopy
-    diagonal_sign: int
     unit: AsdUnit
 
 
@@ -179,10 +173,10 @@ def lens_asd_transform(n: int) -> AsdTransform:
     checks it.  At degree 2, (f phi f*)_2 is beta, the +1 diagonal is 1,
     I_1 is zero and boundary(3) I_2 of A' is alpha x, so that identity is
     exactly alpha x = beta - 1; at degree 3 it is x alpha = beta - 1 up to
-    a global sign.  Against the -1 diagonal, degree 2 would need
-    alpha x = beta + 1, which no x solves (eps(alpha) = 0, eps(beta + 1)
-    = 2).  So a wrong x fails degrees 2 and 3 and raises the
-    AssertionError below.
+    a global sign.  So a wrong x fails degrees 2 and 3 and raises the
+    AssertionError below.  No other diagonal is tried: against the -1
+    diagonal the degree-0 identity reads (f phi f*)_0 = phi_0 = 1 = -1,
+    since I_0 = 0.
     """
     if asd_status(n) != "anti-self-dual":
         raise ValueError(f"anti-self-dual units exist for n = 4k+1, k >= 1; got n={n}")
@@ -214,16 +208,10 @@ def lens_asd_transform(n: int) -> AsdTransform:
     phi = _duality_map(A)
     conjugated = compose_maps(f, compose_maps(phi, dual_map(f)))
 
-    zero_comp = [GRMatrix.zeros(G, 1, 1)] * 5
-    zero_comp[2] = m(x)
-    components = tuple(zero_comp)
-    source = conjugated.source
-    target = conjugated.target
-    for sign in (1, -1):
-        scalars = tuple(sign * s for s in (1, 1, 1, -1, -1, -1))
-        diagonal = scalar_diagonal_map(source, target, scalars)
-        homotopy = ChainHomotopy(first=conjugated, second=diagonal, components=components)
-        if verify_homotopy(homotopy).ok:
-            return AsdTransform(complex=aprime, x=x, homotopy=homotopy, diagonal_sign=sign, unit=unit)
-    raise AssertionError("f phi f* is not homotopic to a +-1 diagonal via the single component x")
+    zero = GRMatrix.zeros(G, 1, 1)
+    diagonal = scalar_diagonal_map(conjugated.source, conjugated.target, (1, 1, 1, -1, -1, -1))
+    homotopy = ChainHomotopy(first=conjugated, second=diagonal, components=(zero, zero, m(x), zero, zero))
+    if not verify_homotopy(homotopy).ok:
+        raise AssertionError("f phi f* is not homotopic to the +1 diagonal via the single component x")
+    return AsdTransform(complex=aprime, x=x, homotopy=homotopy, unit=unit)
 

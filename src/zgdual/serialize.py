@@ -228,10 +228,8 @@ def parse_poly(group: FiniteGroup, text: str) -> GroupRingElement:
     s = text.replace("−", "-").replace(" ", "")
     if not s:
         raise ValueError("empty polynomial string")
-    if s == "0":
-        return GroupRingElement.zero(group)
     n = group.order
-    coeffs = [0] * n
+    terms = []
     # split at +/- signs, except a sign that is part of an exponent
     pieces = []
     cur = ""
@@ -252,8 +250,8 @@ def parse_poly(group: FiniteGroup, text: str) -> GroupRingElement:
             exp = int(m.group(4)) if m.group(4) is not None else 1
         else:
             exp = 0
-        coeffs[exp % n] += sign * coeff
-    return GroupRingElement(group, tuple(coeffs))
+        terms.append((sign * coeff, exp % n))
+    return GroupRingElement.from_terms(group, terms)
 
 
 def poly_string(e: GroupRingElement) -> str:

@@ -295,7 +295,7 @@ class TestHostileJson:
         mapfile = tmp_path / "nested.json"
         mapfile.write_text("[" * 100_000)
         argv = ("normalize", write_lens(tmp_path, 3), str(mapfile))
-        self.assert_usage_error(capsys, argv, "malformed chain map file: maximum recursion depth")
+        self.assert_usage_error(capsys, argv, "is not valid JSON: maximum recursion depth")
 
     def test_file_that_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
@@ -307,6 +307,45 @@ class TestHostileJson:
         path = tmp_path / "order.json"
         path.write_text(text.replace('"order": 2', '"order": ' + "7" * 5000))
         self.assert_usage_error(capsys, ("check", str(path)), "is not valid JSON: Exceeds the limit")
+
+
+class TestOneReader:
+    """Complex files and chain map files are read by one loader: each
+    hostile file exits 2 without a traceback, and the two kinds of file
+    report it in words that differ only in the kind's name."""
+
+    FAILURES = {
+        "missing": (None, "cannot read"),
+        "not_utf8": (b"\xff\xfe{}", "is not valid JSON: 'utf-8' codec can't decode"),
+        "not_json": (b"{not json", "is not valid JSON (line 1, column 2)"),
+        "nested": (b"[" * 100_000, "is not valid JSON: maximum recursion depth"),
+        "long_integer": (b"[" + b"7" * 5000 + b"]", "is not valid JSON: Exceeds the limit"),
+        "wrong_structure": (b"[]", "malformed {what}: list indices must be integers"),
+    }
+    KINDS = {"complex file": ("check", "{bad}"), "chain map file": ("normalize", "{lens}", "{bad}")}
+
+    def error(self, capsys, tmp_path, what, failure):
+        content, _ = self.FAILURES[failure]
+        bad = tmp_path / "input.json"
+        if content is not None:
+            bad.write_bytes(content)
+        lens = write_lens(tmp_path, 3)
+        argv = [a.format(bad=bad, lens=lens) for a in self.KINDS[what]]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("failure", FAILURES)
+    @pytest.mark.parametrize("what", KINDS)
+    def test_exits_2_and_names_the_failure(self, capsys, tmp_path, what, failure):
+        assert self.FAILURES[failure][1].format(what=what) in self.error(capsys, tmp_path, what, failure)
+
+    @pytest.mark.parametrize("failure", FAILURES)
+    def test_both_kinds_report_alike(self, capsys, tmp_path, failure):
+        complex_error = self.error(capsys, tmp_path, "complex file", failure)
+        map_error = self.error(capsys, tmp_path, "chain map file", failure)
+        assert map_error.replace("chain map file", "complex file") == complex_error
 
 
 class TestBoundedArguments:

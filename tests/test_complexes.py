@@ -518,10 +518,10 @@ class TestChainMaps:
         comps[3] = GRMatrix.one_by_one(tpow(G, 1))  # spoils the degree-3 square
         rep = is_chain_map(ChainMap(A, A, tuple(comps)))
         assert not rep.is_chain_map
-        failing = [i for i, ok in rep.squares if not ok]
+        failing = [i for i, ok in rep.squares.degrees if not ok]
         # square 4 still commutes because Sigma absorbs the unit t
         assert failing == [3]
-        assert rep.failures == ("square at boundary(3) does not commute",)
+        assert rep.squares.failures == ("square at boundary(3) does not commute",)
 
     def test_compose_and_dual(self):
         A = lens_complex(5)

@@ -415,7 +415,7 @@ class TestCheckedCoefficients:
         rng = random.Random(29)
         for G in groups:
             a, b = (GroupRingElement(G, tuple(rng.randint(-3, 3) for _ in range(G.order))) for _ in range(2))
-            for e in (a + b, a - b, -a, a.scale(3), 2 * a, a.involute(), a * b, gr_mul(a, b)):
+            for e in (a + b, a - b, -a, a.scale(3), a.scale(-2), a.involute(), a * b, gr_mul(a, b)):
                 assert e.group == G and type(e.coeffs) is tuple and len(e.coeffs) == G.order
                 assert all(type(c) is int for c in e.coeffs)
 

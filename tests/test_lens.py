@@ -167,7 +167,8 @@ class TestAsdTransform:
         assert t.x == poly(G, (-1, 1), (-1, 3))
         assert gr_mul(t.unit.alpha, t.x) == t.unit.beta - GroupRingElement.one(G)
         assert verify_homotopy(t.homotopy).ok
-        assert t.diagonal_sign == 1
+        first = t.homotopy.first
+        assert t.homotopy.second == scalar_diagonal_map(first.source, first.target, (1, 1, 1, -1, -1, -1))
 
     def test_f_components(self):
         t = lens_asd_transform(5)
@@ -233,8 +234,7 @@ class TestAsdTransform:
         assert t.homotopy.first == conjugated
         assert gr_mul(unit.alpha, t.x) == unit.beta - GroupRingElement.one(G)
         assert t.x == aprime.solve_boundary(3, m(unit.beta - GroupRingElement.one(G))).entries[0][0]
-        scalars = tuple(t.diagonal_sign * s for s in (1, 1, 1, -1, -1, -1))
-        diagonal = scalar_diagonal_map(conjugated.source, conjugated.target, scalars)
+        diagonal = scalar_diagonal_map(conjugated.source, conjugated.target, (1, 1, 1, -1, -1, -1))
         components = tuple(m(t.x) if i == 2 else GRMatrix.zeros(G, 1, 1) for i in range(5))
         assert t.homotopy == ChainHomotopy(conjugated, diagonal, components)
 
@@ -260,6 +260,16 @@ class TestAsdTransform:
         monkeypatch.setattr(complexes, "smith_normal_form", counted)
         lens_asd_transform(n)
         assert calls == []
+
+    @pytest.mark.parametrize("n", range(5, 102, 4))
+    def test_homotopy_ends_at_the_plus_one_diagonal(self, n):
+        # against the -1 diagonal the degree-0 identity reads phi_0 = 1 = -1
+        t = lens_asd_transform(n)
+        src, tgt = t.homotopy.first.source, t.homotopy.first.target
+        assert t.homotopy.second == scalar_diagonal_map(src, tgt, (1, 1, 1, -1, -1, -1))
+        negated = scalar_diagonal_map(src, tgt, (-1, -1, -1, 1, 1, 1))
+        report = verify_homotopy(replace(t.homotopy, second=negated))
+        assert (0, False) in report.degrees
 
     @pytest.mark.parametrize("n", [5, 9, 13, 101])
     def test_verify_homotopy_alone_certifies_x(self, n):

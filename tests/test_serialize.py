@@ -253,6 +253,34 @@ class TestPolyStrings:
         assert poly_string(GroupRingElement.from_terms(G, [(-1, 1), (-1, 3)])) == "-t - t^3"
         assert poly_string(GroupRingElement.zero(G)) == "0"
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rendered_terms_parse_to_their_sum(self, data):
+        n = data.draw(st.integers(1, 40))
+        G = cyclic_group(n)
+        terms = data.draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-3 * n, 3 * n)), min_size=1, max_size=8))
+        spaces = st.sampled_from(["", " ", "  "])
+        text = ""
+        for c, e in terms:
+            if c < 0:
+                sign = data.draw(st.sampled_from(["-", "\u2212"]))
+            else:
+                sign = data.draw(st.sampled_from(["+", ""])) if not text else "+"
+            if e == 0 and data.draw(st.booleans()):
+                body = str(abs(c))
+            else:
+                power = "t" if e == 1 and data.draw(st.booleans()) else f"t^{e}"
+                if data.draw(st.booleans()):
+                    power = power.replace("-", "\u2212")
+                magnitude = "" if abs(c) == 1 and data.draw(st.booleans()) else str(abs(c))
+                body = magnitude + data.draw(spaces) + power
+            text += data.draw(spaces) + sign + data.draw(spaces) + body
+        e = parse_poly(G, text)
+        assert e == GroupRingElement.from_terms(G, [(c, x % n) for c, x in terms])
+        assert parse_poly(G, poly_string(e)) == e
+        for zero in ("0", "-0", "0t^3"):
+            assert parse_poly(G, zero) == GroupRingElement.zero(G)
+
     def test_parse_errors(self):
         G = cyclic_group(3)
         for bad in ("", "t^", "x + 1", "1 ++ t"):
