@@ -275,12 +275,13 @@ def _cmd_lens(args, report):
     if args.asd and status != "anti-self-dual":
         raise UsageError(f"--asd needs n = 4k+1 with k >= 1; n={n}")
     verdicts = report["verdicts"]
-    A = lens.lens_complex(n)
+    phi = lens.lens_duality_map(n)
+    A = phi.target  # the report and the map share one build of L(n) and its group
     verdicts.append(_verdict("complex_valid", complexes.validate_complex(A).ok))
     verdicts.append(_verdict("algebraic_5_complex", complexes.five_complex_report(A).is_member))
     view = dual_form.recognize_dual_form(A)
     verdicts.append(_verdict("dual_form_recognized", view is not None))
-    phi_rep = complexes.is_chain_map(lens.lens_duality_map(n))
+    phi_rep = complexes.is_chain_map(phi)
     verdicts.append(
         _verdict(
             "duality_map_verified",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 
 class GroupTableError(ValueError):
@@ -87,20 +88,61 @@ def cyclic_group(n: int) -> FiniteGroup:
 def group_from_table(mul_table) -> FiniteGroup:
     """Build and fully validate a group from a square multiplication table.
 
-    Each axiom failure raises GroupTableError with a distinct reason, so
-    callers can tell a non-Latin-square from a missing identity, a missing
-    inverse, or an associativity failure.  Every axiom is checked at every
-    order: associativity by Light's test (see _check_associativity).
+    A table is accepted when every entry is an in-range int, some element
+    is a two-sided identity, every element has a two-sided inverse and
+    Light's test finds the table associative (see _check_associativity).
+    Such a table is a group, and every row and column of a group table is a
+    permutation: g h = g h' gives h = h' on multiplying by g^-1 on the left,
+    and h g = h' g gives it on the right.  So the Latin checks could only
+    fail on a table that one of those four checks rejects, and an accepted
+    table is not put through them.
+
+    When a check fails, the axioms are checked in the documented order,
+    shape, range, Latin rows, Latin columns, identity, inverse,
+    associativity, and the first that fails raises GroupTableError with its
+    own reason, so callers can tell a non-Latin square from a missing
+    identity, a missing inverse or an associativity failure.  The Latin
+    checks serve only to name the broken axiom.  Every axiom is checked at
+    every order.
     """
-    table = tuple(tuple(row) for row in mul_table)
+    table = tuple(map(tuple, mul_table))
     n = len(table)
     if n == 0:
         raise GroupTableError("shape", "empty multiplication table")
     if any(len(row) != n for row in table):
         raise GroupTableError("shape", "multiplication table is not square")
-    full = set(range(n))
+    try:
+        in_range = set(range(n)).issuperset(chain.from_iterable(table))
+    except TypeError:  # an unhashable entry
+        in_range = False
+    # 1.0 and True compare equal to indices, so the entry types are checked too
+    if not (in_range and set(map(type, chain.from_iterable(table))) == {int}):
+        _check_latin(table)  # raises at the first row that fails the same check
+    try:
+        identity, inv = _identity_and_inverses(table)
+        _check_associativity(table, identity)
+    except GroupTableError as exc:
+        error = exc
+    else:
+        base = tuple(range(n))
+        return FiniteGroup(
+            order=n,
+            mul_table=table,
+            inv_table=inv,
+            identity_index=identity,
+            is_cyclic=all(row == base[i:] + base[:i] for i, row in enumerate(table)),
+        )
+    # a Latin failure comes first in the documented order
+    _check_latin(table)
+    raise error
+
+
+def _check_latin(table) -> None:
+    """The range, Latin row and Latin column checks, in that order, on a
+    square table; each raises GroupTableError at its first failing line.
+    An unhashable entry raises TypeError from the range check of its row."""
+    full = set(range(len(table)))
     for i, row in enumerate(table):
-        # 1.0 and True compare equal to indices, so the entry types are checked too
         if not (full.issuperset(row) and set(map(type, row)) <= {int}):
             raise GroupTableError("range", f"row {i} contains an out-of-range index")
     for i, row in enumerate(table):
@@ -110,38 +152,41 @@ def group_from_table(mul_table) -> FiniteGroup:
         if set(column) != full:
             raise GroupTableError("latin", f"column {j} is not a permutation (not a Latin square)")
 
-    # in a Latin square only the row e with e * 0 == 0 can be an identity,
-    # and only the column j with i * j == e can hold the inverse of i
-    base = tuple(range(n))
-    identity = next(e for e in range(n) if table[e][0] == 0)
-    if table[identity] != base or any(table[i][identity] != i for i in range(n)):
+
+def _identity_and_inverses(table) -> tuple[int, tuple[int, ...]]:
+    """The identity and the inverse table of a table with in-range entries.
+
+    Only the first row equal to (0, 1, ..., N-1) can be a two-sided
+    identity: an earlier such row e' would give e' = e' e = e.  The
+    inverse of i is taken as the first j with i j = e and then checked on
+    the other side; in a Latin square no other j has i j = e.
+    """
+    base = tuple(range(len(table)))
+    identity = table.index(base) if base in table else None
+    if identity is None or tuple(map(operator.itemgetter(identity), table)) != base:
         raise GroupTableError("identity", "no two-sided identity element")
-    inv = []
-    for i, row in enumerate(table):
-        j = row.index(identity)
+    try:
+        inv = tuple(map(tuple.index, table, repeat(identity)))
+    except ValueError:  # some i has no j at all
+        i = next(i for i, row in enumerate(table) if identity not in row)
+        raise GroupTableError("inverse", f"element {i} has no two-sided inverse") from None
+    for i, j in enumerate(inv):
         if table[j][i] != identity:
             raise GroupTableError("inverse", f"element {i} has no two-sided inverse")
-        inv.append(j)
-
-    _check_associativity(table, identity)
-    return FiniteGroup(
-        order=n,
-        mul_table=table,
-        inv_table=tuple(inv),
-        identity_index=identity,
-        is_cyclic=all(row == base[i:] + base[:i] for i, row in enumerate(table)),
-    )
+    return identity, inv
 
 
 def _check_associativity(table, identity) -> None:
-    """Light's associativity test on a Latin square with an identity.
+    """Light's associativity test on a table with a two-sided identity.
 
     The elements s with (x s) y == x (s y) for all x, y are closed under
     multiplication (Clifford & Preston, Algebraic Theory of Semigroups,
-    1961), and the identity is one of them.  So it suffices to check
-    the s of a generating set: one taken greedily, each element that the
-    identity and the earlier generators do not reach under right
-    multiplication by them becoming the next generator.  That costs
+    1961): for two of them s and t, x (s t) = (x s) t, then
+    ((x s) t) y = (x s)(t y) = x (s (t y)) = x ((s t) y).  That holds in
+    any table, Latin or not, and the identity is one of them.  So it
+    suffices to check the s of a generating set: one taken greedily, each
+    element that the identity and the earlier generators do not reach under
+    right multiplication by them becoming the next generator.  That costs
     O(N^2) per generator.
     """
     n = len(table)
@@ -159,14 +204,15 @@ def _check_associativity(table, identity) -> None:
                     reached.add(row[s])
                     frontier.append(row[s])
     for s in generators:
-        ts = table[s]
-        # a generator exists only when n >= 2, so the getter returns a tuple
-        row_times_s = operator.itemgetter(*ts)
-        for x, tx in enumerate(table):
-            txs = table[tx[s]]
-            if txs != row_times_s(tx):
-                y = next(y for y in range(n) if txs[y] != tx[ts[y]])
-                raise GroupTableError("associativity", f"associativity fails at ({x},{s},{y})")
+        # for each x, the rows y -> x (s y) and y -> (x s) y; a generator
+        # exists only when n >= 2, so the getter returns a tuple
+        x_times_row_s = map(operator.itemgetter(*table[s]), table)
+        rows_x_s = map(table.__getitem__, map(operator.itemgetter(s), table))
+        if any(map(operator.ne, x_times_row_s, rows_x_s)):
+            x, y = next(
+                (x, y) for x in range(n) for y in range(n) if table[table[x][s]][y] != table[x][table[s][y]]
+            )
+            raise GroupTableError("associativity", f"associativity fails at ({x},{s},{y})")
 
 
 def _support(c: dict) -> tuple[tuple[int, int], ...]:

@@ -9,7 +9,13 @@ Complex files:
     }
 
 Matrices are grids of term lists; a group-ring element is a list of
-[coefficient, element_index] pairs with zero terms omitted.  Serialization
+[coefficient, element_index] pairs with zero terms omitted.  A grid is read
+in one loop over its cells in row-major order: each term's types are
+checked, the terms of a cell are summed by index and their indices checked
+against the group order, and the cell's sorted nonzero terms become its
+element directly; a cell whose terms sum to zero, [] included, builds
+none.  The first bad cell raises, with the error it would raise alone
+(types before ranges within a cell).  Serialization
 is canonical (sorted keys, two-space indent, terms by ascending index), so
 load/dump round-trips are bit-exact.  ``canonical_dumps`` writes exactly
 the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.
@@ -130,16 +136,6 @@ def group_from_json(data) -> FiniteGroup:
 # -- elements and matrices ----------------------------------------------
 
 
-def element_from_json(group: FiniteGroup, terms) -> GroupRingElement:
-    """Term-list form; cyclic groups also accept polynomial strings."""
-    if isinstance(terms, str):
-        if not group.is_cyclic:
-            raise ValueError("polynomial strings are only defined for cyclic groups")
-        return parse_poly(group, terms)
-    pairs = [(_integer(c, "coefficient"), _integer(i, "element index")) for c, i in terms]
-    return GroupRingElement.from_terms(group, pairs)
-
-
 def matrix_to_json(A: GRMatrix) -> dict:
     return {
         "rows": A.rows,
@@ -149,16 +145,40 @@ def matrix_to_json(A: GRMatrix) -> dict:
 
 
 def matrix_from_json(group: FiniteGroup, data) -> GRMatrix:
+    """The matrix over ``group`` that ``data`` holds, read in one pass over
+    its grid (see the module docstring)."""
     rows, cols = _size(data["rows"], "rows"), _size(data["cols"], "cols")
     grid = data["entries"]
     if len(grid) != rows or any(len(r) != cols for r in grid):
         raise ValueError(f"matrix entry grid does not match declared shape {rows}x{cols}")
-    # an empty cell builds no element; the others are read in row-major
-    # order, so the first bad cell is the one reported
+    order = group.order
     lines = []
     for row in grid:
-        cells = ((j, element_from_json(group, cell)) for j, cell in enumerate(row) if cell != [])
-        lines.append({j: e for j, e in cells if e.support})
+        line = {}
+        for j, cell in enumerate(row):
+            if isinstance(cell, str):
+                if not group.is_cyclic:
+                    raise ValueError("polynomial strings are only defined for cyclic groups")
+                support = parse_poly(group, cell).support
+            else:
+                c = {}
+                for coeff, idx in cell:
+                    if type(coeff) is not int or type(idx) is not int:
+                        # raises for the first of the two that is not an int
+                        _integer(coeff, "coefficient")
+                        _integer(idx, "element index")
+                    c[idx] = c.get(idx, 0) + coeff
+                if not c:
+                    continue
+                # sorted once, for the range check and the support alike
+                terms = sorted(c.items())
+                if terms[0][0] < 0 or terms[-1][0] >= order:
+                    idx = next(i for i in c if not 0 <= i < order)
+                    raise ValueError(f"element index {idx} out of range for order {order}")
+                support = tuple(terms) if all(c.values()) else tuple([t for t in terms if t[1]])
+            if support:
+                line[j] = GroupRingElement._from_support(group, support)
+        lines.append(line)
     return GRMatrix._from_sparse_rows(group, cols, lines)
 
 

@@ -17,7 +17,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from zgdual import dual_form
 from zgdual.complexes import ChainComplex, ChainMap, compose_maps, dual_map, dualize_complex, scalar_diagonal_map
-from zgdual.group_core import GroupRingElement, cyclic_group, group_from_table
+from zgdual.group_core import FiniteGroup, GroupRingElement, GroupTableError, cyclic_group, group_from_table
 from zgdual.gr_linalg import GRMatrix
 from zgdual.int_linalg import IntegerMatrix, kernel_basis, smith_normal_form, solve_integer
 from zgdual.lens import lens_complex
@@ -119,6 +119,68 @@ def small_groups():
 @pytest.fixture(scope="session")
 def groups():
     return small_groups()
+
+
+def reference_group_from_table(mul_table) -> FiniteGroup:
+    """The ordered validator that group_from_table must agree with: shape,
+    range, Latin rows, Latin columns, identity, inverse, associativity, each
+    checked in full before the next, with Light's test entry by entry.
+    It returns the same FiniteGroup or raises the same error.
+    """
+    table = tuple(tuple(row) for row in mul_table)
+    n = len(table)
+    if n == 0:
+        raise GroupTableError("shape", "empty multiplication table")
+    if any(len(row) != n for row in table):
+        raise GroupTableError("shape", "multiplication table is not square")
+    full = set(range(n))
+    for i, row in enumerate(table):
+        if not (full.issuperset(row) and set(map(type, row)) <= {int}):
+            raise GroupTableError("range", f"row {i} contains an out-of-range index")
+    for i, row in enumerate(table):
+        if set(row) != full:
+            raise GroupTableError("latin", f"row {i} is not a permutation (not a Latin square)")
+    for j, column in enumerate(zip(*table)):
+        if set(column) != full:
+            raise GroupTableError("latin", f"column {j} is not a permutation (not a Latin square)")
+    # in a Latin square only the row e with e * 0 == 0 can be an identity,
+    # and only the column j with i * j == e can hold the inverse of i
+    base = tuple(range(n))
+    identity = next(e for e in range(n) if table[e][0] == 0)
+    if table[identity] != base or any(table[i][identity] != i for i in range(n)):
+        raise GroupTableError("identity", "no two-sided identity element")
+    inv = []
+    for i, row in enumerate(table):
+        j = row.index(identity)
+        if table[j][i] != identity:
+            raise GroupTableError("inverse", f"element {i} has no two-sided inverse")
+        inv.append(j)
+    # Light's test over the generating set taken greedily in index order
+    generators = []
+    reached = {identity}
+    for g in range(n):
+        if g in reached:
+            continue
+        generators.append(g)
+        frontier = list(reached)
+        while frontier:
+            row = table[frontier.pop()]
+            for s in generators:
+                if row[s] not in reached:
+                    reached.add(row[s])
+                    frontier.append(row[s])
+    for s in generators:
+        for x in range(n):
+            for y in range(n):
+                if table[table[x][s]][y] != table[x][table[s][y]]:
+                    raise GroupTableError("associativity", f"associativity fails at ({x},{s},{y})")
+    return FiniteGroup(
+        order=n,
+        mul_table=table,
+        inv_table=tuple(inv),
+        identity_index=identity,
+        is_cyclic=all(row == base[i:] + base[:i] for i, row in enumerate(table)),
+    )
 
 
 # -- complexes ------------------------------------------------------------

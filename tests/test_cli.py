@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from conftest import broken_lens, c70_loop_table, twisted_lens
+from zgdual import lens
 from zgdual.cli import main
 from zgdual.complexes import ChainComplex, validate_complex
 from zgdual.group_core import GroupRingElement
@@ -61,6 +62,27 @@ class TestLensCommand:
         text = out_file.read_text()
         again = canonical_dumps(complex_to_json(complex_from_json(json.loads(text))))
         assert text == again
+
+    def test_report_and_duality_map_share_one_build(self, capsys, monkeypatch):
+        # one L(n) and its C_n serve the report and the duality map, one more
+        # the ASD transform; each build of C_997 is an O(n^2) table
+        calls = {"lens_complex": 0, "cyclic_group": 0}
+
+        def counted(name):
+            real = getattr(lens, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(lens, name, wrapper)
+
+        counted("lens_complex")
+        counted("cyclic_group")
+        code, out, _ = run(capsys, "lens", "--n", "997", "--json")
+        assert code == 0
+        assert json.loads(out)["asd_status"] == "anti-self-dual"
+        assert calls == {"lens_complex": 2, "cyclic_group": 2}
 
     def test_unknown_status_for_three_mod_four(self, capsys):
         code, out, _ = run(capsys, "lens", "--n", "7", "--json")

@@ -4,9 +4,16 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import KLEIN_TABLE, c70_loop_table, make_klein, make_sym3, small_groups
+from conftest import (
+    KLEIN_TABLE,
+    c70_loop_table,
+    make_klein,
+    make_sym3,
+    reference_group_from_table,
+    small_groups,
+)
 from zgdual.group_core import (
     GroupRingElement,
     GroupTableError,
@@ -204,6 +211,124 @@ class TestGroupFromTable:
         assert err.value.reason == "associativity"
         assert str(err.value) == "associativity fails at (1,1,2)"
         assert group_from_table(cyclic_group(70).mul_table) == cyclic_group(70)
+
+
+def _outcome(validate, table):
+    """The group validate builds from table, field by field, or the type,
+    reason and message of what it raises."""
+    try:
+        G = validate(table)
+    except Exception as exc:
+        return type(exc), getattr(exc, "reason", None), str(exc)
+    return G.order, G.mul_table, G.inv_table, G.identity_index, G.is_cyclic
+
+
+def _latin_square(draw, n):
+    """A Latin square of order n, built row by row: each row matches the
+    columns to symbols they do not hold yet, which is possible by Hall's
+    theorem, by augmenting paths that try the symbols in a drawn order."""
+    t = []
+    for _ in range(n):
+        free = [set(range(n)) - {row[j] for row in t} for j in range(n)]
+        rank = draw(st.permutations(range(n)))
+        column_of = {}
+
+        def augment(j, seen):
+            for v in sorted(free[j] - seen, key=rank.index):
+                seen.add(v)
+                if v not in column_of or augment(column_of[v], seen):
+                    column_of[v] = j
+                    return True
+            return False
+
+        for j in range(n):
+            augment(j, set())
+        row = [0] * n
+        for v, j in column_of.items():
+            row[j] = v
+        t.append(row)
+    return t
+
+
+@st.composite
+def _tables(draw):
+    """A fixture group's table relabelled, perhaps with one intercalate
+    switched, or a Latin square of order 2-7, perhaps made a loop or given
+    a left identity only; then at most two entries changed."""
+    shape = draw(st.sampled_from(("group", "switched", "latin", "loop", "left identity")))
+    if shape in ("group", "switched"):
+        G = draw(st.sampled_from(small_groups()))
+        n, m = G.order, G.mul_table
+        p = draw(st.permutations(range(n)))
+        t = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                t[p[i]][p[j]] = p[m[i][j]]
+        e = p[G.identity_index]
+        # off the identity's row, column and symbol: a loop with two-sided
+        # inverses that is seldom associative
+        quads = [
+            (r1, r2, c1, c2)
+            for r1 in range(n) for r2 in range(r1 + 1, n)
+            for c1 in range(n) for c2 in range(c1 + 1, n)
+            if t[r1][c1] == t[r2][c2] != e and t[r1][c2] == t[r2][c1] != e and e not in (r1, r2, c1, c2)
+        ]
+        if shape == "switched" and quads:
+            r1, r2, c1, c2 = draw(st.sampled_from(quads))
+            t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
+            t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
+    else:
+        n = draw(st.integers(2, 7))
+        t = _latin_square(draw, n)
+    if shape == "loop":
+        # the principal isotope at (a, b): u v = t[row(u)][col(v)], where
+        # t[row(u)][b] = u and t[a][col(v)] = v, has the identity t[a][b];
+        # most loops of order 5 or more have no inverses or are not associative
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        row = {t[i][b]: i for i in range(n)}
+        col = {t[a][j]: j for j in range(n)}
+        t = [[t[row[u]][col[v]] for v in range(n)] for u in range(n)]
+    if shape == "left identity":
+        # symbols renamed so that row a reads 0, 1, ..., n-1
+        a = draw(st.integers(0, n - 1))
+        name = {v: j for j, v in enumerate(t[a])}
+        t = [[name[v] for v in row] for row in t]
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(("in range", "out of range", "bool", "float", "list", "string")))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if change == "bool":
+            # False and True equal 0 and 1, so only the type check tells them apart
+            b = draw(st.integers(0, min(n - 1, 1)))
+            j = t[i].index(b) if b in t[i] else j
+        v = t[i][j]
+        if type(v) is int:
+            t[i][j] = {
+                "in range": draw(st.integers(0, n - 1)),
+                "out of range": draw(st.sampled_from((-1, n, n + 7))),
+                "bool": bool(v),
+                "float": float(v),
+                "list": [v],
+                "string": str(v),
+            }[change]
+    return t
+
+
+class TestOrderedReference:
+    """group_from_table accepts by the group axioms alone and runs the Latin
+    checks only on a rejected table; it must still agree with the ordered
+    validator on every group, reason and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_tables())
+    # row 0 is out of range before the list in row 2 is reached, and the other way round
+    @example([[0, 5, 2], [1, 2, 0], [2, [0], 1]])
+    @example([[0, [1], 2], [1, 2, 0], [2, 0, 5]])
+    # a Latin failure in row 0 comes after the range check of every row
+    @example([[0, 0, 2], [1, 2, 0], [2, [0], 1]])
+    # 1.0 is in range by value, so only the type check of row 0 comes before the list
+    @example([[0, 1.0, 2], [1, 2, 0], [2, [0], 1]])
+    def test_matches_the_ordered_validator(self, table):
+        assert _outcome(group_from_table, table) == _outcome(reference_group_from_table, table)
 
 
 class TestGroupEquality:

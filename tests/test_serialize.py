@@ -1,5 +1,4 @@
 import json
-import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -112,6 +111,78 @@ class TestGroupJson:
             matrix_from_json(G, {"rows": 1, "cols": 1, "entries": [["1 - t"]]})
 
 
+def _reference_matrix_from_json(group, data):
+    """The grid reader that reads each cell on its own: every term's types,
+    then the cell's element through GroupRingElement.from_terms."""
+
+    def integer(value, what):
+        if type(value) is not int:
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        return value
+
+    lines = []
+    for row in data["entries"]:
+        line = {}
+        for j, cell in enumerate(row):
+            if cell == []:
+                continue
+            if isinstance(cell, str):
+                if not group.is_cyclic:
+                    raise ValueError("polynomial strings are only defined for cyclic groups")
+                e = parse_poly(group, cell)
+            else:
+                pairs = [(integer(c, "coefficient"), integer(i, "element index")) for c, i in cell]
+                e = GroupRingElement.from_terms(group, pairs)
+            if e.support:
+                line[j] = e
+        lines.append(line)
+    return GRMatrix._from_sparse_rows(group, data["cols"], lines)
+
+
+def _read(reader, group, grid):
+    """The sparse rows that reader reads from grid, or the type and message
+    of what it raises."""
+    data = {"rows": len(grid), "cols": len(grid[0]), "entries": grid}
+    try:
+        return reader(group, data).sparse_rows
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+C3 = cyclic_group(3)
+_POLYS = ("1 - t", "t^2 + 2 - t^2", "3t^-1 + t^5", "0", "", "1 + x", "t^^2")
+# ints, mostly in range, and the values that compare equal to them or are not numbers
+_NUMBERS = st.integers(-1, 4) | st.integers(-1, 6) | st.sampled_from((True, False, 1.0, 0.0, "1"))
+
+
+@st.composite
+def _grids(draw):
+    """A grid of at most 3 x 3 cells over C3 or S3: term lists, which may
+    repeat an index, cancel, be unsorted or hold a bad number or a term of
+    the wrong length, [] and the cells that are no term list, None, 0 and
+    "", and polynomial strings."""
+    group = draw(st.sampled_from((C3, make_sym3())))
+    term = st.tuples(_NUMBERS, _NUMBERS).map(list)
+    good_term = st.tuples(st.integers(-2, 2), st.integers(0, group.order - 1)).map(list)
+    cell = (
+        st.just([])
+        | st.lists(term, max_size=3)
+        | st.lists(good_term, max_size=5)
+        | st.sampled_from((None, 0, "", [[1]], [[1, 0, 2]]) + _POLYS)
+    )
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return group, [[draw(cell) for _ in range(cols)] for _ in range(rows)]
+
+
+def _bad_cell_pairs(test):
+    """Every ordered pair of bad cells after a good row, as explicit examples."""
+    bad = ("", 0, None, [[1, 3]], [[0.5, 1]])
+    for first in bad:
+        for other in bad:
+            test = example((C3, [[[], [[1, 0], [0, 2]]], [first, other]]))(test)
+    return test
+
+
 class TestMatrixJson:
     def test_round_trip_with_zero_shape(self):
         G = cyclic_group(4)
@@ -155,16 +226,20 @@ class TestMatrixJson:
         assert A == GRMatrix.zeros(G, 120, 120)
         assert peak < 500_000
 
-    def test_cells_fail_in_row_major_order(self):
-        G = cyclic_group(3)
-        bad = {"empty string": "", "zero": 0, "null": None, "out of range": [[1, 3]], "float": [[0.5, 1]]}
-        for first, cell in bad.items():
-            for other in bad.values():
-                data = {"rows": 2, "cols": 2, "entries": [[[], [[1, 0], [0, 2]]], [cell, other]]}
-                with pytest.raises((ValueError, TypeError)) as expected:
-                    matrix_from_json(G, {"rows": 1, "cols": 1, "entries": [[cell]]})
-                with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
-                    matrix_from_json(G, data)
+    @settings(max_examples=300, deadline=None)
+    @given(_grids())
+    @_bad_cell_pairs
+    # a range error in the first term, a type error in the second
+    @example((C3, [[[[1, 7], [0.5, 1]]]]))
+    def test_cells_fail_in_row_major_order(self, case):
+        # the grid reads as the per-cell reference reads it, and a grid that
+        # fails raises the error of its first bad cell read alone
+        G, grid = case
+        got = _read(matrix_from_json, G, grid)
+        assert got == _read(_reference_matrix_from_json, G, grid)
+        if isinstance(got[0], type):
+            alone = (_read(matrix_from_json, G, [[cell]]) for row in grid for cell in row)
+            assert got == next(r for r in alone if isinstance(r[0], type))
 
     def test_zero_terms_leave_no_entry(self):
         G = cyclic_group(3)
