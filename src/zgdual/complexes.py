@@ -13,6 +13,10 @@ The two augmented-end identifications are carried as small integer
 * ``top_generator`` m: the element (m[0]*Sigma, ..., m[r-1]*Sigma) of the
   top module, a G-fixed generator of ker(boundary(top)).
 
+A certificate is valid exactly when it equals, up to sign, the generator
+that the end report derives from the end's reduction.  Every other reader
+takes it sign-normalized, so a file's signs change no verdict.
+
 Homology is available for two coefficient systems: "integral" expands each
 boundary map to its integer matrix on Z-bases (homology of the universal
 cover), "trivial" applies the augmentation entrywise (homology of the base).
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
 from zgdual.group_core import FiniteGroup
 from zgdual.gr_linalg import GRMatrix, fold_columns, stack_columns
@@ -272,14 +275,12 @@ class EndReport:
     """One augmented end: is the (co)kernel Z, with trivial G-action?"""
 
     group_info: AbelianGroupInfo
-    is_z: bool
-    trivial_action: bool
-    generator: tuple[int, ...] | None  # per-basis-element integers, sign-normalized
+    generator: tuple[int, ...] | None  # derived per-basis-element integers, sign-normalized
     certificate_valid: bool | None  # None when the complex carries no certificate
 
     @property
     def ok(self) -> bool:
-        return self.is_z and self.trivial_action and self.certificate_valid is not False
+        return self.generator is not None and self.certificate_valid is not False
 
 
 def _normalize_sign(vec):
@@ -305,49 +306,47 @@ def _blocks_constant(vec, rank, N):
     return tuple(out)
 
 
-def _end_report(C: ChainComplex, snf: SmithDecomposition, rank: int, info, certificate, aug) -> EndReport:
-    """The end of rank ``rank`` whose group is ``info``: when that is Z, the
-    U row of ``snf`` past its rank spans it.  A certificate must be
-    primitive and kill every column of ``aug``.
-    """
-    is_z = info == AbelianGroupInfo.free(1)
-    generator = None
-    trivial = False
-    if is_z:
-        g = _blocks_constant(snf.U_row(snf.rank), rank, C.group.order)
-        trivial = g is not None
-        if trivial:
-            generator = _normalize_sign(g)
+def _end_report(C: ChainComplex, snf: SmithDecomposition, rank: int, info, certificate) -> EndReport:
+    """The end of rank ``rank`` whose group is ``info``.  When that is Z, the
+    U row of ``snf`` past its rank spans it; when that row is block-constant,
+    its block values are the generator.
 
-    cert_valid = None
-    if certificate is not None:
-        cert_valid = gcd(*certificate, 0) == 1 if certificate else False
-        if cert_valid:
-            cert_valid = not any(_combine_rows(certificate, aug))
-        if cert_valid and is_z:
-            generator = certificate
-    return EndReport(info, is_z, trivial, generator, cert_valid)
+    A stored certificate is valid exactly when it equals the generator up
+    to sign.  The bottom functionals (top kernel vectors) of the expanded
+    boundary form a rank-1 lattice, which the primitive U row spans.  A
+    block-constant certificate lies in it exactly when it kills the
+    augmented boundary, and if it is also primitive, it is that row or its
+    negative.  On any other end no certificate is valid.
+    """
+    generator = None
+    if info == AbelianGroupInfo.free(1):
+        g = _blocks_constant(snf.U_row(snf.rank), rank, C.group.order)
+        if g is not None:
+            generator = _normalize_sign(g)
+    valid = None if certificate is None else generator is not None and _normalize_sign(certificate) == generator
+    return EndReport(info, generator, valid)
 
 
 def bottom_end_report(C: ChainComplex) -> EndReport:
-    """coker(boundary(1)) with its G-action; derives or validates the certificate."""
+    """coker(boundary(1)) with its G-action; derives the generator and
+    judges the stored certificate against it."""
     snf = C.reduction(1)
     info = homology_from_invariants(C.ranks[0] * C.group.order, 0, snf.diagonal)
-    return _end_report(C, snf, C.ranks[0], info, C.bottom_generator, C.integer_matrix(1, "trivial"))
+    return _end_report(C, snf, C.ranks[0], info, C.bottom_generator)
 
 
 def top_end_report(C: ChainComplex) -> EndReport:
-    """ker(boundary(top)) with its G-action; derives or validates the certificate.
+    """ker(boundary(top)) with its G-action; derives the generator and
+    judges the stored certificate against it.
 
     It is the bottom end of the transposes: the column of V past the rank
-    is a U row of reduction(top).transposed(), and a certificate m with
-    augmented(boundary(top)) @ m == 0 kills the columns of its transpose.
-    The kernel is free, so its group is Z^nullity.
+    is a U row of reduction(top).transposed().  The kernel is free, so its
+    group is Z^nullity.
     """
     T = C.top_degree
     snf = C.reduction(T).transposed()
     info = AbelianGroupInfo.free(snf.rows - snf.rank)
-    return _end_report(C, snf, C.ranks[T], info, C.top_generator, C.integer_matrix(T, "trivial").transpose())
+    return _end_report(C, snf, C.ranks[T], info, C.top_generator)
 
 
 @dataclass(frozen=True)
@@ -444,32 +443,6 @@ def dual_map(f: ChainMap) -> ChainMap:
     )
 
 
-def scalar_diagonal_map(source: ChainComplex, target: ChainComplex, scalars) -> ChainMap:
-    """Chain map candidate with components scalar * identity, by degree."""
-    comps = []
-    for i, s in enumerate(scalars):
-        if source.ranks[i] != target.ranks[i]:
-            raise ValueError("scalar diagonal needs equal ranks per degree")
-        ident = GRMatrix.identity(source.group, source.ranks[i])
-        comps.append(-ident if s == -1 else ident if s == 1 else None)
-        if comps[-1] is None:
-            raise ValueError("scalars must be +1 or -1")
-    return ChainMap(source, target, tuple(comps))
-
-
-def _proportionality(vec, base) -> int | None:
-    """The integer s with vec == s * base, if one exists (base nonzero)."""
-    pivot = next((i for i, v in enumerate(base) if v), None)
-    if pivot is None:
-        return None
-    if vec[pivot] % base[pivot]:
-        return None
-    s = vec[pivot] // base[pivot]
-    if tuple(vec) != tuple(s * v for v in base):
-        return None
-    return s
-
-
 @dataclass(frozen=True)
 class ChainMapReport:
     squares: DegreewiseReport  # (degree i, commutes at boundary(i)), from commuting_squares
@@ -486,15 +459,19 @@ class ChainMapReport:
 
 
 def _end_generators(C: ChainComplex):
-    """(top, bottom) certificates, stored or derived; None where unavailable."""
-    top = C.top_generator
-    bottom = C.bottom_generator
-    if top is None:
-        rep = top_end_report(C)
-        top = rep.generator if rep.ok else None
-    if bottom is None:
-        rep = bottom_end_report(C)
-        bottom = rep.generator if rep.ok else None
+    """(top, bottom) certificates in one sign, stored or else derived; None
+    where unavailable.
+
+    A stored certificate is sign-normalized but not judged (the end reports
+    judge it).  One sign makes the end scalars independent of the file's
+    signs.  In dual form d5 = d1*, so valid certificates m (top) and b
+    (bottom) both span the rank-1 kernel of aug(d1) transposed: m = +-b.
+    In one sign m = b, so a bottom scalar of 1 is exactly b . aug(phi_0) =
+    b, the condition under which normalize_duality's lift I0 exists.
+    """
+    top, bottom = C.top_generator, C.bottom_generator
+    top = top_end_report(C).generator if top is None else _normalize_sign(top)
+    bottom = bottom_end_report(C).generator if bottom is None else _normalize_sign(bottom)
     return top, bottom
 
 
@@ -502,9 +479,12 @@ def _end_scalar(functional, target, aug) -> int | None:
     """The integer s with functional @ aug == s * target; None when either
     certificate is missing or no such s exists.
     """
-    if functional is None or target is None:
+    if functional is None or target is None or not any(target):
         return None
-    return _proportionality(_combine_rows(functional, aug), target)
+    vec = _combine_rows(functional, aug)
+    pivot = next(i for i, v in enumerate(target) if v)
+    s = vec[pivot] // target[pivot]
+    return s if vec == tuple(s * v for v in target) else None
 
 
 def commuting_squares(source: ChainComplex, target: ChainComplex, components, degrees) -> DegreewiseReport:

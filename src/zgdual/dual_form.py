@@ -25,7 +25,6 @@ ker(d2).  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from zgdual.complexes import (
     ChainComplex,
@@ -548,12 +547,10 @@ def assemble_dual_form(C6: ChainComplex, iso: ChainIsoPair) -> AssembledDualForm
     d3 = C6.boundary(3) @ iso.k[2].dual()
     ranks = C6.ranks[:3] + (C6.ranks[2], C6.ranks[1], C6.ranks[0])
 
-    top = None
-    if C6.top_generator is not None:
-        # the augmentation of h0's dual is the transpose of h0's
-        top = _combine_rows(C6.top_generator, iso.h[0].augmented())
-        if gcd(*top, 0) != 1:
-            top = None
+    # the augmentation of h0's dual is the transpose of h0's.  Since h0 k0 = 1,
+    # aug(h0) is unimodular: the transported certificate is primitive exactly
+    # when C6's is, and the end reports judge it like any stored one
+    top = None if C6.top_generator is None else _combine_rows(C6.top_generator, iso.h[0].augmented())
 
     assembled = ChainComplex(
         G,

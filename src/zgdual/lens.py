@@ -33,7 +33,6 @@ from zgdual.complexes import (
     compose_maps,
     dual_map,
     dualize_complex,
-    scalar_diagonal_map,
     verify_homotopy,
 )
 from zgdual.group_core import FiniteGroup, GroupRingElement, cyclic_group, norm_element
@@ -70,16 +69,13 @@ def lens_complex(n: int) -> ChainComplex:
 
 
 def lens_duality_map(n: int) -> ChainMap:
-    """The duality equivalence dual(A) -> A with components (-1,-1,-t,1,1,1).
+    """The duality equivalence dual(A) -> A with components (-1,-1,-t,1,1,1),
+    A = lens_complex(n), built once; A is its target.
 
     Its end scalars are (1, -1): +1 on the degree-0 cokernel, -1 on the
     degree-5 kernel.
     """
-    return _duality_map(lens_complex(n))
-
-
-def _duality_map(A: ChainComplex) -> ChainMap:
-    """lens_duality_map on the lens complex A, built by its caller."""
+    A = lens_complex(n)
     G = A.group
     one = GRMatrix.identity(G, 1)
     minus_t = GRMatrix.one_by_one(_poly(G, [(-1, 1)]))
@@ -164,8 +160,8 @@ def lens_asd_transform(n: int) -> AsdTransform:
     Sigma and beta (1 - t^-1) == alpha, which _asd_unit checks, and those
     at boundary(1), (4) and (5) compare equal boundaries through identity
     components.  _asd_unit checks Sigma beta == Sigma as eps(beta) == 1,
-    which is equivalent (see its docstring).  One L(n) and its group serve
-    the unit, A' and phi.
+    which is equivalent (see its docstring).  One L(n), the target of
+    phi = lens_duality_map(n), and its group serve the unit and A'.
 
     The homotopy component x solving alpha x = beta - 1 is written in
     closed form, x = -(sum_{r=1}^{k} t^r + sum_{j=1}^{k} t^{k+2j}), and no
@@ -180,7 +176,8 @@ def lens_asd_transform(n: int) -> AsdTransform:
     """
     if asd_status(n) != "anti-self-dual":
         raise ValueError(f"anti-self-dual units exist for n = 4k+1, k >= 1; got n={n}")
-    A = lens_complex(n)
+    phi = lens_duality_map(n)
+    A = phi.target
     G = A.group
     unit = _asd_unit(G)
     m = GRMatrix.one_by_one
@@ -205,11 +202,10 @@ def lens_asd_transform(n: int) -> AsdTransform:
     k = (n - 1) // 4
     x = _poly(G, [(-1, r) for r in range(1, k + 1)] + [(-1, k + 2 * j) for j in range(1, k + 1)])
 
-    phi = _duality_map(A)
     conjugated = compose_maps(f, compose_maps(phi, dual_map(f)))
 
     zero = GRMatrix.zeros(G, 1, 1)
-    diagonal = scalar_diagonal_map(conjugated.source, conjugated.target, (1, 1, 1, -1, -1, -1))
+    diagonal = ChainMap(conjugated.source, conjugated.target, (one, one, one, -one, -one, -one))
     homotopy = ChainHomotopy(first=conjugated, second=diagonal, components=(zero, zero, m(x), zero, zero))
     if not verify_homotopy(homotopy).ok:
         raise AssertionError("f phi f* is not homotopic to the +1 diagonal via the single component x")

@@ -36,7 +36,7 @@ import math
 import re
 
 from zgdual.complexes import ChainComplex, ChainMap, dualize_complex
-from zgdual.group_core import FiniteGroup, GroupRingElement, cyclic_group, group_from_table
+from zgdual.group_core import FiniteGroup, GroupRingElement, _support, cyclic_group, group_from_table
 from zgdual.gr_linalg import GRMatrix
 
 # the largest cyclic order a file or ``zgdual lens --n`` may ask for: its N x N
@@ -170,12 +170,10 @@ def matrix_from_json(group: FiniteGroup, data) -> GRMatrix:
                     c[idx] = c.get(idx, 0) + coeff
                 if not c:
                     continue
-                # sorted once, for the range check and the support alike
-                terms = sorted(c.items())
-                if terms[0][0] < 0 or terms[-1][0] >= order:
+                if min(c) < 0 or max(c) >= order:
                     idx = next(i for i in c if not 0 <= i < order)
                     raise ValueError(f"element index {idx} out of range for order {order}")
-                support = tuple(terms) if all(c.values()) else tuple([t for t in terms if t[1]])
+                support = _support(c)
             if support:
                 line[j] = GroupRingElement._from_support(group, support)
         lines.append(line)
@@ -250,17 +248,9 @@ def parse_poly(group: FiniteGroup, text: str) -> GroupRingElement:
         raise ValueError("empty polynomial string")
     n = group.order
     terms = []
-    # split at +/- signs, except a sign that is part of an exponent
-    pieces = []
-    cur = ""
-    for ch in s:
-        if ch in "+-" and cur and not cur.endswith("^"):
-            pieces.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    pieces.append(cur)
-    for piece in pieces:
+    # split before each +/- sign, except a sign that is part of an exponent
+    pieces = re.split(r"(?<!\^)(?=[+-])", s)
+    for piece in pieces if pieces[0] else pieces[1:]:
         m = _TERM.match(piece)
         if not m or (not m.group(2) and not m.group(3)):
             raise ValueError(f"cannot parse term {piece!r} in {text!r}")

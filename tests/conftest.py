@@ -7,16 +7,17 @@ every cross-check pits two unrelated implementations against each other.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import gcd, prod
 
 import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from zgdual import dual_form
-from zgdual.complexes import ChainComplex, ChainMap, compose_maps, dual_map, dualize_complex, scalar_diagonal_map
+from zgdual.complexes import ChainComplex, ChainMap, compose_maps, dual_map, dualize_complex
 from zgdual.group_core import FiniteGroup, GroupRingElement, GroupTableError, cyclic_group, group_from_table
 from zgdual.gr_linalg import GRMatrix
 from zgdual.int_linalg import IntegerMatrix, kernel_basis, smith_normal_form, solve_integer
@@ -201,6 +202,54 @@ def scalar_matrix(element, n):
     z = GroupRingElement.zero(element.group)
     grid = tuple(tuple(element if i == j else z for j in range(n)) for i in range(n))
     return GRMatrix(element.group, n, n, grid)
+
+
+def scalar_diagonal_map(source, target, signs):
+    """The candidate map source -> target whose degree-i component is
+    signs[i] (+1 or -1) times the identity."""
+    idents = (GRMatrix.identity(source.group, r) for r in source.ranks)
+    return ChainMap(source, target, tuple(e if s == 1 else -e for e, s in zip(idents, signs)))
+
+
+def reference_certificate_valid(C, end, certificate):
+    """The end certificate rule read from its definition, without the
+    reductions: ``certificate`` is primitive and kills the augmented
+    boundary at ``end`` -- certificate @ aug(boundary(1)) == 0 at the
+    "bottom", aug(boundary(top)) @ certificate == 0 at the "top"."""
+    if gcd(*certificate, 0) != 1:
+        return False
+    if end == "bottom":
+        lines = zip(*C.boundary(1).entries)
+    else:
+        lines = C.boundary(C.top_degree).entries
+    return all(sum(c * e.augmentation() for c, e in zip(certificate, line)) == 0 for line in lines)
+
+
+def reference_parse_poly(group, text):
+    """parse_poly with its terms split by a per-character loop: a new piece
+    starts at each +/- sign that does not follow a "^" or open the string."""
+    s = text.replace("−", "-").replace(" ", "")
+    if not s:
+        raise ValueError("empty polynomial string")
+    pieces = []
+    cur = ""
+    for ch in s:
+        if ch in "+-" and cur and not cur.endswith("^"):
+            pieces.append(cur)
+            cur = ch
+        else:
+            cur += ch
+    pieces.append(cur)
+    terms = []
+    for piece in pieces:
+        m = re.match(r"^([+-]?)(\d*)(t(?:\^(-?\d+))?)?$", piece)
+        if not m or (not m.group(2) and not m.group(3)):
+            raise ValueError(f"cannot parse term {piece!r} in {text!r}")
+        sign = -1 if m.group(1) == "-" else 1
+        coeff = int(m.group(2)) if m.group(2) else 1
+        exp = (int(m.group(4)) if m.group(4) is not None else 1) if m.group(3) else 0
+        terms.append((sign * coeff, exp % group.order))
+    return GroupRingElement.from_terms(group, terms)
 
 
 def leading_block_maps(small, big):

@@ -21,6 +21,9 @@ stays as the witness that a re-checkable normalize verdict will write out.
 
 Every input file is parsed at one ``json.load`` or ``json.loads`` site in
 src/zgdual, so each meets the same hostile-input handling.
+
+Every module-level import of src/zgdual (outside __init__.py) and scripts/
+is read in its module.
 """
 
 import ast
@@ -110,6 +113,39 @@ def json_reads(library):
 def test_one_json_reader():
     assert json_reads(_sources("src/zgdual")) == 1
     assert json_reads(["json.load(fh)\njson.loads(text)\nfh.load()\n"]) == 2
+
+
+def unused_imports(source):
+    """The names that the module-level imports of ``source`` bind and that
+    its code never loads; ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in bound if name not in loaded]
+
+
+def test_every_import_is_read():
+    sources = _sources("src/zgdual") + _sources("scripts")
+    assert sources
+    assert [name for source in sources for name in unused_imports(source)] == []
+    source = """from __future__ import annotations
+
+import json
+import os.path
+import re as regex
+from math import gcd, prod
+from zgdual import lens as L
+
+
+def f(x):  # gcd
+    return json.dumps(prod(x)), L.lens_complex, "os"
+"""
+    assert unused_imports(source) == ["os", "regex", "gcd"]
 
 
 def test_the_scan_reads_code_not_words():

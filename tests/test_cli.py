@@ -1,12 +1,14 @@
 import json
 import tracemalloc
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from conftest import broken_lens, c70_loop_table, twisted_lens
 from zgdual import lens
 from zgdual.cli import main
-from zgdual.complexes import ChainComplex, validate_complex
+from zgdual.complexes import ChainComplex, ChainMap, dualize_complex, is_chain_map, validate_complex
 from zgdual.group_core import GroupRingElement
 from zgdual.gr_linalg import GRMatrix
 from zgdual.lens import lens_complex, lens_duality_map
@@ -570,6 +572,24 @@ class TestNormalizeCommand:
         assert report["normalization"]["theta1_aug_residue"] == 1
         assert report["normalization"]["theta2_aug_residue"] == 4
         assert report["normalization"]["negated_input"] is False
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 9])
+    def test_certificate_signs_change_nothing(self, capsys, tmp_path, n):
+        # the end scalars read both certificates in one sign, so a file whose
+        # two certificates differ in sign normalizes like the (1, 1) file
+        phi = lens_duality_map(n)
+        map_path = tmp_path / "phi.json"
+        map_path.write_text(canonical_dumps(duality_map_to_json(phi)))
+        results = {}
+        for bottom, top in product((1, -1), repeat=2):
+            C = replace(lens_complex(n), bottom_generator=(bottom,), top_generator=(top,))
+            path = write_complex(tmp_path, C, f"lens_{bottom}_{top}.json")
+            code, out, _ = run(capsys, "normalize", path, str(map_path), "--json")
+            assert code == 0
+            report = json.loads(out)
+            results[bottom, top] = report["normalization"], report["verdicts"]
+            assert is_chain_map(ChainMap(dualize_complex(C), C, phi.components)).end_scalars == (1, -1)
+        assert all(r == results[1, 1] for r in results.values())
 
     def test_non_duality_map_fails(self, capsys, tmp_path):
         path = write_lens(tmp_path, 5)

@@ -1,7 +1,9 @@
+import functools
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     broken_lens,
@@ -10,6 +12,7 @@ from conftest import (
     make_quaternion8,
     make_sym3,
     oracle_group_info,
+    reference_certificate_valid,
     sheared_sum_complex,
     spot_matrices,
     sym3_presentation,
@@ -187,7 +190,7 @@ class TestFiveComplexMembership:
         C = one_by_one_complex(G, zero, zero, zero, zero, zero)
         rep = five_complex_report(C)
         assert not rep.is_member
-        assert not rep.bottom.is_z
+        assert rep.bottom.group_info != Z
 
     def test_wrong_length(self):
         G = cyclic_group(2)
@@ -618,7 +621,7 @@ class TestEndsCommuteWithDualization:
             pairs = ((bottom_end_report(C), top_end_report(D)), (bottom_end_report(D), top_end_report(C)))
             for bottom, top in pairs:
                 # a top end is free, so the two agree exactly when the cokernel is Z
-                if bottom.is_z:
+                if bottom.group_info == Z:
                     assert bottom == top
                     compared += 1
         # every case but the two sheared complexes, whose ends are Z^5 and Z^4
@@ -630,6 +633,34 @@ class TestEndsCommuteWithDualization:
             scalars = is_chain_map(f).end_scalars
             assert None not in scalars
             assert is_chain_map(dual_map(f)).end_scalars == scalars[::-1]
+
+
+@functools.cache
+def certificate_cases():
+    """Each case of end_report_cases with its derived (bottom, top) generators."""
+    return [(C, bottom_end_report(C).generator, top_end_report(C).generator) for C in end_report_cases()]
+
+
+class TestCertificateRule:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_ok_is_a_derived_generator_and_the_reference_rule(self, data):
+        # a stored certificate is judged by comparison with the derived
+        # generator; the reference reads the definition instead: primitive,
+        # and killing the augmented boundary
+        C, *generators = data.draw(st.sampled_from(certificate_cases()))
+        certs = []
+        for rank, g in zip((C.ranks[0], C.ranks[-1]), generators):
+            scaled = st.sampled_from([g, tuple(-v for v in g), tuple(2 * v for v in g)]) if g else st.nothing()
+            random_ = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).map(tuple)
+            certs.append(data.draw(st.one_of(random_, scaled)))
+        stored = replace(C, bottom_generator=certs[0], top_generator=certs[1])
+        reports = (bottom_end_report(stored), top_end_report(stored))
+        for end, report, g, cert in zip(("bottom", "top"), reports, generators, certs):
+            expected = g is not None and reference_certificate_valid(C, end, cert)
+            assert report.generator == g
+            assert report.certificate_valid == expected
+            assert report.ok == expected
 
 
 class TestEndScalars:

@@ -15,6 +15,7 @@ from conftest import (
     make_dihedral4,
     make_quaternion8,
     make_sym3,
+    scalar_diagonal_map,
     scalar_matrix,
     sym3_presentation,
     twisted_lens,
@@ -33,7 +34,6 @@ from zgdual.complexes import (
     five_complex_report,
     homology,
     is_chain_map,
-    scalar_diagonal_map,
     validate_complex,
     verify_homotopy,
 )

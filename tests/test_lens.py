@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import scalar_diagonal_map
 from zgdual import complexes, lens
 from zgdual.complexes import (
     ChainHomotopy,
@@ -11,7 +12,6 @@ from zgdual.complexes import (
     five_complex_report,
     homology,
     is_chain_map,
-    scalar_diagonal_map,
     validate_complex,
     verify_homotopy,
 )

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_sym3
+from conftest import make_sym3, reference_parse_poly
 from zgdual.complexes import dualize_complex
 from zgdual.group_core import GroupRingElement, cyclic_group, norm_element
 from zgdual.gr_linalg import GRMatrix
@@ -355,6 +355,27 @@ class TestPolyStrings:
         assert parse_poly(G, poly_string(e)) == e
         for zero in ("0", "-0", "0t^3"):
             assert parse_poly(G, zero) == GroupRingElement.zero(G)
+
+    @given(st.text(alphabet="0123t^+- \u2212", max_size=14))
+    @example("+")
+    @example("-")
+    @example("1--t")
+    @example("t^-1")
+    @example("t^+2")
+    @example("1+")
+    @example("^-")
+    @settings(max_examples=400, deadline=None)
+    def test_pieces_are_those_of_the_per_character_split(self, text):
+        # the same element, or the same ValueError message, as the loop splitter
+        G = cyclic_group(5)
+
+        def outcome(parse):
+            try:
+                return parse(G, text)
+            except ValueError as err:
+                return str(err)
+
+        assert outcome(parse_poly) == outcome(reference_parse_poly)
 
     def test_parse_errors(self):
         G = cyclic_group(3)
