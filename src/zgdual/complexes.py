@@ -329,24 +329,31 @@ def _end_report(C: ChainComplex, snf: SmithDecomposition, rank: int, info, certi
 
 def bottom_end_report(C: ChainComplex) -> EndReport:
     """coker(boundary(1)) with its G-action; derives the generator and
-    judges the stored certificate against it."""
-    snf = C.reduction(1)
-    info = homology_from_invariants(C.ranks[0] * C.group.order, 0, snf.diagonal)
-    return _end_report(C, snf, C.ranks[0], info, C.bottom_generator)
+    judges the stored certificate against it.  Memoized on C, so the
+    membership report and normalize_duality share one."""
+    report = C._memo.get("bottom_end")
+    if report is None:
+        snf = C.reduction(1)
+        info = homology_from_invariants(C.ranks[0] * C.group.order, 0, snf.diagonal)
+        report = C._memo["bottom_end"] = _end_report(C, snf, C.ranks[0], info, C.bottom_generator)
+    return report
 
 
 def top_end_report(C: ChainComplex) -> EndReport:
     """ker(boundary(top)) with its G-action; derives the generator and
-    judges the stored certificate against it.
+    judges the stored certificate against it.  Memoized on C.
 
     It is the bottom end of the transposes: the column of V past the rank
     is a U row of reduction(top).transposed().  The kernel is free, so its
     group is Z^nullity.
     """
-    T = C.top_degree
-    snf = C.reduction(T).transposed()
-    info = AbelianGroupInfo.free(snf.rows - snf.rank)
-    return _end_report(C, snf, C.ranks[T], info, C.top_generator)
+    report = C._memo.get("top_end")
+    if report is None:
+        T = C.top_degree
+        snf = C.reduction(T).transposed()
+        info = AbelianGroupInfo.free(snf.rows - snf.rank)
+        report = C._memo["top_end"] = _end_report(C, snf, C.ranks[T], info, C.top_generator)
+    return report
 
 
 @dataclass(frozen=True)
@@ -462,12 +469,13 @@ def _end_generators(C: ChainComplex):
     """(top, bottom) certificates in one sign, stored or else derived; None
     where unavailable.
 
-    A stored certificate is sign-normalized but not judged (the end reports
-    judge it).  One sign makes the end scalars independent of the file's
-    signs.  In dual form d5 = d1*, so valid certificates m (top) and b
-    (bottom) both span the rank-1 kernel of aug(d1) transposed: m = +-b.
-    In one sign m = b, so a bottom scalar of 1 is exactly b . aug(phi_0) =
-    b, the condition under which normalize_duality's lift I0 exists.
+    A stored certificate is sign-normalized but not judged here (the end
+    reports judge it, and normalize_duality reads them first).  One sign
+    makes the end scalars independent of the file's signs.  In dual form
+    d5 = d1*, so valid certificates m (top) and b (bottom) both span the
+    rank-1 kernel of aug(d1) transposed: m = +-b.  In one sign m = b, so
+    a bottom scalar of 1 is exactly b . aug(phi_0) = b, the condition
+    under which normalize_duality's lift I0 exists.
     """
     top, bottom = C.top_generator, C.bottom_generator
     top = top_end_report(C).generator if top is None else _normalize_sign(top)

@@ -30,12 +30,14 @@ from zgdual.complexes import (
     ChainComplex,
     ChainHomotopy,
     ChainMap,
+    bottom_end_report,
     commuting_squares,
     dualize_complex,
     five_complex_report,
     homology,
     is_chain_map,
     negate_map,
+    top_end_report,
     validate_complex,
     verify_homotopy,
 )
@@ -258,10 +260,12 @@ def _solve_or_fail(C: ChainComplex, i: int, B: GRMatrix, what: str) -> GRMatrix:
 def normalize_duality(view: DualFormView, phi: ChainMap) -> NormalizedDuality:
     """Homotope phi: dual(C) -> C to psi = (-1, -1, theta2, theta1, 1, 1).
 
-    Requires end scalars (1, -1); a phi with scalars (-1, 1) is globally
-    negated first, which preserves the complex (boundary(3) is never
-    touched).  The lifts I0, I1 and the dualized I4, I3 exist exactly
-    because the complex is exact at degrees 1 and 4 with Z ends; I2 = 0.
+    Requires valid stored certificates on C, as the end reports judge them
+    (dual(C) stores C's, swapped), and end scalars (1, -1); a phi with
+    scalars (-1, 1) is globally negated first, which preserves the complex
+    (boundary(3) is never touched).  The lifts I0, I1 and the dualized I4,
+    I3 exist exactly because the complex is exact at degrees 1 and 4 with Z
+    ends; I2 = 0.
 
     psi is a chain map by proof, not by check.  It requires d d == 0 on the
     view's complex C, which recognize_dual_form and assemble_dual_form check
@@ -275,6 +279,11 @@ def normalize_duality(view: DualFormView, phi: ChainMap) -> NormalizedDuality:
     C = view.base
     if phi.target != C or phi.source != dualize_complex(C):
         raise ValueError("phi must map the dual of the recognized complex to the complex")
+    # the end scalars read the stored certificates, so judge them first;
+    # phi.source's are C's swapped
+    for end, end_report in (("bottom", bottom_end_report), ("top", top_end_report)):
+        if end_report(C).certificate_valid is False:
+            raise ValueError(f"the stored {end} certificate does not generate the {end} end")
     report = is_chain_map(phi)
     if not report.is_chain_map:
         raise ValueError("phi is not a chain map")
@@ -421,10 +430,14 @@ def _flatten(matrices) -> list[int]:
     """The Z-coordinates of GRMatrix entries: matrix, row, column, group element."""
     out = []
     for M in matrices:
-        zero = (0,) * M.group.order
-        for line in M.sparse_rows:
-            for j in range(M.cols):
-                out += line[j].coeffs if j in line else zero
+        N = M.group.order
+        base = len(out)
+        out += [0] * (M.rows * M.cols * N)
+        for p, line in enumerate(M.sparse_rows):
+            for q, e in line.items():
+                at = base + (p * M.cols + q) * N
+                for i, a in e.support:
+                    out[at + i] = a
     return out
 
 

@@ -21,6 +21,10 @@ the kernel columns, one row of U).  D, U and V are built only when read.
 So one decomposition of a matrix serves every reader, and, with the logs
 swapped (SmithDecomposition.transposed), every reader of its transpose: a
 column of V is a row of the transposed decomposition's U.
+
+Adding -1 times a line to an equal line clears it without touching its
+entries (_add_line).  The operation is the same, only cheaper, so it
+changes no pivot, no diagonal and no log entry.
 """
 
 from __future__ import annotations
@@ -134,7 +138,17 @@ def _combine_rows(coeffs, M: IntegerMatrix) -> tuple[int, ...]:
 
 
 def _add_line(R, S, q):
-    """R += q * S on sparse lines (dicts index -> nonzero), q != 0."""
+    """R += q * S on sparse lines (dicts index -> nonzero), q != 0.
+
+    A line cancelled by an equal one (q == -1 and R == S) is cleared after
+    one dict comparison instead of an update per entry: R - S is the empty
+    line either way, so the caller's log entry and every later step are
+    those of the entrywise loop.  The rows of an expanded norm element are
+    all equal, and this is how the Smith column clear empties them.
+    """
+    if q == -1 and R == S:
+        R.clear()
+        return
     for j, v in S.items():
         x = R.get(j, 0) + q * v
         if x:

@@ -591,6 +591,24 @@ class TestNormalizeCommand:
             assert is_chain_map(ChainMap(dualize_complex(C), C, phi.components)).end_scalars == (1, -1)
         assert all(r == results[1, 1] for r in results.values())
 
+    @pytest.mark.parametrize("bottom, top, end", [(3, 3, "bottom"), (1, 3, "top"), (-3, -1, "bottom")])
+    def test_invalid_certificates_fail(self, capsys, tmp_path, bottom, top, end):
+        # 3 kills the augmented boundary but does not generate the end: check
+        # rejects it, and normalize does not read end scalars through it
+        C = replace(lens_complex(5), bottom_generator=(bottom,), top_generator=(top,))
+        path = write_complex(tmp_path, C, "lens.json")
+        map_path = tmp_path / "phi.json"
+        map_path.write_text(canonical_dumps(duality_map_to_json(lens_duality_map(5))))
+        assert run(capsys, "check", path)[0] == 1
+        code, out, _ = run(capsys, "normalize", path, str(map_path), "--json")
+        assert code == 1
+        (verdict,) = json.loads(out)["verdicts"]
+        assert verdict == {
+            "name": "normalization",
+            "pass": False,
+            "info": f"the stored {end} certificate does not generate the {end} end",
+        }
+
     def test_non_duality_map_fails(self, capsys, tmp_path):
         path = write_lens(tmp_path, 5)
         # identity components do not form a chain map dual(A) -> A

@@ -375,6 +375,27 @@ class TestMemoizedReductions:
             assert len(calls) == 2 * len(reduced)
             assert degrees_expanded(C) == reduced
 
+    def test_normalize_reduces_two_degrees_and_shares_the_end_reports(self, monkeypatch):
+        calls = []
+
+        def counting_snf(A):
+            calls.append(1)
+            return smith_normal_form(A)
+
+        monkeypatch.setattr(complexes, "smith_normal_form", counting_snf)
+        view, phi = twisted_sym3_duality()
+        cases = [(replace(view.base), phi)] + [(lens_complex(n), lens_duality_map(n)) for n in (5, 13)]
+        for C, phi in cases:
+            calls.clear()
+            normalize_duality(recognize_dual_form(C), phi)
+            # the end reports read degree 1, and degree 5 as degree 1
+            # transposed; the lifts reduce degrees 1 and 2
+            assert len(calls) == 2
+            report = five_complex_report(C)
+            assert report.bottom is bottom_end_report(C)
+            assert report.top is top_end_report(C)
+            assert len(calls) == 2
+
     def test_invariants_equal_each_degree_reduced_alone(self):
         G = cyclic_group(6)
         shear = GroupRingElement.from_terms(G, [[1, 1], [-2, 3]])

@@ -6,6 +6,13 @@ reduction as it stood before that, kept verbatim: its ``col_swap`` walks
 every live row and moves the two entries.  Both must pick the same pivots,
 so they must return the same diagonal and the same two logs, on every
 reduction the benchmark workloads make and on random sparse matrices.
+
+The library's ``_add_line`` clears a line cancelled by an equal one
+without walking it.  The reference shares none of that: it adds lines
+entry by entry (``reference_add_line``) and replays logs with its own copy
+of ``_replay``.  Matrices with repeated and negated rows and expanded norm
+elements, whose rows are all equal, reach the shortcut; replaying each log
+on equal lines reaches it with every coefficient the logs hold.
 """
 
 from __future__ import annotations
@@ -17,9 +24,36 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zgdual import int_linalg
-from zgdual.int_linalg import IntegerMatrix, SmithDecomposition, _add_line, smith_normal_form
+from zgdual.gr_linalg import GRMatrix
+from zgdual.group_core import norm_element
+from zgdual.int_linalg import IntegerMatrix, SmithDecomposition, _add_line, _replay, smith_normal_form
+from zgdual.lens import lens_complex
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def reference_add_line(R, S, q):
+    """R += q * S on sparse lines (dicts index -> nonzero), q != 0."""
+    for j, v in S.items():
+        x = R.get(j, 0) + q * v
+        if x:
+            R[j] = x
+        else:
+            del R[j]
+
+
+def reference_replay(ops, lines, transposed=False):
+    """int_linalg._replay, adding lines with reference_add_line."""
+    for a, b, q in reversed(ops) if transposed else ops:
+        if a == b:
+            lines[a] = {j: -v for j, v in lines[a].items()}
+        elif not q:
+            lines[a], lines[b] = lines[b], lines[a]
+        elif transposed:
+            reference_add_line(lines[b], lines[a], q)
+        else:
+            reference_add_line(lines[a], lines[b], q)
+    return lines
 
 
 def reference_snf(A: IntegerMatrix) -> SmithDecomposition:
@@ -92,7 +126,7 @@ def reference_snf(A: IntegerMatrix) -> SmithDecomposition:
                 if v:
                     q = v // p
                     if q:
-                        _add_line(rows[i], rows[t], -q)
+                        reference_add_line(rows[i], rows[t], -q)
                         row_ops.append((i, t, -q))
                     if t in rows[i]:
                         row_swap(t, i)  # remainder is smaller than |p|
@@ -128,7 +162,7 @@ def reference_snf(A: IntegerMatrix) -> SmithDecomposition:
             bad = next((i for i in range(t + 1, m) if any(v % p for v in rows[i].values())), None)
             if bad is None:
                 break
-            _add_line(rows[t], rows[bad], 1)
+            reference_add_line(rows[t], rows[bad], 1)
             row_ops.append((t, bad, 1))
         t += 1
 
@@ -143,6 +177,12 @@ def _same(A: IntegerMatrix, got: SmithDecomposition):
     assert got.diagonal == want.diagonal
     assert got.row_ops == want.row_ops
     assert got.col_ops == want.col_ops
+    # each log, replayed both ways on equal lines, as back_substitute and
+    # the transform reads may replay it on any lines
+    for ops, size in ((got.row_ops, got.rows), (got.col_ops, got.cols)):
+        for transposed in (False, True):
+            equal = [{0: 1, 1: -2} for _ in range(size)]
+            assert _replay(ops, [dict(line) for line in equal], transposed) == reference_replay(ops, equal, transposed)
 
 
 # -- every reduction of one pass of each benchmark workload ----------------
@@ -225,6 +265,67 @@ def test_random_sparse_matches_reference(A):
     got = smith_normal_form(A)
     _same(A, got)
     assert got.U @ A @ got.V == got.D
+
+
+# -- repeated rows, negated rows and norm elements --------------------------
+
+
+@st.composite
+def repeated_row_matrices(draw):
+    """Rows drawn from a few distinct ones, each kept, negated, doubled or
+    zeroed, so that rows equal to the pivot row and to its negative occur."""
+    n = draw(st.integers(1, 8))
+    values = draw(st.sampled_from((NON_UNIT, ANY)))
+    distinct = [[draw(values) for _ in range(n)] for _ in range(draw(st.integers(1, 3)))]
+    grid = []
+    for _ in range(draw(st.integers(1, 8))):
+        row, scale = draw(st.sampled_from(distinct)), draw(st.sampled_from((1, 1, -1, 2, 0)))
+        grid.append([scale * v for v in row])
+    return IntegerMatrix(len(grid), n, tuple(map(tuple, grid)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_row_matrices())
+@example(IntegerMatrix.from_rows([[1, 1, 1], [1, 1, 1], [-1, -1, -1]]))
+@example(IntegerMatrix.from_rows([[3, 3], [3, 3], [-3, -3], [6, 6]]))  # a non-unit pivot row
+@example(IntegerMatrix.from_rows([[1, 2], [1, 3]]))  # one support, different values
+@example(IntegerMatrix.from_rows([[2, 0], [0, 3], [0, 3]]))  # the divisibility step
+def test_repeated_rows_match_reference(A):
+    got = smith_normal_form(A)
+    _same(A, got)
+    assert got.U @ A @ got.V == got.D
+
+
+def test_norm_elements_match_reference(groups):
+    """Sigma over each small group, and L(n)'s boundary(2), which is Sigma:
+    every row of the expansion equals the pivot row."""
+    matrices = [GRMatrix.one_by_one(norm_element(G)).expand() for G in groups]
+    matrices += [lens_complex(n).boundary(2).expand() for n in (2, 3, 5, 12, 31)]
+    for A in matrices:
+        got = smith_normal_form(A)
+        _same(A, got)
+        assert got.diagonal == (1,)
+        assert got.U @ A @ got.V == got.D
+
+
+LINES = st.dictionaries(st.integers(0, 6), st.integers(-5, 5).filter(bool), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LINES, LINES, st.sampled_from((-2, -1, 1, 2)), st.sampled_from(("equal", "negated", "unrelated")))
+@example({0: 1, 3: -2}, {}, -1, "equal")
+@example({0: 1, 3: -2}, {}, 1, "equal")
+@example({0: 1, 3: -2}, {}, -1, "negated")
+@example({}, {}, -1, "equal")
+def test_add_line_matches_entrywise_loop(S, other, q, relation):
+    """R += q * S for R equal to S, to -S, or unrelated to it."""
+    R = {"equal": dict(S), "negated": {j: -v for j, v in S.items()}, "unrelated": dict(other)}[relation]
+    want = dict(R)
+    reference_add_line(want, S, q)
+    before = dict(S)
+    _add_line(R, S, q)
+    assert R == want
+    assert S == before
 
 
 def test_examples_reach_repivots_and_divisibility():
