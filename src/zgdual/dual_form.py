@@ -448,19 +448,24 @@ def _is_chain_iso(a: ChainComplex, b: ChainComplex, h, k) -> bool:
     both require a and b to have equal ranks.
 
     Shapes are compared first: each h_i and k_i must be (a.ranks[i],
-    a.ranks[i]), so no product meets a wrong shape.  Then only h's squares
-    and h_i k_i == 1 are multiplied out.  The components being square,
-    k_i h_i == 1 follows (see invert_gr_matrix), and with D the boundary of
-    b and d that of a, k's squares follow from h's and the inverse
-    identities, as
+    a.ranks[i]), so no product meets a wrong shape.  Write D for the
+    boundary of b and d for that of a.  When all six components are
+    identities, the boundaries are compared and nothing is multiplied:
+    D_i I == I d_i exactly when D_i == d_i, and I I == I.  Otherwise only
+    h's squares and h_i k_i == 1 are multiplied out.  The components being
+    square, k_i h_i == 1 follows (see invert_gr_matrix), and k's squares
+    follow from h's and the inverse identities, as
     k_{i-1} D_i == k_{i-1} D_i h_i k_i == k_{i-1} h_{i-1} d_i k_i == d_i k_i.
     """
-    return (
+    if not (
         len(h) == len(k) == 3
         and all((m.rows, m.cols) == (r, r) for r, h_i, k_i in zip(a.ranks, h, k) for m in (h_i, k_i))
-        and commuting_squares(a, b, h, (1, 2)).ok
-        and all(h_i @ k_i == GRMatrix.identity(a.group, r) for r, h_i, k_i in zip(a.ranks, h, k))
-    )
+    ):
+        return False
+    ones = [GRMatrix.identity(a.group, r) for r in a.ranks]
+    if all(h_i == one == k_i for one, h_i, k_i in zip(ones, h, k)):
+        return a.differentials == b.differentials
+    return commuting_squares(a, b, h, (1, 2)).ok and all(h_i @ k_i == one for one, h_i, k_i in zip(ones, h, k))
 
 
 def _certified_pair(a: ChainComplex, b: ChainComplex, comps) -> ChainIsoPair | None:
@@ -479,9 +484,8 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
 
     At most ``budget`` trials, in this order:
 
-    1. the identity, which is a chain map exactly when tail and head have
-       equal boundaries, so this trial compares boundaries and multiplies
-       nothing; the identity is then its own inverse;
+    1. the identity, its own inverse, certified by _is_chain_iso, which
+       compares boundaries for it and multiplies nothing;
     2. the affine point id + x, where x solves A x == -A vec(id) for the
        constraint matrix A of chain maps tail -> head (one SNF of A, free
        coordinates zero);
@@ -503,7 +507,7 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
         raise ValueError(f"the search budget must be at least 1, got {budget}")
 
     ident = tuple(GRMatrix.identity(tail.group, r) for r in tail.ranks)
-    if tail.differentials == head.differentials:
+    if _is_chain_iso(tail, head, ident, ident):
         return ChainIsoPair(h=ident, k=ident)
     if budget < 2:
         return None

@@ -25,6 +25,14 @@ column of V is a row of the transposed decomposition's U.
 Adding -1 times a line to an equal line clears it without touching its
 entries (_add_line).  The operation is the same, only cheaper, so it
 changes no pivot, no diagonal and no log entry.
+
+smith_normal_form walks only the nonempty rows below its current
+position.  An empty row there stays empty: a row operation adds only to a
+row with an entry in the pivot column or to the pivot row, and a swap only
+moves a row.  So that list of rows only ever loses members and stays
+sorted, and the walk picks the same rows in the same order as a scan of
+every position would.  The zero rows that expansions append, and every
+row a clear empties, cost the reduction nothing after that.
 """
 
 from __future__ import annotations
@@ -267,6 +275,19 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     At step t, live rows hold no entry left of position t, so every row
     operation touches only the live block.  Once column t is clear below
     the pivot, a column operation against column t changes only row t.
+
+    ``live`` lists, in increasing order, the positions below t whose rows
+    are nonempty; the pivot search reads row t and then ``live``, and the
+    column clear and the divisibility search read ``live`` alone.  No row
+    ever joins it.  A row below t changes only by a clear against row t,
+    which it meets only if it has an entry in the pivot column, so is
+    nonempty; row t changes by negation, by the row clear and by adding a
+    divisibility row; a swap moves a row and leaves positions, which are
+    all the list holds, in place.  So an empty row below t stays empty,
+    and the list only loses positions, which keeps it sorted: the pivot
+    row's old position when row t was empty before the swap, a row that a
+    clear empties, and t itself as t advances.  The pivots, the diagonal
+    and both logs are those of a scan over every position below t.
     """
     m, n = A.rows, A.cols
     rows = list(map(dict, A.sparse_rows))
@@ -289,15 +310,18 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             rows[t] = {j: -v for j, v in R.items()}
             row_ops.append((t, t, -1))
 
+    # the positions below t whose rows are nonempty, in increasing order
+    live = [i for i in range(1, m) if rows[i]]
     limit = min(m, n)
     while t < limit:
         # the first least |entry| in row-major order: the earliest row with
         # the least row minimum, then its leftmost position with that value
         best = pi = None
-        for i in range(t, m):
-            R = rows[i]
-            if R:
-                a = min(map(abs, R.values()))
+        if rows[t]:
+            best, pi = min(map(abs, rows[t].values())), t
+        if best != 1:
+            for i in live:
+                a = min(map(abs, rows[i].values()))
                 if pi is None or a < best:
                     best, pi = a, i
                     if a == 1:
@@ -306,6 +330,8 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             break
         pj = min(pos[j] for j, v in rows[pi].items() if v == best or v == -best)
         if pi != t:
+            if not rows[t]:
+                live.remove(pi)  # the empty row t moves down to pi
             row_swap(t, pi)
         if pj != t:
             col_swap(t, pj)
@@ -315,19 +341,23 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             # clear column t then row t; re-pivot on any nonzero remainder
             c = perm[t]
             p = rows[t][c]
-            dirty = False
-            for i in range(t + 1, m):
-                v = rows[i].get(c)
+            dirty = emptied = False
+            for i in live:
+                R = rows[i]
+                v = R.get(c)
                 if v:
                     q = v // p
                     if q:
-                        _add_line(rows[i], rows[t], -q)
+                        _add_line(R, rows[t], -q)
                         row_ops.append((i, t, -q))
-                    if c in rows[i]:
+                        emptied = emptied or not R
+                    if c in R:
                         row_swap(t, i)  # remainder is smaller than |p|
                         make_pivot_positive()
                         dirty = True
                         break
+            if emptied:
+                live = [i for i in live if rows[i]]
             if dirty:
                 continue
             R = rows[t]
@@ -355,12 +385,14 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             p = rows[t][c]
             if p == 1:
                 break
-            bad = next((i for i in range(t + 1, m) if any(v % p for v in rows[i].values())), None)
+            bad = next((i for i in live if any(v % p for v in rows[i].values())), None)
             if bad is None:
                 break
             _add_line(rows[t], rows[bad], 1)
             row_ops.append((t, bad, 1))
         t += 1
+        if live and live[0] == t:
+            del live[0]
 
     # every row is now empty or holds its diagonal entry alone
     diagonal = tuple(rows[i][perm[i]] for i in range(t))

@@ -809,6 +809,24 @@ class TestChainMapChecksRunOnce:
         assert dual_form._is_chain_iso(tail, head, iso.h, iso.k)
         assert (in_squares, len(products)) == ([4], 4 + 3)
 
+    def test_identity_pair_is_certified_by_comparing_boundaries(self, monkeypatch):
+        # D_i I == I d_i exactly when D_i == d_i, and I I == I: the identity
+        # pair is decided with no product, on either verdict
+        def no_product(A, B):
+            raise AssertionError("the identity pair multiplies nothing")
+
+        lens = [stage6_segments(lens_complex(n)) for n in (2, 5, 7)]
+        twisted = to_dual_form_stage6(twisted_lens(3)).complex
+        monkeypatch.setattr(GRMatrix, "__matmul__", no_product)
+        for tail, head in lens:
+            ident = identity_triple(tail)
+            assert dual_form._is_chain_iso(tail, head, ident, ident)
+        tail, head = tail_segment(twisted), dual_head_segment(twisted)
+        ident = identity_triple(tail)
+        assert not dual_form._is_chain_iso(tail, head, ident, ident)
+        with pytest.raises(ValueError, match="iso is not a pair of mutually inverse chain maps"):
+            assemble_dual_form(twisted, ChainIsoPair(h=ident, k=ident))
+
 
 def _nonzero_entries(*matrices):
     return sum(len(line) for M in matrices for line in M.sparse_rows)

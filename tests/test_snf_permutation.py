@@ -267,6 +267,65 @@ def test_random_sparse_matches_reference(A):
     assert got.U @ A @ got.V == got.D
 
 
+# -- stage-6 shapes: identity blocks, zero rows and zero columns -------------
+
+
+@st.composite
+def stage6_shaped_matrices(draw):
+    """A small random block summed with identity blocks, as the stage-6
+    expansions build them, with zero rows and columns mixed in and the rows
+    permuted: at most 24 rows and 24 columns, most of them empty or unit."""
+    values = draw(st.sampled_from((NON_UNIT, ANY)))
+    k, l = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    blocks = [[[draw(values) for _ in range(l)] for _ in range(k)]]
+    for size in draw(st.lists(st.integers(1, 6), max_size=3)):
+        blocks.insert(draw(st.integers(0, len(blocks))), [[int(i == j) for j in range(size)] for i in range(size)])
+    n = sum(len(block[0]) if block else 0 for block in blocks)
+    grid = []
+    at = 0
+    for block in blocks:
+        width = len(block[0]) if block else 0
+        grid += [[0] * at + row + [0] * (n - at - width) for row in block]
+        at += width
+    grid += [[0] * n for _ in range(draw(st.integers(0, 24 - len(grid))))]
+    for _ in range(draw(st.integers(0, 24 - n))):
+        j = draw(st.integers(0, n))
+        grid = [row[:j] + [0] + row[j:] for row in grid]
+        n += 1
+    grid = [grid[i] for i in draw(st.permutations(range(len(grid))))]
+    return IntegerMatrix(len(grid), n, tuple(map(tuple, grid)))
+
+
+# the three ways smith_normal_form's list of nonempty rows changes or is skipped
+PIVOT_BELOW_EMPTY_ROW = IntegerMatrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 2, 0], [0, 0, 1]])
+CLEAR_EMPTIES_A_ROW = IntegerMatrix.from_rows([[1, 0, 0], [0, 0, 0], [2, 0, 0], [3, 0, 1]])
+DIVISIBILITY_PASSES_EMPTY_ROWS = IntegerMatrix.from_rows([[2, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 3]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(stage6_shaped_matrices())
+@example(PIVOT_BELOW_EMPTY_ROW)
+@example(CLEAR_EMPTIES_A_ROW)
+@example(DIVISIBILITY_PASSES_EMPTY_ROWS)
+def test_stage6_shapes_match_reference(A):
+    got = smith_normal_form(A)
+    _same(A, got)
+    assert got.U @ A @ got.V == got.D
+
+
+def test_examples_reach_the_nonempty_row_list():
+    """The fixed stage-6 examples above reach the paths they are there for."""
+    # row 0 is empty, so the pivot row 3 trades places with it
+    below = smith_normal_form(PIVOT_BELOW_EMPTY_ROW)
+    assert below.row_ops[0] == (0, 3, 0) and below.diagonal == (1, 2)
+    # the clear against row 0 empties row 2 and leaves row 3 with an entry
+    cleared = smith_normal_form(CLEAR_EMPTIES_A_ROW)
+    assert cleared.row_ops[:2] == ((2, 0, -2), (3, 0, -3)) and cleared.diagonal == (1, 1)
+    # the divisibility search passes the empty rows 1 and 2 to reach row 3
+    divisible = smith_normal_form(DIVISIBILITY_PASSES_EMPTY_ROWS)
+    assert (0, 3, 1) in divisible.row_ops and divisible.diagonal == (1, 6)
+
+
 # -- repeated rows, negated rows and norm elements --------------------------
 
 
