@@ -160,9 +160,7 @@ def _cmd_dualform(args, report):
     except ValueError as exc:
         raise UsageError(str(exc))
     out = pipe.complex
-    report["moves"] = [
-        {"direction": "expand", "position": m.position, "rank": m.rank} for m in pipe.moves
-    ]
+    report["moves"] = [{"direction": "expand", "position": p, "rank": r} for p, r in pipe.moves]
     verdicts.append(_verdict("pipeline_output_valid", complexes.validate_complex(out).ok))
     verdicts.append(
         _verdict("euler_preserved", complexes.euler_characteristic(out) == complexes.euler_characteristic(C))
@@ -170,7 +168,7 @@ def _cmd_dualform(args, report):
     hom_ok = all(
         complexes.homology(out, d, coeff) == complexes.homology(C, d, coeff)
         for d in range(6)
-        for coeff in ("integral", "trivial")
+        for coeff in complexes.COEFFS
     )
     verdicts.append(_verdict("homology_preserved", hom_ok))
     result = out
@@ -299,9 +297,9 @@ def _cmd_lens(args, report):
         verdicts.append(_verdict("asd_homotopy_verified", True, info="diagonal sign 1"))
         report["asd_data"] = {
             "k": (n - 1) // 4,
-            "alpha": serialize.poly_string(asd.unit.alpha),
-            "beta": serialize.poly_string(asd.unit.beta),
-            "beta_inv": serialize.poly_string(asd.unit.beta_inv),
+            "alpha": serialize.poly_string(asd.alpha),
+            "beta": serialize.poly_string(asd.beta),
+            "beta_inv": serialize.poly_string(asd.beta_inv),
             "x": serialize.poly_string(asd.x),
         }
         if args.asd:
@@ -327,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homology", help="homology of a complex file")
     p.add_argument("file")
-    p.add_argument("--coefficients", choices=("integral", "trivial"), default="integral")
+    p.add_argument("--coefficients", choices=complexes.COEFFS, default="integral")
     p.add_argument("--degree", type=int, default=None)
 
     p = sub.add_parser("dualform", help="run the stage-6 dual-form pipeline")

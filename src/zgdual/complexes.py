@@ -364,7 +364,7 @@ class FiveComplexReport:
     length_ok: bool
     exact_at_1: bool
     exact_at_4: bool
-    bottom: EndReport | None
+    bottom: EndReport | None  # the ends are None only when not (valid and length_ok)
     top: EndReport | None
     euler: int
 
@@ -375,9 +375,7 @@ class FiveComplexReport:
             and self.length_ok
             and self.exact_at_1
             and self.exact_at_4
-            and self.bottom is not None
             and self.bottom.ok
-            and self.top is not None
             and self.top.ok
             and self.euler == 0
         )
@@ -424,10 +422,6 @@ class ChainMap:
                     f"component {i} has shape {f.rows}x{f.cols}, expected "
                     f"{self.target.ranks[i]}x{self.source.ranks[i]}"
                 )
-
-
-def negate_map(f: ChainMap) -> ChainMap:
-    return ChainMap(f.source, f.target, tuple(-c for c in f.components))
 
 
 def compose_maps(outer: ChainMap, inner: ChainMap) -> ChainMap:

@@ -36,7 +36,6 @@ from zgdual.complexes import (
     five_complex_report,
     homology,
     is_chain_map,
-    negate_map,
     top_end_report,
     validate_complex,
     verify_homotopy,
@@ -85,21 +84,14 @@ def _direct_sum(C: ChainComplex, plan) -> ChainComplex:
 
 
 @dataclass(frozen=True)
-class MoveRecord:
-    """One expansion move; the pipeline has no other kind."""
-
-    position: int  # the lower of the two degrees touched
-    rank: int
-
-
-@dataclass(frozen=True)
 class PipelineResult:
-    """The stage-6 complex and its moves.  The input is its leading blocks;
-    the equivalences, the inclusion of those blocks and the projection onto
-    them, are not built."""
+    """The stage-6 complex and its moves, the (position, rank) plan that
+    ``_direct_sum`` applied: each move is an expansion at degrees position
+    and position+1.  The input is its leading blocks; the equivalences, the
+    inclusion of those blocks and the projection onto them, are not built."""
 
     complex: ChainComplex
-    moves: tuple[MoveRecord, ...]
+    moves: tuple[tuple[int, int], ...]
 
 
 def to_dual_form_stage6(C: ChainComplex) -> PipelineResult:
@@ -121,16 +113,14 @@ def to_dual_form_stage6(C: ChainComplex) -> PipelineResult:
     middle = c[2] + c[4] + c[0]
     if middle != c[3] + c[1] + c[5]:  # forced by euler == 0
         raise AssertionError("middle ranks disagree despite zero Euler characteristic")
-    plan = [
+    plan = (
         (0, c[5]),
         (4, c[0]),
         (3, c[1] + c[5]),
         (1, c[4] + c[0]),
         (2, middle),
-    ]
-    stage6 = _direct_sum(C, plan)
-    moves = tuple(MoveRecord(position, rank) for position, rank in plan)
-    return PipelineResult(stage6, moves)
+    )
+    return PipelineResult(_direct_sum(C, plan), plan)
 
 
 # -- dual-form recognition ----------------------------------------------
@@ -290,7 +280,7 @@ def normalize_duality(view: DualFormView, phi: ChainMap) -> NormalizedDuality:
     scalars = report.end_scalars
     negated = False
     if scalars == (-1, 1):
-        phi = negate_map(phi)
+        phi = ChainMap(phi.source, phi.target, tuple(-c for c in phi.components))
         negated = True
         scalars = (1, -1)
     if scalars != (1, -1):

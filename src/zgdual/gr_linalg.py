@@ -23,8 +23,6 @@ Conventions, fixed once so non-abelian groups work unchanged:
 
 from __future__ import annotations
 
-import weakref
-
 from zgdual.group_core import FiniteGroup, GroupRingElement, _nonzero
 from zgdual.int_linalg import IntegerMatrix, solve_integer
 
@@ -39,10 +37,10 @@ class GRMatrix:
     ``identity``, or, by the library's builders, from sparse rows.
     Equality reads the shape, the group and the nonzeros; hashing reads the
     shape and the nonzero coefficients.  ``dual()`` is built once and kept;
-    a pickle or copy carries only the group, shape and sparse rows.
+    the dual does not refer back, so no matrix is part of a reference cycle.
     """
 
-    __slots__ = ("group", "rows", "cols", "sparse_rows", "_entries", "_dual", "_dual_of", "__weakref__")
+    __slots__ = ("group", "rows", "cols", "sparse_rows", "_entries", "_dual")
 
     def __init__(self, group: FiniteGroup, rows: int, cols: int, entries):
         if cols < 0 or len(entries) != rows or any(len(r) != cols for r in entries):
@@ -52,7 +50,7 @@ class GRMatrix:
                 if e.group != group:
                     raise ValueError("matrix entry belongs to a different group")
         self.group, self.rows, self.cols = group, rows, cols
-        self._entries = self._dual = self._dual_of = None
+        self._entries = self._dual = None
         self.sparse_rows = tuple({j: e for j, e in enumerate(row) if e.support} for row in entries)
 
     # -- constructors -------------------------------------------------
@@ -67,7 +65,7 @@ class GRMatrix:
         M = object.__new__(GRMatrix)
         M.sparse_rows = tuple(lines)
         M.group, M.rows, M.cols = group, len(M.sparse_rows), cols
-        M._entries = M._dual = M._dual_of = None
+        M._entries = M._dual = None
         return M
 
     @property
@@ -90,9 +88,6 @@ class GRMatrix:
     def __hash__(self):
         lines = tuple(frozenset((j, e.support) for j, e in line.items()) for line in self.sparse_rows)
         return hash((self.rows, self.cols, lines))
-
-    def __reduce__(self):
-        return GRMatrix._from_sparse_rows, (self.group, self.cols, self.sparse_rows)
 
     def __repr__(self):
         shape = f"rows={self.rows!r}, cols={self.cols!r}"
@@ -189,20 +184,16 @@ class GRMatrix:
         """Involute-transpose: the dual map Z[G]^rows -> Z[G]^cols.
 
         Built once per matrix and kept, which is safe because no builder
-        changes a matrix after it is built.  The dual refers back to this
-        matrix only by a weak reference, so its own dual() is this matrix
-        while it lives, and no reference cycle keeps either alive.
+        changes a matrix after it is built.  The dual does not refer back:
+        its own dual() is a new matrix equal to this one, built once in turn.
         """
         D = self._dual
-        if D is None and self._dual_of is not None:
-            D = self._dual_of()
         if D is None:
             lines = [{} for _ in range(self.cols)]
             for i, line in enumerate(self.sparse_rows):
                 for j, e in line.items():
                     lines[j][i] = e.involute()
             D = self._dual = GRMatrix._from_sparse_rows(self.group, self.rows, lines)
-            D._dual_of = weakref.ref(self)
         return D
 
     def expand(self) -> IntegerMatrix:

@@ -24,7 +24,7 @@ alpha x = beta - 1; the -1 diagonal fails at degree 0, where phi_0 = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from zgdual.complexes import (
     ChainComplex,
@@ -49,20 +49,12 @@ def lens_complex(n: int) -> ChainComplex:
     if n < 2:
         raise ValueError("lens spaces need n >= 2")
     G = cyclic_group(n)
-    one_minus_t = _poly(G, [(1, 0), (-1, 1)])
-    one_minus_tinv = _poly(G, [(1, 0), (-1, -1)])
-    sigma = norm_element(G)
-    m = GRMatrix.one_by_one
+    d1 = GRMatrix.one_by_one(_poly(G, [(1, 0), (-1, 1)]))
+    d2 = GRMatrix.one_by_one(norm_element(G))
     return ChainComplex(
         group=G,
         ranks=(1, 1, 1, 1, 1, 1),
-        differentials=(
-            m(one_minus_t),
-            m(sigma),
-            m(one_minus_tinv),
-            m(sigma),
-            m(one_minus_tinv),
-        ),
+        differentials=(d1, d2, d1.dual(), d2, d1.dual()),
         top_generator=(1,),
         bottom_generator=(1,),
     )
@@ -86,13 +78,6 @@ def lens_duality_map(n: int) -> ChainMap:
     )
 
 
-@dataclass(frozen=True)
-class AsdUnit:
-    alpha: GroupRingElement
-    beta: GroupRingElement
-    beta_inv: GroupRingElement
-
-
 def asd_status(n: int) -> str:
     """The anti-self-duality status of L(n;1,1): "obstructed" for even n
     (the parity obstruction), "anti-self-dual" for n = 4k+1 with k >= 1
@@ -105,9 +90,10 @@ def asd_status(n: int) -> str:
     return "unknown"
 
 
-def _asd_unit(G: FiniteGroup) -> AsdUnit:
-    """The unit beta and antisymmetric form alpha over the cyclic group G
-    of order n = 4k+1, built by its caller.
+def _asd_unit(G: FiniteGroup) -> tuple[GroupRingElement, GroupRingElement, GroupRingElement]:
+    """(alpha, beta, beta_inv): the antisymmetric form alpha, the unit beta
+    and its inverse over the cyclic group G of order n = 4k+1, built by its
+    caller.
 
     All defining identities are verified exactly here:
     beta (1 - t^-1) == alpha, Sigma beta == Sigma,
@@ -132,12 +118,13 @@ def _asd_unit(G: FiniteGroup) -> AsdUnit:
     beta_inv = _poly(G, [((-1) ** (r - k), r) for r in range(k, 3 * k + 1)])
     if beta * beta_inv != GroupRingElement.one(G):
         raise AssertionError("beta beta_inv != 1")
-    return AsdUnit(alpha=alpha, beta=beta, beta_inv=beta_inv)
+    return alpha, beta, beta_inv
 
 
 @dataclass(frozen=True)
 class AsdTransform:
-    """The rescaled complex A' plus the verified anti-self-duality data.
+    """The rescaled complex A' plus the verified anti-self-duality data:
+    the form alpha, the unit beta and its inverse, as _asd_unit checks them.
 
     ``homotopy`` runs from the conjugated duality equivalence f phi f*, f
     the rescaling A -> A' of lens_asd_transform, to the +1 diagonal
@@ -149,7 +136,9 @@ class AsdTransform:
     # verify_homotopy's degree-2 identity is exactly alpha x = beta - 1
     x: GroupRingElement
     homotopy: ChainHomotopy
-    unit: AsdUnit
+    alpha: GroupRingElement
+    beta: GroupRingElement
+    beta_inv: GroupRingElement
 
 
 def lens_asd_transform(n: int) -> AsdTransform:
@@ -179,25 +168,13 @@ def lens_asd_transform(n: int) -> AsdTransform:
     phi = lens_duality_map(n)
     A = phi.target
     G = A.group
-    unit = _asd_unit(G)
+    alpha, beta, beta_inv = _asd_unit(G)
     m = GRMatrix.one_by_one
-
-    aprime = ChainComplex(
-        group=G,
-        ranks=A.ranks,
-        differentials=(
-            A.boundary(1),
-            A.boundary(2),
-            m(unit.alpha),
-            A.boundary(4),
-            A.boundary(5),
-        ),
-        top_generator=A.top_generator,
-        bottom_generator=A.bottom_generator,
-    )
+    d1, d2, _, d4, d5 = A.differentials
+    aprime = replace(A, differentials=(d1, d2, m(alpha), d4, d5))
 
     one = GRMatrix.identity(G, 1)
-    f = ChainMap(A, aprime, (one, one, m(unit.beta), one, one, one))
+    f = ChainMap(A, aprime, (one, one, m(beta), one, one, one))
 
     k = (n - 1) // 4
     x = _poly(G, [(-1, r) for r in range(1, k + 1)] + [(-1, k + 2 * j) for j in range(1, k + 1)])
@@ -209,5 +186,5 @@ def lens_asd_transform(n: int) -> AsdTransform:
     homotopy = ChainHomotopy(first=conjugated, second=diagonal, components=(zero, zero, m(x), zero, zero))
     if not verify_homotopy(homotopy).ok:
         raise AssertionError("f phi f* is not homotopic to the +1 diagonal via the single component x")
-    return AsdTransform(complex=aprime, x=x, homotopy=homotopy, unit=unit)
+    return AsdTransform(aprime, x, homotopy, alpha, beta, beta_inv)
 

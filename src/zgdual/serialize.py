@@ -238,7 +238,7 @@ def duality_map_from_json(target: ChainComplex, data) -> ChainMap:
 
 # -- polynomial strings (cyclic groups) -----------------------------------
 
-_TERM = re.compile(r"^([+-]?)(\d*)(t(?:\^(-?\d+))?)?$")
+_TERM = re.compile(r"^([+-]?)(\d*)(t(?:\^(-?\d+))?)?$", re.ASCII)  # no non-ASCII digits, as in JSON
 
 
 def parse_poly(group: FiniteGroup, text: str) -> GroupRingElement:

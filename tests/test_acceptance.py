@@ -75,21 +75,20 @@ def test_criterion_3_proposition_reproduction():
         G = cyclic_group(n)
         one = GroupRingElement.one(G)
         t = lens_asd_transform(n)
-        unit = t.unit
-        assert gr_mul(unit.beta, unit.beta_inv) == one
-        assert gr_mul(unit.beta_inv, unit.beta) == one
+        assert gr_mul(t.beta, t.beta_inv) == one
+        assert gr_mul(t.beta_inv, t.beta) == one
         one_minus_tinv = GroupRingElement.from_terms(G, [(1, 0), (-1, n - 1)])
-        assert gr_mul(unit.beta, one_minus_tinv) == unit.alpha
+        assert gr_mul(t.beta, one_minus_tinv) == t.alpha
         sigma = norm_element(G)
-        assert gr_mul(sigma, unit.beta) == sigma
+        assert gr_mul(sigma, t.beta) == sigma
         shift = GroupRingElement.basis(G, (1 + k) % n) + GroupRingElement.basis(G, (1 - k) % n)
         t2_minus_1 = GroupRingElement.from_terms(G, [(1, 2), (-1, 0)])
-        assert gr_mul(unit.alpha, shift) == t2_minus_1
+        assert gr_mul(t.alpha, shift) == t2_minus_1
 
         assert is_anti_self_dual(recognize_dual_form(t.complex))
         # the homotopy to the +-1 diagonal has a single nonzero component,
         # the middle one, equal to the x solving alpha x = beta - 1
-        assert gr_mul(unit.alpha, t.x) == unit.beta - one
+        assert gr_mul(t.alpha, t.x) == t.beta - one
         nonzero = [i for i, h in enumerate(t.homotopy.components) if not h.is_zero]
         assert nonzero == [2] or t.x.is_zero
         assert t.homotopy.components[2] == GRMatrix.one_by_one(t.x)

@@ -326,6 +326,12 @@ class TestHostileJson:
         path.write_bytes(b"\xff\xfe{}")
         self.assert_usage_error(capsys, ("check", str(path)), "is not valid JSON: 'utf-8' codec can't decode")
 
+    @pytest.mark.parametrize("cell", ["\u0663 + t", "\uff12t", "1 + t^\u0662"])
+    def test_non_ascii_digits_in_a_polynomial_string(self, capsys, tmp_path, cell):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(_c2_file(differentials=[{"rows": 1, "cols": 1, "entries": [[cell]]}])))
+        self.assert_usage_error(capsys, ("check", str(path)), "cannot parse term")
+
     def test_integer_too_long_to_convert(self, capsys, tmp_path):
         text = json.dumps(_c2_file(group={"type": "cyclic", "order": 2}))
         path = tmp_path / "order.json"

@@ -51,6 +51,13 @@ class TestLensComplex:
         assert A.boundary(4) == GRMatrix.one_by_one(sig)
         assert A.boundary(5) == GRMatrix.one_by_one(omti)
 
+    @pytest.mark.parametrize("n", [2, 5, 7, 101])
+    def test_mirror_is_stated_once(self, n):
+        # d3 and d5 are the one dual of d1, and d4 is d2 itself
+        A = lens_complex(n)
+        assert A.boundary(3) is A.boundary(5) is A.boundary(1).dual()
+        assert A.boundary(4) is A.boundary(2)
+
     def test_rejects_small_n(self):
         for n in (0, 1):
             with pytest.raises(ValueError):
@@ -106,40 +113,40 @@ class TestLensDualityMap:
 
 class TestAsdUnit:
     def test_k1_frozen_values(self):
-        unit = lens_asd_transform(5).unit
+        t = lens_asd_transform(5)
         G = cyclic_group(5)
-        assert unit.alpha == poly(G, (1, 2), (1, 1), (-1, 4), (-1, 3))
-        assert unit.beta == poly(G, (1, 0), (1, 1), (-1, 3))
+        assert t.alpha == poly(G, (1, 2), (1, 1), (-1, 4), (-1, 3))
+        assert t.beta == poly(G, (1, 0), (1, 1), (-1, 3))
         # golden inverse, found once by the solver and frozen
-        assert unit.beta_inv == poly(G, (1, 1), (-1, 2), (1, 3))
-        assert gr_mul(unit.beta, unit.beta_inv) == GroupRingElement.one(G)
+        assert t.beta_inv == poly(G, (1, 1), (-1, 2), (1, 3))
+        assert gr_mul(t.beta, t.beta_inv) == GroupRingElement.one(G)
 
     def test_alpha_shift_identity(self):
         # alpha (t^{1+k} + t^{1-k}) == t^2 - 1
         for k in range(1, 7):
             n = 4 * k + 1
             G = cyclic_group(n)
-            unit = lens_asd_transform(n).unit
+            t = lens_asd_transform(n)
             shift = tpow(G, 1 + k) + tpow(G, 1 - k)
-            assert gr_mul(unit.alpha, shift) == poly(G, (1, 2), (-1, 0))
+            assert gr_mul(t.alpha, shift) == poly(G, (1, 2), (-1, 0))
 
     def test_identities_for_k_range(self):
         for k in range(1, 7):
             n = 4 * k + 1
             G = cyclic_group(n)
-            unit = lens_asd_transform(n).unit
-            assert gr_mul(unit.beta, poly(G, (1, 0), (-1, -1))) == unit.alpha
-            assert gr_mul(norm_element(G), unit.beta) == norm_element(G)
-            assert gr_mul(unit.beta, unit.beta_inv) == GroupRingElement.one(G)
-            assert gr_mul(unit.beta_inv, unit.beta) == GroupRingElement.one(G)
+            t = lens_asd_transform(n)
+            assert gr_mul(t.beta, poly(G, (1, 0), (-1, -1))) == t.alpha
+            assert gr_mul(norm_element(G), t.beta) == norm_element(G)
+            assert gr_mul(t.beta, t.beta_inv) == GroupRingElement.one(G)
+            assert gr_mul(t.beta_inv, t.beta) == GroupRingElement.one(G)
 
     def test_closed_form_inverse_is_the_solver_inverse(self):
         # beta_inv = sum_{r=k}^{3k} (-1)^{r-k} t^r, against a unit inversion by SNF
         for n in range(5, 102, 4):
-            unit = lens_asd_transform(n).unit
-            solved = invert_gr_matrix(GRMatrix.one_by_one(unit.beta))
+            t = lens_asd_transform(n)
+            solved = invert_gr_matrix(GRMatrix.one_by_one(t.beta))
             assert solved is not None
-            assert unit.beta_inv == solved.entries[0][0]
+            assert t.beta_inv == solved.entries[0][0]
 
     def test_rejects_wrong_residue(self):
         for n in (4, 7, 8, 11, 3):
@@ -151,21 +158,21 @@ def rescaling(t, n):
     """The rescaling f = (1, 1, beta, 1, 1, 1): L(n) -> t.complex of the
     transform t, built from its unit."""
     one = GRMatrix.identity(t.complex.group, 1)
-    return ChainMap(lens_complex(n), t.complex, (one, one, GRMatrix.one_by_one(t.unit.beta), one, one, one))
+    return ChainMap(lens_complex(n), t.complex, (one, one, GRMatrix.one_by_one(t.beta), one, one, one))
 
 
 class TestAsdTransform:
     def test_n5_full(self):
         t = lens_asd_transform(5)
         G = t.complex.group
-        assert t.complex.boundary(3) == GRMatrix.one_by_one(t.unit.alpha)
+        assert t.complex.boundary(3) == GRMatrix.one_by_one(t.alpha)
         # alpha involutes to its negative
-        assert t.unit.alpha.involute() == -t.unit.alpha
+        assert t.alpha.involute() == -t.alpha
         view = recognize_dual_form(t.complex)
         assert is_anti_self_dual(view)
         # golden x: alpha x == beta - 1
         assert t.x == poly(G, (-1, 1), (-1, 3))
-        assert gr_mul(t.unit.alpha, t.x) == t.unit.beta - GroupRingElement.one(G)
+        assert gr_mul(t.alpha, t.x) == t.beta - GroupRingElement.one(G)
         assert verify_homotopy(t.homotopy).ok
         first = t.homotopy.first
         assert t.homotopy.second == scalar_diagonal_map(first.source, first.target, (1, 1, 1, -1, -1, -1))
@@ -175,7 +182,7 @@ class TestAsdTransform:
         G = t.complex.group
         one = GRMatrix.identity(G, 1)
         f = rescaling(t, 5)
-        assert f.components == (one, one, GRMatrix.one_by_one(t.unit.beta), one, one, one)
+        assert f.components == (one, one, GRMatrix.one_by_one(t.beta), one, one, one)
         assert is_chain_map(f).is_chain_map
 
     @pytest.mark.parametrize("n", range(5, 42, 4))
@@ -221,19 +228,19 @@ class TestAsdTransform:
         monkeypatch.undo()
 
         # the same data built from _asd_unit and the public lens_duality_map
-        unit = lens._asd_unit(cyclic_group(n))
-        assert t.unit == unit
+        alpha, beta, beta_inv = lens._asd_unit(cyclic_group(n))
+        assert (t.alpha, t.beta, t.beta_inv) == (alpha, beta, beta_inv)
         A = lens_complex(n)
         G = A.group
         m = GRMatrix.one_by_one
-        aprime = replace(A, differentials=A.differentials[:2] + (m(unit.alpha),) + A.differentials[3:])
+        aprime = replace(A, differentials=A.differentials[:2] + (m(alpha),) + A.differentials[3:])
         assert t.complex == aprime
         one = GRMatrix.identity(G, 1)
-        f = ChainMap(A, aprime, (one, one, m(unit.beta), one, one, one))
+        f = ChainMap(A, aprime, (one, one, m(beta), one, one, one))
         conjugated = compose_maps(f, compose_maps(lens_duality_map(n), dual_map(f)))
         assert t.homotopy.first == conjugated
-        assert gr_mul(unit.alpha, t.x) == unit.beta - GroupRingElement.one(G)
-        assert t.x == aprime.solve_boundary(3, m(unit.beta - GroupRingElement.one(G))).entries[0][0]
+        assert gr_mul(alpha, t.x) == beta - GroupRingElement.one(G)
+        assert t.x == aprime.solve_boundary(3, m(beta - GroupRingElement.one(G))).entries[0][0]
         diagonal = scalar_diagonal_map(conjugated.source, conjugated.target, (1, 1, 1, -1, -1, -1))
         components = tuple(m(t.x) if i == 2 else GRMatrix.zeros(G, 1, 1) for i in range(5))
         assert t.homotopy == ChainHomotopy(conjugated, diagonal, components)
@@ -245,7 +252,7 @@ class TestAsdTransform:
         for n in range(5, 402, 4):
             t = lens_asd_transform(n)
             G = t.complex.group
-            solved = t.complex.solve_boundary(3, m(t.unit.beta - GroupRingElement.one(G)))
+            solved = t.complex.solve_boundary(3, m(t.beta - GroupRingElement.one(G)))
             assert t.x == solved.entries[0][0], n
 
     @pytest.mark.parametrize("n", [5, 9, 13, 101])
@@ -297,9 +304,8 @@ class TestLensInstance:
     def test_with_asd(self):
         asd = lens_asd_transform(13)
         # alpha = t^{k+1} + t^k - t^-k - t^-(k+1) with k = 3
-        assert asd.unit.alpha.terms() == [[1, 3], [1, 4], [-1, 9], [-1, 10]]
-        unit = asd.unit
-        assert gr_mul(unit.beta, unit.beta_inv) == GroupRingElement.one(lens_complex(13).group)
+        assert asd.alpha.terms() == [[1, 3], [1, 4], [-1, 9], [-1, 10]]
+        assert gr_mul(asd.beta, asd.beta_inv) == GroupRingElement.one(lens_complex(13).group)
 
     def test_three_mod_four_has_no_construction(self):
         with pytest.raises(ValueError):

@@ -382,3 +382,9 @@ class TestPolyStrings:
         for bad in ("", "t^", "x + 1", "1 ++ t"):
             with pytest.raises(ValueError):
                 parse_poly(G, bad)
+
+    @pytest.mark.parametrize("text", ["\u0663 + t", "\uff12t", "1 + t^\u0662"])
+    def test_non_ascii_digits_are_rejected(self, text):
+        # every other number in the file format is a JSON integer, so ASCII
+        with pytest.raises(ValueError, match="cannot parse term"):
+            parse_poly(cyclic_group(5), text)
