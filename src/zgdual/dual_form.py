@@ -101,24 +101,21 @@ def to_dual_form_stage6(C: ChainComplex) -> PipelineResult:
     Moves, in order, add: the dual of the degree-5 module at degrees (1,0);
     the dual of degree 0 at (5,4); then duals of the two enlarged modules at
     (4,3) and (2,1); finally the matched middle pair at (3,2), glued by the
-    identity isomorphism (the ranks agree exactly because the Euler
-    characteristic vanishes).  One ``_direct_sum`` appends the five
-    summands in that order after the existing blocks, so the composite
-    equivalences are the leading-block inclusion and projection.
+    identity isomorphism (is_member requires Euler characteristic 0, which
+    is c0 + c2 + c4 == c1 + c3 + c5: the two middle ranks).  One
+    ``_direct_sum`` appends the five summands in that order after the
+    existing blocks, so the equivalences are the leading-block inclusion
+    and projection.
     """
-    report = five_complex_report(C)
-    if not report.is_member:
+    if not five_complex_report(C).is_member:
         raise ValueError("stage-6 pipeline requires an algebraic 5-complex")
     c = C.ranks
-    middle = c[2] + c[4] + c[0]
-    if middle != c[3] + c[1] + c[5]:  # forced by euler == 0
-        raise AssertionError("middle ranks disagree despite zero Euler characteristic")
     plan = (
         (0, c[5]),
         (4, c[0]),
         (3, c[1] + c[5]),
         (1, c[4] + c[0]),
-        (2, middle),
+        (2, c[2] + c[4] + c[0]),
     )
     return PipelineResult(_direct_sum(C, plan), plan)
 
@@ -434,8 +431,8 @@ def _flatten(matrices) -> list[int]:
 def _is_chain_iso(a: ChainComplex, b: ChainComplex, h, k) -> bool:
     """True exactly when h: a -> b and k: b -> a are chain maps of 3-term
     complexes, three components each, with k_i h_i == 1 == h_i k_i at every
-    degree.  The search and assemble_dual_form both certify through here;
-    both require a and b to have equal ranks.
+    degree.  Its one caller is assemble_dual_form, whose pair may come from
+    outside the program; a and b must have equal ranks.
 
     Shapes are compared first: each h_i and k_i must be (a.ranks[i],
     a.ranks[i]), so no product meets a wrong shape.  Write D for the
@@ -458,15 +455,14 @@ def _is_chain_iso(a: ChainComplex, b: ChainComplex, h, k) -> bool:
     return commuting_squares(a, b, h, (1, 2)).ok and all(h_i @ k_i == one for one, h_i, k_i in zip(ones, h, k))
 
 
-def _certified_pair(a: ChainComplex, b: ChainComplex, comps) -> ChainIsoPair | None:
-    """comps with its inverse, when every component inverts over Z[G] and
-    the two are mutually inverse chain isomorphisms a -> b; else None."""
+def _inverted_pair(comps) -> ChainIsoPair | None:
+    """comps with its inverse over Z[G], or None if a component is no unit."""
     inverses = []
     for m in comps:
         inverses.append(invert_gr_matrix(m))
         if inverses[-1] is None:
             return None
-    return ChainIsoPair(h=tuple(comps), k=tuple(inverses)) if _is_chain_iso(a, b, comps, inverses) else None
+    return ChainIsoPair(h=tuple(comps), k=tuple(inverses))
 
 
 def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int = 64):
@@ -474,8 +470,8 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
 
     At most ``budget`` trials, in this order:
 
-    1. the identity, its own inverse, certified by _is_chain_iso, which
-       compares boundaries for it and multiplies nothing;
+    1. the identity, its own inverse: a chain map exactly when the two
+       boundaries are equal, so they are compared;
     2. the affine point id + x, where x solves A x == -A vec(id) for the
        constraint matrix A of chain maps tail -> head (one SNF of A, free
        coordinates zero);
@@ -483,9 +479,13 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
        kernel of A, read from the same SNF.
 
     So budget 1 tries the identity only, 2 adds the affine trial, and 3 or
-    more adds Babai; a budget below 1 is a ValueError.  The affine and
-    Babai candidates lie in ker A, so they are chain maps; each is inverted
-    over Z[G] and the pair is certified by _is_chain_iso.
+    more adds Babai; a budget below 1 is a ValueError.  Each trial is
+    decided by the one fact its construction leaves open.  The affine and
+    Babai candidates h lie in ker A, and A vec(h) == vec(D h - h' d), so h
+    is a chain map; its square components are inverted over Z[G], and the
+    trial fails when one is not a unit.  invert_gr_matrix solves
+    h_i k_i == 1 exactly; k_i h_i == 1 and k's squares follow, as
+    _is_chain_iso's docstring proves, so the search multiplies nothing.
     Returns a ChainIsoPair or None; None means the search ran and failed,
     not that no isomorphism exists.
     """
@@ -497,7 +497,7 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
         raise ValueError(f"the search budget must be at least 1, got {budget}")
 
     ident = tuple(GRMatrix.identity(tail.group, r) for r in tail.ranks)
-    if _is_chain_iso(tail, head, ident, ident):
+    if tail.differentials == head.differentials:
         return ChainIsoPair(h=ident, k=ident)
     if budget < 2:
         return None
@@ -510,12 +510,12 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
     minus_Ae = _flatten(tail.boundary(k) - head.boundary(k) for k in (1, 2))
     x = back_substitute(snf, IntegerMatrix._from_sparse_rows(1, ({0: v} if v else {} for v in minus_Ae)))
     affine = [v + xi.get(0, 0) for v, xi in zip(e, x.sparse_rows)]
-    found = _certified_pair(tail, head, _unflatten_triple(tail, head, affine))
+    found = _inverted_pair(_unflatten_triple(tail, head, affine))
     if found or budget < 3:
         return found
 
     nearest = babai_nearest(lll_reduce(snf.kernel_columns()), e)
-    return _certified_pair(tail, head, _unflatten_triple(tail, head, nearest))
+    return _inverted_pair(_unflatten_triple(tail, head, nearest))
 
 
 @dataclass(frozen=True)
@@ -528,10 +528,10 @@ def assemble_dual_form(C6: ChainComplex, iso: ChainIsoPair) -> AssembledDualForm
     """Conjugate a stage-6 complex into honest dual form.
 
     ``iso`` must be a pair of mutually inverse chain isomorphisms from the
-    tail of C6 to the dual of its head; _is_chain_iso checks it once.  The
-    new middle differential is boundary(3) composed with the dual of the
-    inverse's middle component; the outer differentials become exact mirror
-    duals.  The result is validated, since C6 never is, and then mirrors
+    tail of C6 to the dual of its head.  It may come from outside the
+    program, so _is_chain_iso checks it here, and only here.  The new
+    middle differential is boundary(3) composed with the dual of the
+    inverse's middle component; the outer differentials become mirrors.  The result is validated, since C6 never is, and then mirrors
     by construction, so its view needs no recognition.
 
     The conjugation C6 -> result, (1, 1, 1, h2*, h1*, h0*), is a chain map

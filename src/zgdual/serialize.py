@@ -238,7 +238,7 @@ def duality_map_from_json(target: ChainComplex, data) -> ChainMap:
 
 # -- polynomial strings (cyclic groups) -----------------------------------
 
-_TERM = re.compile(r"^([+-]?)(\d*)(t(?:\^(-?\d+))?)?$", re.ASCII)  # no non-ASCII digits, as in JSON
+_TERM = re.compile(r"([+-]?)(\d*)(t(?:\^(-?\d+))?)?", re.ASCII)  # no non-ASCII digits, as in JSON
 
 
 def parse_poly(group: FiniteGroup, text: str) -> GroupRingElement:
@@ -251,7 +251,7 @@ def parse_poly(group: FiniteGroup, text: str) -> GroupRingElement:
     # split before each +/- sign, except a sign that is part of an exponent
     pieces = re.split(r"(?<!\^)(?=[+-])", s)
     for piece in pieces if pieces[0] else pieces[1:]:
-        m = _TERM.match(piece)
+        m = _TERM.fullmatch(piece)  # the whole piece, a trailing newline included
         if not m or (not m.group(2) and not m.group(3)):
             raise ValueError(f"cannot parse term {piece!r} in {text!r}")
         sign = -1 if m.group(1) == "-" else 1

@@ -242,7 +242,7 @@ def reference_parse_poly(group, text):
     pieces.append(cur)
     terms = []
     for piece in pieces:
-        m = re.match(r"^([+-]?)(\d*)(t(?:\^(-?\d+))?)?$", piece, re.ASCII)
+        m = re.fullmatch(r"([+-]?)(\d*)(t(?:\^(-?\d+))?)?", piece, re.ASCII)
         if not m or (not m.group(2) and not m.group(3)):
             raise ValueError(f"cannot parse term {piece!r} in {text!r}")
         sign = -1 if m.group(1) == "-" else 1

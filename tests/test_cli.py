@@ -332,6 +332,11 @@ class TestHostileJson:
         path.write_text(json.dumps(_c2_file(differentials=[{"rows": 1, "cols": 1, "entries": [[cell]]}])))
         self.assert_usage_error(capsys, ("check", str(path)), "cannot parse term")
 
+    def test_a_cell_ending_in_a_newline(self, capsys, tmp_path):
+        path = tmp_path / "newline.json"
+        path.write_text(json.dumps(_c2_file(differentials=[{"rows": 1, "cols": 1, "entries": [["1 - t\n"]]}])))
+        self.assert_usage_error(capsys, ("check", str(path)), "malformed complex file")
+
     def test_integer_too_long_to_convert(self, capsys, tmp_path):
         text = json.dumps(_c2_file(group={"type": "cyclic", "order": 2}))
         path = tmp_path / "order.json"

@@ -3,6 +3,7 @@ import gc
 import pickle
 import random
 import weakref
+from contextlib import contextmanager
 from functools import partial
 
 import pytest
@@ -90,6 +91,20 @@ def assert_mutual_chain_isomorphism(tail, head, iso):
     for h, k in zip(iso.h, iso.k):
         assert k @ h == GRMatrix.identity(G, h.cols)
         assert h @ k == GRMatrix.identity(G, h.rows)
+
+
+@contextmanager
+def searching_without_products(monkeypatch):
+    """Inside the block GRMatrix @ and _is_chain_iso raise: the search
+    decides its trials with no Z[G] product and certifies no pair itself."""
+
+    def no_product(*args):
+        raise AssertionError("the search multiplied a Z[G] matrix or certified a pair")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GRMatrix, "__matmul__", no_product)
+        patch.setattr(dual_form, "_is_chain_iso", no_product)
+        yield
 
 
 def perturbed(phi, rng):
@@ -465,8 +480,9 @@ class TestChainIsomorphismSolver:
 
         monkeypatch.setattr(dual_form, "lll_reduce", no_lll)
         tail, head = stage6_segments(twisted_lens(n))
-        assert solve_chain_isomorphism(tail, head, budget=1) is None
-        iso = solve_chain_isomorphism(tail, head, budget=2)
+        with searching_without_products(monkeypatch):
+            assert solve_chain_isomorphism(tail, head, budget=1) is None
+            iso = solve_chain_isomorphism(tail, head, budget=2)
         assert iso is not None
         assert iso.h != identity_triple(tail)
         assert_mutual_chain_isomorphism(tail, head, iso)
@@ -482,8 +498,9 @@ class TestChainIsomorphismSolver:
         assert five_complex_report(C).is_member
         pipe = to_dual_form_stage6(C)
         tail, head = tail_segment(pipe.complex), dual_head_segment(pipe.complex)
-        assert solve_chain_isomorphism(tail, head, budget=1) is None
-        iso = solve_chain_isomorphism(tail, head, budget=2)
+        with searching_without_products(monkeypatch):
+            assert solve_chain_isomorphism(tail, head, budget=1) is None
+            iso = solve_chain_isomorphism(tail, head, budget=2)
         assert iso is not None
         assert_mutual_chain_isomorphism(tail, head, iso)
 
@@ -516,20 +533,22 @@ class TestChainIsomorphismSolver:
         assert validate_complex(moved).ok
         return tail, moved
 
-    def test_affine_trial_finds_what_babai_misses(self):
+    def test_affine_trial_finds_what_babai_misses(self, monkeypatch):
         # U1 = I - t^2 E_01: the affine point is an isomorphism, the Babai
         # point nearest the identity is not
         tail, head = self._elementary_head(0, 1, -tpow(lens_complex(3).group, 2))
-        assert solve_chain_isomorphism(tail, head, budget=1) is None
-        iso = solve_chain_isomorphism(tail, head, budget=2)
+        with searching_without_products(monkeypatch):
+            assert solve_chain_isomorphism(tail, head, budget=1) is None
+            iso = solve_chain_isomorphism(tail, head, budget=2)
         assert iso is not None
         assert_mutual_chain_isomorphism(tail, head, iso)
 
-    def test_babai_fallback_finds_what_the_affine_trial_misses(self):
+    def test_babai_fallback_finds_what_the_affine_trial_misses(self, monkeypatch):
         # U1 = I + t E_10: only the third trial, the Babai point, succeeds
         tail, head = self._elementary_head(1, 0, tpow(lens_complex(3).group, 1))
-        assert solve_chain_isomorphism(tail, head, budget=2) is None
-        iso = solve_chain_isomorphism(tail, head, budget=3)
+        with searching_without_products(monkeypatch):
+            assert solve_chain_isomorphism(tail, head, budget=2) is None
+            iso = solve_chain_isomorphism(tail, head, budget=3)
         assert iso is not None
         assert_mutual_chain_isomorphism(tail, head, iso)
         assert solve_chain_isomorphism(tail, head, budget=64).h == iso.h
@@ -739,8 +758,9 @@ class TestNormalizeDuality:
 
 class TestChainMapChecksRunOnce:
     """Each chain-map fact is multiplied out once; the rest hold by the
-    proofs in the docstrings of normalize_duality, lens_asd_transform and
-    _is_chain_iso."""
+    proofs in the docstrings of normalize_duality, lens_asd_transform,
+    _is_chain_iso and solve_chain_isomorphism.  A found chain isomorphism
+    is certified once, by assemble_dual_form, not by the search."""
 
     @pytest.fixture
     def square_checks(self, monkeypatch):
@@ -774,11 +794,10 @@ class TestChainMapChecksRunOnce:
         pipe = to_dual_form_stage6(make())
         tail, head = tail_segment(pipe.complex), dual_head_segment(pipe.complex)
         iso = solve_chain_isomorphism(tail, head, budget=2)
-        square_checks.clear()
-        assert dual_form._is_chain_iso(tail, head, iso.h, iso.k)
+        assemble_dual_form(pipe.complex, iso)
         assert [args[2] for args in square_checks] == [iso.h]
         square_checks.clear()
-        assemble_dual_form(pipe.complex, iso)
+        assert dual_form._is_chain_iso(tail, head, iso.h, iso.k)
         assert [args[2] for args in square_checks] == [iso.h]
 
 

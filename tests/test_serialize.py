@@ -356,7 +356,7 @@ class TestPolyStrings:
         for zero in ("0", "-0", "0t^3"):
             assert parse_poly(G, zero) == GroupRingElement.zero(G)
 
-    @given(st.text(alphabet="0123t^+- \u2212", max_size=14))
+    @given(st.text(alphabet="0123t^+- \u2212\n", max_size=14))
     @example("+")
     @example("-")
     @example("1--t")
@@ -386,5 +386,11 @@ class TestPolyStrings:
     @pytest.mark.parametrize("text", ["\u0663 + t", "\uff12t", "1 + t^\u0662"])
     def test_non_ascii_digits_are_rejected(self, text):
         # every other number in the file format is a JSON integer, so ASCII
+        with pytest.raises(ValueError, match="cannot parse term"):
+            parse_poly(cyclic_group(5), text)
+
+    @pytest.mark.parametrize("text", ["1 + t\n", "1\n+ t", "t^2\n"])
+    def test_a_term_ending_in_a_newline_is_rejected(self, text):
+        # a term is matched whole; "$" alone would also match before a final newline
         with pytest.raises(ValueError, match="cannot parse term"):
             parse_poly(cyclic_group(5), text)
