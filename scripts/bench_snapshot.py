@@ -14,6 +14,10 @@ own process, and writes one JSON file with two sections:
   ``BENCHMARK.json``), with every run's value, the seeds and the length.
   These are timings: a trend, not a gate.
 
+Every run starts with no bytecode cache: ``src/zgdual/__pycache__`` is
+removed before each ``bench/run.py`` process, since ``setup_s`` times the
+import of ``zgdual`` and reads lower when a cache is left over.
+
 Usage, from anywhere in the checkout:
 
     python3 scripts/bench_snapshot.py BENCH_6.json
@@ -27,12 +31,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "bench", "run.py")
+PYCACHE = os.path.join(ROOT, "src", "zgdual", "__pycache__")
 
 # the traced pass's metrics that are timings, not counts
 TIMED_UNITS = ("s",)
@@ -47,6 +53,7 @@ def run_bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The result object (last stdout line) of one bench/run.py process."""
     cmd = [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    shutil.rmtree(PYCACHE, ignore_errors=True)
     done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=False)
     if done.returncode:
         raise SystemExit(f"error: {' '.join(cmd[1:])} exited {done.returncode}:\n{done.stderr}")

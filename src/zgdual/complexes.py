@@ -25,14 +25,18 @@ kernel, exactly as for the raw complex.
 
 Each complex reduces every differential once per coefficient system up to
 duality; matrices are built when read.  The Smith decompositions, the
-d.d == 0 checks and the dual complex are memoized on the instance (never
-across instances), and each matrix keeps its own dual (GRMatrix.dual); the
-integer matrices are not, so an expansion is dropped once it is reduced.
-ChainComplex.reduction is the one read path.  A boundary equal to an
-earlier one shares that decomposition, and one equal to the dual of an
-earlier one reads it transposed, since expansion and augmentation turn the
-dual into the transpose.  So a complex in dual form (d5 = d1*, d4 = d2*)
-reduces neither degree 5 nor degree 4.
+d.d == 0 checks and the dual complex are memoized on the instance, and each
+matrix keeps its own dual (GRMatrix.dual); the integer matrices are not, so
+an expansion is dropped once it is reduced.  ChainComplex.reduction is the
+one read path.  A boundary equal to an earlier one shares that
+decomposition, and one equal to the dual of an earlier one reads it
+transposed, since expansion and augmentation turn the dual into the
+transpose.  So a complex in dual form (d5 = d1*, d4 = d2*) reduces neither
+degree 5 nor degree 4.  A boundary that is reduced is reduced once per
+matrix object: its decomposition is kept on the matrix, so a complex that
+holds the very matrix another complex reduced (the assembled dual form
+holds the stage-6 d1 and d2) reads that decomposition.  Complexes that hold
+equal but distinct matrices share nothing.
 Every decomposition keeps its operation logs; the readers that need
 vectors (the end generators and the lifts) replay them on just those.  The
 two augmented ends share one path: the top end is read as the bottom end of
@@ -119,14 +123,23 @@ class ChainComplex:
         Only the first degree whose boundary equals boundary(i) or its dual
         (_twin) is reduced.  An equal boundary shares that decomposition; a
         dual one reads it transposed, since expansion and augmentation turn
-        the dual into the transpose.
+        the dual into the transpose.  A reduced boundary keeps its
+        decomposition (GRMatrix._reductions), which every complex holding
+        that same matrix object reads instead of reducing it again; the
+        reduction is deterministic, so each reads what it would have made.
         """
         key = ("reduction", i, coefficients)
         snf = self._memo.get(key)
         if snf is None:
             j = self._twin(i)
             if j == i:
-                snf = smith_normal_form(self.integer_matrix(i, coefficients))
+                d = self.boundary(i)
+                kept = d._reductions
+                if kept is None:
+                    kept = d._reductions = {}
+                snf = kept.get(coefficients)
+                if snf is None:
+                    snf = kept[coefficients] = smith_normal_form(self.integer_matrix(i, coefficients))
             elif self.boundary(j) == self.boundary(i):
                 snf = self.reduction(j, coefficients)
             else:

@@ -456,12 +456,19 @@ def _is_chain_iso(a: ChainComplex, b: ChainComplex, h, k) -> bool:
 
 
 def _inverted_pair(comps) -> ChainIsoPair | None:
-    """comps with its inverse over Z[G], or None if a component is no unit."""
+    """comps with its inverse over Z[G], or None if a component is no unit.
+
+    A component equal to the identity is its own inverse, so it is its own
+    k_i and is not expanded, reduced or solved; inverses are unique, so
+    that k_i equals what invert_gr_matrix would return.  Every other
+    component is inverted by invert_gr_matrix.
+    """
     inverses = []
     for m in comps:
-        inverses.append(invert_gr_matrix(m))
-        if inverses[-1] is None:
+        inverse = m if m == GRMatrix.identity(m.group, m.rows) else invert_gr_matrix(m)
+        if inverse is None:
             return None
+        inverses.append(inverse)
     return ChainIsoPair(h=tuple(comps), k=tuple(inverses))
 
 
@@ -483,9 +490,11 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
     decided by the one fact its construction leaves open.  The affine and
     Babai candidates h lie in ker A, and A vec(h) == vec(D h - h' d), so h
     is a chain map; its square components are inverted over Z[G], and the
-    trial fails when one is not a unit.  invert_gr_matrix solves
-    h_i k_i == 1 exactly; k_i h_i == 1 and k's squares follow, as
-    _is_chain_iso's docstring proves, so the search multiplies nothing.
+    trial fails when one is not a unit.  A component equal to the identity
+    is its own inverse and is not inverted (see _inverted_pair); for every
+    other one invert_gr_matrix solves h_i k_i == 1 exactly.  k_i h_i == 1
+    and k's squares follow, as _is_chain_iso's docstring proves, so the
+    search multiplies nothing.
     Returns a ChainIsoPair or None; None means the search ran and failed,
     not that no isomorphism exists.
     """
@@ -531,7 +540,11 @@ def assemble_dual_form(C6: ChainComplex, iso: ChainIsoPair) -> AssembledDualForm
     tail of C6 to the dual of its head.  It may come from outside the
     program, so _is_chain_iso checks it here, and only here.  The new
     middle differential is boundary(3) composed with the dual of the
-    inverse's middle component; the outer differentials become mirrors.  The result is validated, since C6 never is, and then mirrors
+    inverse's middle component; when that component is the identity,
+    boundary(3) is kept as it is (X I == X), with no product, so the
+    result holds C6's own d1, d2 and d3 and reads any reduction C6 has
+    made of them (ChainComplex.reduction).  The outer differentials become
+    mirrors.  The result is validated, since C6 never is, and then mirrors
     by construction, so its view needs no recognition.
 
     The conjugation C6 -> result, (1, 1, 1, h2*, h1*, h0*), is a chain map
@@ -551,7 +564,10 @@ def assemble_dual_form(C6: ChainComplex, iso: ChainIsoPair) -> AssembledDualForm
     G = C6.group
     d1 = C6.boundary(1)
     d2 = C6.boundary(2)
-    d3 = C6.boundary(3) @ iso.k[2].dual()
+    k2 = iso.k[2]
+    d3 = C6.boundary(3)
+    if k2 != GRMatrix.identity(G, k2.rows):
+        d3 = d3 @ k2.dual()
     ranks = C6.ranks[:3] + (C6.ranks[2], C6.ranks[1], C6.ranks[0])
 
     # the augmentation of h0's dual is the transpose of h0's.  Since h0 k0 = 1,

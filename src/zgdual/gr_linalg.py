@@ -38,9 +38,12 @@ class GRMatrix:
     Equality reads the shape, the group and the nonzeros; hashing reads the
     shape and the nonzero coefficients.  ``dual()`` is built once and kept;
     the dual does not refer back, so no matrix is part of a reference cycle.
+    ``_reductions`` is ChainComplex.reduction's store of the Smith
+    decompositions of this very matrix, so every complex holding it reads
+    one reduction.
     """
 
-    __slots__ = ("group", "rows", "cols", "sparse_rows", "_entries", "_dual")
+    __slots__ = ("group", "rows", "cols", "sparse_rows", "_entries", "_dual", "_reductions")
 
     def __init__(self, group: FiniteGroup, rows: int, cols: int, entries):
         if cols < 0 or len(entries) != rows or any(len(r) != cols for r in entries):
@@ -50,7 +53,7 @@ class GRMatrix:
                 if e.group != group:
                     raise ValueError("matrix entry belongs to a different group")
         self.group, self.rows, self.cols = group, rows, cols
-        self._entries = self._dual = None
+        self._entries = self._dual = self._reductions = None
         self.sparse_rows = tuple({j: e for j, e in enumerate(row) if e.support} for row in entries)
 
     # -- constructors -------------------------------------------------
@@ -65,7 +68,7 @@ class GRMatrix:
         M = object.__new__(GRMatrix)
         M.sparse_rows = tuple(lines)
         M.group, M.rows, M.cols = group, len(M.sparse_rows), cols
-        M._entries = M._dual = None
+        M._entries = M._dual = M._reductions = None
         return M
 
     @property

@@ -288,37 +288,31 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
     row's old position when row t was empty before the swap, a row that a
     clear empties, and t itself as t advances.  The pivots, the diagonal
     and both logs are those of a scan over every position below t.
+
+    The row swaps, column swaps and sign changes are written in place, so
+    no helper is called per operation; each logs what a call would have
+    logged.  A pivot row with one entry needs no search: its entry is the
+    row's least, so that entry's position is the leftmost one of least
+    absolute value, and it is read directly.  Row t with one entry has no
+    row clear: the clear walks the row's positions other than t, and
+    there are none, so skipping it adds no operation to either log.
     """
     m, n = A.rows, A.cols
     rows = list(map(dict, A.sparse_rows))
     perm, pos = list(range(n)), list(range(n))
     row_ops, col_ops = [], []
-    t = 0
-
-    def row_swap(a, b):
-        rows[a], rows[b] = rows[b], rows[a]
-        row_ops.append((a, b, 0))
-
-    def col_swap(a, b):
-        ca, cb = perm[a], perm[b]
-        perm[a], perm[b], pos[ca], pos[cb] = cb, ca, b, a
-        col_ops.append((a, b, 0))
-
-    def make_pivot_positive():
-        R = rows[t]
-        if R[perm[t]] < 0:
-            rows[t] = {j: -v for j, v in R.items()}
-            row_ops.append((t, t, -1))
-
+    log_row, log_col = row_ops.append, col_ops.append
     # the positions below t whose rows are nonempty, in increasing order
     live = [i for i in range(1, m) if rows[i]]
     limit = min(m, n)
+    t = 0
     while t < limit:
         # the first least |entry| in row-major order: the earliest row with
         # the least row minimum, then its leftmost position with that value
+        R = rows[t]
         best = pi = None
-        if rows[t]:
-            best, pi = min(map(abs, rows[t].values())), t
+        if R:
+            best, pi = min(map(abs, R.values())), t
         if best != 1:
             for i in live:
                 a = min(map(abs, rows[i].values()))
@@ -328,19 +322,30 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
                         break
         if pi is None:
             break
-        pj = min(pos[j] for j, v in rows[pi].items() if v == best or v == -best)
+        P = rows[pi]
+        if len(P) == 1:
+            (c,) = P
+            pj = pos[c]
+        else:
+            pj = min(pos[j] for j, v in P.items() if v == best or v == -best)
         if pi != t:
-            if not rows[t]:
+            if not R:
                 live.remove(pi)  # the empty row t moves down to pi
-            row_swap(t, pi)
+            rows[t], rows[pi] = P, R
+            log_row((t, pi, 0))
         if pj != t:
-            col_swap(t, pj)
-        make_pivot_positive()
+            ca, cb = perm[t], perm[pj]
+            perm[t], perm[pj], pos[ca], pos[cb] = cb, ca, pj, t
+            log_col((t, pj, 0))
+        c = perm[t]
+        if P[c] < 0:
+            P = rows[t] = {j: -x for j, x in P.items()}
+            log_row((t, t, -1))
 
         while True:
-            # clear column t then row t; re-pivot on any nonzero remainder
-            c = perm[t]
-            p = rows[t][c]
+            # clear column t then row t; re-pivot on any nonzero remainder;
+            # P is row t and c the column of A at position t
+            p = P[c]
             dirty = emptied = False
             for i in live:
                 R = rows[i]
@@ -348,48 +353,57 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
                 if v:
                     q = v // p
                     if q:
-                        _add_line(R, rows[t], -q)
-                        row_ops.append((i, t, -q))
+                        _add_line(R, P, -q)
+                        log_row((i, t, -q))
                         emptied = emptied or not R
                     if c in R:
-                        row_swap(t, i)  # remainder is smaller than |p|
-                        make_pivot_positive()
+                        # the remainder is smaller than |p|: it becomes the pivot
+                        rows[t], rows[i] = R, P
+                        log_row((t, i, 0))
+                        P = R
+                        if P[c] < 0:
+                            P = rows[t] = {j: -x for j, x in P.items()}
+                            log_row((t, t, -1))
                         dirty = True
                         break
             if emptied:
                 live = [i for i in live if rows[i]]
             if dirty:
                 continue
-            R = rows[t]
-            for j in sorted(map(pos.__getitem__, R)):
-                if j == t:
-                    continue
-                k = perm[j]
-                v = R[k]
-                q = v // p
-                if q:
-                    v -= q * p
+            if len(P) > 1:
+                for j in sorted(map(pos.__getitem__, P)):
+                    if j == t:
+                        continue
+                    k = perm[j]
+                    v = P[k]
+                    q = v // p
+                    if q:
+                        v -= q * p
+                        if v:
+                            P[k] = v
+                        else:
+                            del P[k]
+                        log_col((j, t, -q))
                     if v:
-                        R[k] = v
-                    else:
-                        del R[k]
-                    col_ops.append((j, t, -q))
-                if v:
-                    col_swap(t, j)
-                    make_pivot_positive()
-                    dirty = True
-                    break
-            if dirty:
-                continue
+                        # the remainder is smaller than |p|: it becomes the pivot
+                        perm[t], perm[j], pos[c], pos[k] = k, c, j, t
+                        log_col((t, j, 0))
+                        c = k
+                        if v < 0:
+                            P = rows[t] = {j: -x for j, x in P.items()}
+                            log_row((t, t, -1))
+                        dirty = True
+                        break
+                if dirty:
+                    continue
             # column and row are clear; enforce divisibility of the block
-            p = rows[t][c]
             if p == 1:
                 break
             bad = next((i for i in live if any(v % p for v in rows[i].values())), None)
             if bad is None:
                 break
-            _add_line(rows[t], rows[bad], 1)
-            row_ops.append((t, bad, 1))
+            _add_line(P, rows[bad], 1)
+            log_row((t, bad, 1))
         t += 1
         if live and live[0] == t:
             del live[0]

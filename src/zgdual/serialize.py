@@ -9,8 +9,10 @@ Complex files:
     }
 
 Matrices are grids of term lists; a group-ring element is a list of
-[coefficient, element_index] pairs with zero terms omitted.  A grid is read
-in one loop over its cells in row-major order: each term's types are
+[coefficient, element_index] pairs with zero terms omitted.  The grid and
+each of its rows must be JSON arrays: a string or an object would be read
+one character or key at a time, as if it were a row of cells.  A grid is
+read in one loop over its cells in row-major order: each term's types are
 checked, the terms of a cell are summed by index and their indices checked
 against the group order, and the cell's sorted nonzero terms become its
 element directly; a cell whose terms sum to zero, [] included, builds
@@ -149,11 +151,15 @@ def matrix_from_json(group: FiniteGroup, data) -> GRMatrix:
     its grid (see the module docstring)."""
     rows, cols = _size(data["rows"], "rows"), _size(data["cols"], "cols")
     grid = data["entries"]
+    if type(grid) is not list:
+        raise ValueError(f"matrix entries must be an array, got {type(grid).__name__}")
     if len(grid) != rows or any(len(r) != cols for r in grid):
         raise ValueError(f"matrix entry grid does not match declared shape {rows}x{cols}")
     order = group.order
     lines = []
     for row in grid:
+        if type(row) is not list:
+            raise ValueError(f"matrix row must be an array, got {type(row).__name__}")
         line = {}
         for j, cell in enumerate(row):
             if isinstance(cell, str):

@@ -337,6 +337,33 @@ class TestHostileJson:
         path.write_text(json.dumps(_c2_file(differentials=[{"rows": 1, "cols": 1, "entries": [["1 - t\n"]]}])))
         self.assert_usage_error(capsys, ("check", str(path)), "malformed complex file")
 
+    # a grid or a row that is a string or an object, which a loop over cells
+    # would read one character or key at a time, each a polynomial string
+    GRIDS_THAT_ARE_NOT_ARRAYS = [
+        (1, ["t"], "matrix row must be an array, got str"),
+        (2, ["1t", "tt"], "matrix row must be an array, got str"),
+        (1, {"t": 0}, "matrix entries must be an array, got dict"),
+        (1, [{"t": 0}], "matrix row must be an array, got dict"),
+        (1, "t", "matrix entries must be an array, got str"),
+    ]
+
+    @pytest.mark.parametrize("size, entries, message", GRIDS_THAT_ARE_NOT_ARRAYS)
+    def test_a_grid_or_row_that_is_not_an_array(self, capsys, tmp_path, size, entries, message):
+        matrix = {"rows": size, "cols": size, "entries": entries}
+        data = _c2_file(group={"type": "cyclic", "order": 5}, ranks=[size, size], differentials=[matrix])
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(data))
+        self.assert_usage_error(capsys, ("check", str(path)), f"malformed complex file: {message}")
+
+    @pytest.mark.parametrize("size, entries, message", GRIDS_THAT_ARE_NOT_ARRAYS[:1] + GRIDS_THAT_ARE_NOT_ARRAYS[2:])
+    def test_a_map_grid_or_row_that_is_not_an_array(self, capsys, tmp_path, size, entries, message):
+        data = duality_map_to_json(lens_duality_map(5))
+        data["components"][0]["entries"] = entries
+        mapfile = tmp_path / "map.json"
+        mapfile.write_text(json.dumps(data))
+        argv = ("normalize", write_lens(tmp_path, 5), str(mapfile))
+        self.assert_usage_error(capsys, argv, f"malformed chain map file: {message}")
+
     def test_integer_too_long_to_convert(self, capsys, tmp_path):
         text = json.dumps(_c2_file(group={"type": "cyclic", "order": 2}))
         path = tmp_path / "order.json"

@@ -375,6 +375,31 @@ class TestMemoizedReductions:
             assert len(calls) == 2 * len(reduced)
             assert degrees_expanded(C) == reduced
 
+    def test_complexes_share_reductions_only_of_the_same_matrix(self, monkeypatch):
+        calls = []
+
+        def counting_snf(A):
+            calls.append(1)
+            return smith_normal_form(A)
+
+        monkeypatch.setattr(complexes, "smith_normal_form", counting_snf)
+
+        def reduce_all(C):
+            return [C.reduction(i, coeff) for i in range(1, C.top_degree + 1) for coeff in COEFFS]
+
+        for C in (twisted_lens(5), sym3_presentation()[0]):
+            calls.clear()
+            first = reduce_all(C)
+            made = len(calls)
+            assert made > 0
+            # the very matrix objects: every decomposition is read, none made
+            same = ChainComplex(C.group, C.ranks, C.differentials)
+            assert reduce_all(same) == first and len(calls) == made
+            # equal matrices that are other objects share nothing
+            copies = tuple(GRMatrix.from_rows(d.group, d.entries) for d in C.differentials)
+            equal = ChainComplex(C.group, C.ranks, copies)
+            assert reduce_all(equal) == first and len(calls) == 2 * made
+
     def test_normalize_reduces_two_degrees_and_shares_the_end_reports(self, monkeypatch):
         calls = []
 

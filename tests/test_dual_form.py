@@ -487,6 +487,25 @@ class TestChainIsomorphismSolver:
         assert iso.h != identity_triple(tail)
         assert_mutual_chain_isomorphism(tail, head, iso)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_identity_components_are_not_inverted(self, n, monkeypatch):
+        # the affine point of twisted L(n) is the identity at degrees 1 and 2
+        tail, head = stage6_segments(twisted_lens(n))
+        inverted = []
+
+        def recording(M):
+            inverted.append(M)
+            return invert_gr_matrix(M)
+
+        monkeypatch.setattr(dual_form, "invert_gr_matrix", recording)
+        iso = solve_chain_isomorphism(tail, head, budget=2)
+        monkeypatch.undo()
+        identities = identity_triple(tail)
+        assert iso.h[1:] == identities[1:] and iso.h[0] != identities[0]
+        assert inverted == [iso.h[0]]
+        assert all(k == invert_gr_matrix(h) for h, k in zip(iso.h, iso.k))
+        assert dual_form._is_chain_iso(tail, head, iso.h, iso.k)
+
     def test_twisted_sym3_presentation_needs_the_second_trial(self, monkeypatch):
         # a non-abelian input through identity, affine trial and assembly
         def no_lll(*args, **kwargs):
@@ -754,6 +773,29 @@ class TestNormalizeDuality:
         view = recognize_dual_form(A)
         with pytest.raises(ValueError):
             normalize_duality(view, identity_map(A))
+
+
+class TestAssemblyReadsTheStage6Reductions:
+    """An iso whose middle component is the identity leaves d3 as it is, so
+    the assembled complex holds the stage-6 d1, d2 and d3 and reduces none
+    of them again."""
+
+    @pytest.mark.parametrize("make", [partial(lens_complex, 5), partial(twisted_lens, 4), twisted_sym3_presentation])
+    def test_no_reduction_and_no_d3_product(self, make, monkeypatch):
+        C6 = to_dual_form_stage6(make()).complex
+        iso = solve_chain_isomorphism(tail_segment(C6), dual_head_segment(C6), budget=2)
+        assert iso.k[2] == GRMatrix.identity(C6.group, C6.ranks[2])
+        for i in (1, 2, 3):
+            C6.reduction(i)
+
+        def no_reduction(A):
+            raise AssertionError("the assembled complex reduced a stage-6 boundary again")
+
+        monkeypatch.setattr(complexes, "smith_normal_form", no_reduction)
+        assembled = assemble_dual_form(C6, iso).complex
+        assert all(assembled.boundary(i) is C6.boundary(i) for i in (1, 2, 3))
+        for i in range(1, 6):
+            assembled.reduction(i)
 
 
 class TestChainMapChecksRunOnce:

@@ -189,8 +189,8 @@ def _same(A: IntegerMatrix, got: SmithDecomposition):
 
 # reductions in one pass at seed 1, as the traced benchmark counts them,
 # and how many distinct matrices they reduce
-WORKLOAD_CALLS = {"lens_sweep": 100, "assembly_search": 95, "nonabelian_cli": 194}
-WORKLOAD_DISTINCT = {"lens_sweep": 76, "assembly_search": 82, "nonabelian_cli": 62}
+WORKLOAD_CALLS = {"lens_sweep": 100, "assembly_search": 87, "nonabelian_cli": 194}
+WORKLOAD_DISTINCT = {"lens_sweep": 76, "assembly_search": 75, "nonabelian_cli": 62}
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +324,67 @@ def test_examples_reach_the_nonempty_row_list():
     # the divisibility search passes the empty rows 1 and 2 to reach row 3
     divisible = smith_normal_form(DIVISIBILITY_PASSES_EMPTY_ROWS)
     assert (0, 3, 1) in divisible.row_ops and divisible.diagonal == (1, 6)
+
+
+# -- one-entry rows: the pivot column read directly, no row clear ----------
+
+
+@st.composite
+def one_entry_row_matrices(draw):
+    """A signed permutation matrix, or I_k summed with a small random block,
+    with the rows and the columns permuted: every row of a permutation, and
+    every row of I_k, is a one-entry pivot row."""
+    k = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        diagonal, block = [draw(st.sampled_from((1, -1))) for _ in range(k)], []
+    else:
+        values = draw(st.sampled_from((NON_UNIT, ANY)))
+        size = draw(st.integers(1, 5))
+        diagonal, block = [1] * k, [[draw(values) for _ in range(size)] for _ in range(size)]
+    n = k + len(block)
+    grid = [[0] * n for _ in range(n)]
+    for i, d in enumerate(diagonal):
+        grid[i][i] = d
+    for i, row in enumerate(block):
+        grid[k + i][k:] = row
+    grid = [grid[i] for i in draw(st.permutations(range(n)))]
+    columns = draw(st.permutations(range(n)))
+    return IntegerMatrix(n, n, tuple(tuple(row[j] for j in columns) for row in grid))
+
+
+# a one-entry pivot row that is not a unit, with no remainder and with one
+ONE_ENTRY_NON_UNIT = IntegerMatrix.from_rows([[4, 6], [0, 2]])
+ONE_ENTRY_REMAINDER = IntegerMatrix.from_rows([[3, 5], [0, 2]])
+# row t is empty and takes the one-entry pivot row below it by a swap
+EMPTY_ROW_TAKES_PIVOT = IntegerMatrix.from_rows([[0, 0], [0, 3], [2, 0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_entry_row_matrices())
+@example(IntegerMatrix.from_rows([[0, -1, 0], [0, 0, 1], [-1, 0, 0]]))  # a signed permutation
+@example(IntegerMatrix.from_rows([[1, 0, 0], [0, 2, 4], [0, 6, 3]]))  # I_1 summed with a block
+@example(ONE_ENTRY_NON_UNIT)
+@example(ONE_ENTRY_REMAINDER)
+@example(EMPTY_ROW_TAKES_PIVOT)
+def test_one_entry_rows_match_reference(A):
+    got = smith_normal_form(A)
+    _same(A, got)
+    assert got.U @ A @ got.V == got.D
+
+
+def test_examples_reach_one_entry_pivot_rows():
+    """The fixed one-entry examples above reach the paths they are there for."""
+    # pivot row 1 is {1: 2}: swapped up, its column swapped in, nothing left
+    # to clear in row 0 after the column clear
+    plain = smith_normal_form(ONE_ENTRY_NON_UNIT)
+    assert plain.row_ops == ((0, 1, 0), (1, 0, -3)) and plain.col_ops == ((0, 1, 0),)
+    assert plain.diagonal == (2, 4)
+    # the column clear leaves 5 - 2 * 2 == 1 in row 1, which becomes the pivot
+    remainder = smith_normal_form(ONE_ENTRY_REMAINDER)
+    assert remainder.row_ops[:3] == ((0, 1, 0), (1, 0, -2), (0, 1, 0)) and remainder.diagonal == (1, 6)
+    # row 0 is empty; pivot row 2 is {0: 2}, the least of the nonempty rows
+    swapped = smith_normal_form(EMPTY_ROW_TAKES_PIVOT)
+    assert swapped.row_ops[0] == (0, 2, 0) and swapped.diagonal == (1, 6)
 
 
 # -- repeated rows, negated rows and norm elements --------------------------
