@@ -36,7 +36,15 @@ degree 5 nor degree 4.  A boundary that is reduced is reduced once per
 matrix object: its decomposition is kept on the matrix, so a complex that
 holds the very matrix another complex reduced (the assembled dual form
 holds the stage-6 d1 and d2) reads that decomposition.  Complexes that hold
-equal but distinct matrices share nothing.
+equal but distinct matrices share nothing.  A simple homotopy expansion
+(_direct_sum, as the stage-6 pipeline makes it) adds an identity block to a
+boundary, d_k + I + 0, and links each boundary it builds to its summand;
+such a boundary is neither expanded nor reduced, but reads the summand's
+reduction of degree k extended by that block
+(SmithDecomposition.extended).  The diagonal is a fresh reduction's, the
+logs are not, so a particular solution read in-process from it may differ
+from a fresh reduction's while solving the same system; a file carries no
+link, so nothing read back from one is affected.
 Every decomposition keeps its operation logs; the readers that need
 vectors (the end generators and the lifts) replay them on just those.  The
 two augmented ends share one path: the top end is read as the bottom end of
@@ -48,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from zgdual.group_core import FiniteGroup
+from zgdual.group_core import FiniteGroup, GroupRingElement
 from zgdual.gr_linalg import GRMatrix, fold_columns, stack_columns
 from zgdual.int_linalg import (
     AbelianGroupInfo,
@@ -127,6 +135,12 @@ class ChainComplex:
         decomposition (GRMatrix._reductions), which every complex holding
         that same matrix object reads instead of reducing it again; the
         reduction is deterministic, so each reads what it would have made.
+        A boundary that _direct_sum built is not expanded or reduced: its
+        summand's reduction is extended by the appended identity block
+        (_summand_reduction).  That decomposition has the diagonal a fresh
+        reduction would give, but other logs, so a particular solution
+        read from it (solve_boundary) may differ from a fresh one's while
+        solving the same system.
         """
         key = ("reduction", i, coefficients)
         snf = self._memo.get(key)
@@ -139,7 +153,11 @@ class ChainComplex:
                     kept = d._reductions = {}
                 snf = kept.get(coefficients)
                 if snf is None:
-                    snf = kept[coefficients] = smith_normal_form(self.integer_matrix(i, coefficients))
+                    if d._summand is None:
+                        snf = smith_normal_form(self.integer_matrix(i, coefficients))
+                    else:
+                        snf = _summand_reduction(d, coefficients)
+                    kept[coefficients] = snf
             elif self.boundary(j) == self.boundary(i):
                 snf = self.reduction(j, coefficients)
             else:
@@ -189,6 +207,73 @@ class ChainComplex:
             raise ValueError(f"right-hand side does not match boundary({i})")
         X = back_substitute(self.reduction(i), stack_columns(B))
         return None if X is None else fold_columns(self.group, X, d.cols)
+
+
+def _direct_sum(C: ChainComplex, plan) -> ChainComplex:
+    """C plus one free summand per (position, rank) move of ``plan``, in
+    order, each a simple homotopy expansion.  A move appends ``rank``
+    generators after the existing ones at degrees position and position+1:
+    boundary(position+1) gains rows that are the identity on its new
+    columns, boundary(position+2) gains zero rows, and every boundary is
+    zero-padded on its new columns, as are the end certificates.
+
+    So boundary(k) is C's boundary(k), whose very row objects come first,
+    plus a partial identity past C's rows and columns.  Each boundary
+    built here carries that as its link (GRMatrix._summand): C, k and the
+    positions of the appended ``one`` entries, which ChainComplex.reduction
+    reads (_summand_reduction).
+    """
+    G = C.group
+    one = GroupRingElement.one(G)
+    ranks = list(C.ranks)
+    lines = [list(d.sparse_rows) for d in C.differentials]  # lines[k - 1]: the rows of boundary(k)
+    ones = [[] for _ in lines]  # ones[k - 1]: the positions of boundary(k)'s appended ones
+    for p, r in plan:
+        ones[p].extend((ranks[p] + i, ranks[p + 1] + i) for i in range(r))
+        lines[p].extend({ranks[p + 1] + i: one} for i in range(r))
+        if p + 1 < len(lines):
+            lines[p + 1].extend({} for _ in range(r))
+        ranks[p] += r
+        ranks[p + 1] += r
+    differentials = []
+    for k, (cols, rows, at) in enumerate(zip(ranks[1:], lines, ones), 1):
+        d = GRMatrix._from_sparse_rows(G, cols, rows)
+        d._summand = (C, k, tuple(at))
+        differentials.append(d)
+    top, bottom = C.top_generator, C.bottom_generator
+    return ChainComplex(
+        G,
+        tuple(ranks),
+        tuple(differentials),
+        top_generator=None if top is None else tuple(top) + (0,) * (ranks[-1] - C.ranks[-1]),
+        bottom_generator=None if bottom is None else tuple(bottom) + (0,) * (ranks[0] - C.ranks[0]),
+    )
+
+
+def _summand_reduction(d: GRMatrix, coefficients: str) -> SmithDecomposition:
+    """The reduction of a boundary d that _direct_sum built, read from its
+    summand's: the summand's reduction of degree k, extended by the
+    appended partial identity (SmithDecomposition.extended).
+
+    The block structure that relies on is checked first, and a break of it
+    raises AssertionError: d's leading rows are the summand boundary's
+    very rows, one identity check per row, and each later row is empty or
+    a lone ``one`` at its linked column.  ``extended`` checks that those
+    columns are distinct and past the summand's.  Expansion turns each
+    ``one`` into I_|G| and augmentation into 1.
+    """
+    S, k, ones = d._summand
+    A = S.boundary(k)
+    at = dict(ones)
+    one = GroupRingElement.one(d.group)
+    if (
+        any(x is not y for x, y in zip(d.sparse_rows, A.sparse_rows))
+        or any(line != ({at[r]: one} if r in at else {}) for r, line in enumerate(d.sparse_rows[A.rows :], A.rows))
+    ):
+        raise AssertionError(f"boundary({k}) is not its summand's plus a partial identity past it")
+    N = d.group.order if coefficients == "integral" else 1
+    ones = [(r * N + a, c * N + a) for r, c in ones for a in range(N)]
+    return S.reduction(k, coefficients).extended(d.rows * N, d.cols * N, ones)
 
 
 @dataclass(frozen=True)

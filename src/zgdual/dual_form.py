@@ -30,6 +30,7 @@ from zgdual.complexes import (
     ChainComplex,
     ChainHomotopy,
     ChainMap,
+    _direct_sum,
     bottom_end_report,
     commuting_squares,
     dualize_complex,
@@ -55,34 +56,6 @@ from zgdual.int_linalg import (
 # -- the stage-6 pipeline ----------------------------------------------
 
 
-def _direct_sum(C: ChainComplex, plan) -> ChainComplex:
-    """C plus one free summand per (position, rank) move of ``plan``, in
-    order, each a simple homotopy expansion.  A move appends ``rank``
-    generators after the existing ones at degrees position and position+1:
-    boundary(position+1) gains rows that are the identity on its new
-    columns, boundary(position+2) gains zero rows, and every boundary is
-    zero-padded on its new columns, as are the end certificates.
-    """
-    G = C.group
-    one = GroupRingElement.one(G)
-    ranks = list(C.ranks)
-    lines = [list(d.sparse_rows) for d in C.differentials]  # lines[k - 1]: the rows of boundary(k)
-    for p, r in plan:
-        lines[p].extend({ranks[p + 1] + i: one} for i in range(r))
-        if p + 1 < len(lines):
-            lines[p + 1].extend({} for _ in range(r))
-        ranks[p] += r
-        ranks[p + 1] += r
-    top, bottom = C.top_generator, C.bottom_generator
-    return ChainComplex(
-        G,
-        tuple(ranks),
-        tuple(GRMatrix._from_sparse_rows(G, cols, rows) for cols, rows in zip(ranks[1:], lines)),
-        top_generator=None if top is None else tuple(top) + (0,) * (ranks[-1] - C.ranks[-1]),
-        bottom_generator=None if bottom is None else tuple(bottom) + (0,) * (ranks[0] - C.ranks[0]),
-    )
-
-
 @dataclass(frozen=True)
 class PipelineResult:
     """The stage-6 complex and its moves, the (position, rank) plan that
@@ -105,7 +78,11 @@ def to_dual_form_stage6(C: ChainComplex) -> PipelineResult:
     is c0 + c2 + c4 == c1 + c3 + c5: the two middle ranks).  One
     ``_direct_sum`` appends the five summands in that order after the
     existing blocks, so the equivalences are the leading-block inclusion
-    and projection.
+    and projection.  Each stage-6 boundary is linked to C, so no stage-6
+    boundary is expanded or reduced: its reductions are C's, most of which
+    the membership check above has made, extended by the identity block
+    (ChainComplex.reduction).  A complex assembled from it holds its d1 and
+    d2, and its d3 when the iso's k2 is the identity, and reads the same.
     """
     if not five_complex_report(C).is_member:
         raise ValueError("stage-6 pipeline requires an algebraic 5-complex")

@@ -40,10 +40,13 @@ class GRMatrix:
     the dual does not refer back, so no matrix is part of a reference cycle.
     ``_reductions`` is ChainComplex.reduction's store of the Smith
     decompositions of this very matrix, so every complex holding it reads
-    one reduction.
+    one reduction.  ``_summand`` is the link that complexes._direct_sum
+    writes on each boundary it builds, and that ChainComplex.reduction
+    reads: (the summand complex, its degree, the positions of the appended
+    ``one`` entries).
     """
 
-    __slots__ = ("group", "rows", "cols", "sparse_rows", "_entries", "_dual", "_reductions")
+    __slots__ = ("group", "rows", "cols", "sparse_rows", "_entries", "_dual", "_reductions", "_summand")
 
     def __init__(self, group: FiniteGroup, rows: int, cols: int, entries):
         if cols < 0 or len(entries) != rows or any(len(r) != cols for r in entries):
@@ -53,7 +56,7 @@ class GRMatrix:
                 if e.group != group:
                     raise ValueError("matrix entry belongs to a different group")
         self.group, self.rows, self.cols = group, rows, cols
-        self._entries = self._dual = self._reductions = None
+        self._entries = self._dual = self._reductions = self._summand = None
         self.sparse_rows = tuple({j: e for j, e in enumerate(row) if e.support} for row in entries)
 
     # -- constructors -------------------------------------------------
@@ -68,7 +71,7 @@ class GRMatrix:
         M = object.__new__(GRMatrix)
         M.sparse_rows = tuple(lines)
         M.group, M.rows, M.cols = group, len(M.sparse_rows), cols
-        M._entries = M._dual = M._reductions = None
+        M._entries = M._dual = M._reductions = M._summand = None
         return M
 
     @property

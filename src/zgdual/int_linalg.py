@@ -20,7 +20,10 @@ consumer replays them on the vectors it needs (back_substitute on B and Y,
 the kernel columns, one row of U).  D, U and V are built only when read.
 So one decomposition of a matrix serves every reader, and, with the logs
 swapped (SmithDecomposition.transposed), every reader of its transpose: a
-column of V is a row of the transposed decomposition's U.
+column of V is a row of the transposed decomposition's U.  A matrix that
+adds a partial permutation of 1s past a decomposed block reads that
+decomposition extended by swaps (SmithDecomposition.extended), with no
+new reduction.
 
 Adding -1 times a line to an equal line clears it without touching its
 entries (_add_line).  The operation is the same, only cheaper, so it
@@ -254,6 +257,52 @@ class SmithDecomposition:
         and the diagonal stays.
         """
         return SmithDecomposition(self.cols, self.rows, self.diagonal, row_ops=self.col_ops, col_ops=self.row_ops)
+
+    def extended(self, rows: int, cols: int, ones) -> SmithDecomposition:
+        """The decomposition of the rows x cols matrix M that holds A, the
+        matrix this decomposes, as its leading block and a 1 at each (row,
+        column) of ``ones``, with no new reduction.  Each 1 lies past A's
+        rows and columns, alone in its row and its column; every other
+        entry of M is zero.
+
+        A's logs act on the leading block alone, so they are kept: they
+        take M to D(A) plus the 1s, which swaps then bring to the diagonal,
+        after A's unit factors and before its other ones.  The diagonal,
+        A's units, one 1 per entry of ``ones``, then A's non-units, is
+        still a divisibility chain.  A ``ones`` that breaks that shape
+        raises AssertionError.
+        """
+        m, n = self.rows, self.cols
+        if not (
+            rows >= m
+            and cols >= n
+            and all(m <= i < rows and n <= j < cols for i, j in ones)
+            and len({i for i, _ in ones}) == len({j for _, j in ones}) == len(ones)
+        ):
+            raise AssertionError(f"the 1s are not a partial permutation past a {m}x{n} block in {rows}x{cols}")
+        s = next((t for t, d in enumerate(self.diagonal) if d != 1), self.rank)
+        unit, rest = range(s), range(s, self.rank)
+        return SmithDecomposition(
+            rows,
+            cols,
+            self.diagonal[:s] + (1,) * len(ones) + self.diagonal[s:],
+            row_ops=self.row_ops + _swaps([*unit, *(i for i, _ in ones), *rest], rows),
+            col_ops=self.col_ops + _swaps([*unit, *(j for _, j in ones), *rest], cols),
+        )
+
+
+def _swaps(order, size: int) -> tuple[tuple[int, int, int], ...]:
+    """Logged swaps of ``size`` lines that bring line order[t] to position t
+    for every t < len(order)."""
+    at, where = list(range(size)), list(range(size))  # the line at a position, the position of a line
+    ops = []
+    for t, line in enumerate(order):
+        p = where[line]
+        if p != t:
+            other = at[t]
+            at[t], at[p], where[line], where[other] = line, other, t, p
+            ops.append((t, p, 0))
+    return tuple(ops)
 
 
 def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:

@@ -29,6 +29,10 @@ integer (no bool, float or string), and ranks, rows and cols are >= 0.
 
 Cyclic groups additionally accept polynomial strings such as "1 - t^4".
 Their order is at most MAX_CYCLIC_ORDER, checked before any table is built.
+Each module of a complex file has Z-rank (rank times |G|) at most
+MAX_MODULE_ZRANK, checked once the group and the ranks are read and before
+any matrix is: a declared rank needs no content behind it, and the Smith
+reduction of a boundary allocates in proportion to its Z-rank.
 """
 
 from __future__ import annotations
@@ -45,6 +49,13 @@ from zgdual.gr_linalg import GRMatrix
 # table grows as N^2, to 7.7 MiB (tracemalloc peak) and about 30 ms at N = 1000
 # on a 2-core host under Python 3.11
 MAX_CYCLIC_ORDER = 1000
+
+# the largest Z-rank, rank times |G|, of a module in a complex file.  It
+# admits the stage-6 file of every L(n) a file may hold (Z-rank 4n <= 4,000).
+# A Smith reduction keeps a few ints per column, so `zgdual homology` on a
+# 0 x 2^16 boundary over the trivial group peaks at 5.2 MiB (tracemalloc, on
+# a 2-core host under Python 3.11)
+MAX_MODULE_ZRANK = 2**16
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -210,6 +221,12 @@ def complex_from_json(data) -> ChainComplex:
     group = group_from_json(data["group"])
     ranks_desc = [_size(r, "rank") for r in data["ranks"]]
     ranks = tuple(reversed(ranks_desc))
+    for degree, r in enumerate(ranks):
+        if r * group.order > MAX_MODULE_ZRANK:
+            raise ValueError(
+                f"the degree-{degree} module has Z-rank {r} x {group.order} = {r * group.order}, "
+                f"above the limit {MAX_MODULE_ZRANK}"
+            )
     diffs_desc = data["differentials"]
     if len(diffs_desc) != max(len(ranks) - 1, 0):
         raise ValueError("need exactly one differential per adjacent pair of degrees")

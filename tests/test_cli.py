@@ -14,6 +14,7 @@ from zgdual.gr_linalg import GRMatrix
 from zgdual.lens import lens_complex, lens_duality_map
 from zgdual.serialize import (
     MAX_CYCLIC_ORDER,
+    MAX_MODULE_ZRANK,
     canonical_dumps,
     complex_to_json,
     duality_map_to_json,
@@ -411,8 +412,9 @@ class TestOneReader:
 
 
 class TestBoundedArguments:
-    """A search budget below 1 and a cyclic order above MAX_CYCLIC_ORDER
-    are usage errors, reported before any work is done."""
+    """A search budget below 1, a cyclic order above MAX_CYCLIC_ORDER and a
+    module Z-rank above MAX_MODULE_ZRANK are usage errors, reported before
+    any work is done."""
 
     def assert_usage_error(self, capsys, argv, as_json, message):
         code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
@@ -454,6 +456,30 @@ class TestBoundedArguments:
             tracemalloc.stop()
         # a table of order 10**9 would need 10**18 entries; none is started
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_module_zrank_above_the_limit(self, capsys, tmp_path, as_json):
+        """The 128-byte file that declared a rank of 10**6 with no content
+        behind it, and one just above the limit."""
+        for rank in (10**6, MAX_MODULE_ZRANK + 1):
+            path = tmp_path / "wide.json"
+            data = {
+                "group": {"type": "cyclic", "order": 1},
+                "ranks": [rank, 0],
+                "differentials": [{"rows": 0, "cols": rank, "entries": []}],
+            }
+            path.write_text(json.dumps(data))
+            tracemalloc.start()
+            try:
+                self.assert_usage_error(
+                    capsys, ("homology", str(path)), as_json,
+                    f"{path}: malformed complex file: the degree-1 module has Z-rank {rank} x 1 = {rank}, "
+                    f"above the limit {MAX_MODULE_ZRANK}",
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
 
 class TestHomologyCommand:

@@ -409,17 +409,19 @@ class TestMemoizedReductions:
 
         monkeypatch.setattr(complexes, "smith_normal_form", counting_snf)
         view, phi = twisted_sym3_duality()
-        cases = [(replace(view.base), phi)] + [(lens_complex(n), lens_duality_map(n)) for n in (5, 13)]
-        for C, phi in cases:
+        # the assembled S3 complex holds stage-6 boundaries, whose reductions
+        # extend those its input made already, so it reduces nothing
+        cases = [(replace(view.base), phi, 0)] + [(lens_complex(n), lens_duality_map(n), 2) for n in (5, 13)]
+        for C, phi, reduced in cases:
             calls.clear()
             normalize_duality(recognize_dual_form(C), phi)
             # the end reports read degree 1, and degree 5 as degree 1
             # transposed; the lifts reduce degrees 1 and 2
-            assert len(calls) == 2
+            assert len(calls) == reduced
             report = five_complex_report(C)
             assert report.bottom is bottom_end_report(C)
             assert report.top is top_end_report(C)
-            assert len(calls) == 2
+            assert len(calls) == reduced
 
     def test_invariants_equal_each_degree_reduced_alone(self):
         G = cyclic_group(6)

@@ -1,7 +1,9 @@
 import copy
 import gc
+import os
 import pickle
 import random
+import sys
 import weakref
 from contextlib import contextmanager
 from functools import partial
@@ -55,6 +57,9 @@ from zgdual.group_core import GroupRingElement, cyclic_group, norm_element
 from zgdual.gr_linalg import GRMatrix, invert_gr_matrix
 from zgdual.int_linalg import IntegerMatrix
 from zgdual.lens import lens_asd_transform, lens_complex, lens_duality_map
+from zgdual.serialize import complex_from_json, complex_to_json
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def tpow(G, e):
@@ -1058,3 +1063,103 @@ class TestObstruction:
         assert rep.cross_check_ok
         assert rep.h3_free_rank == 3  # == j_rank, and odd, so no parity clash
         assert not rep.obstructed
+
+
+def _bench_nonabelian(name):
+    sys.path.insert(0, BENCH)
+    try:
+        import inputs as bench_inputs
+    finally:
+        sys.path.remove(BENCH)
+    return bench_inputs.nonabelian_complex(name)
+
+
+PIPELINE_INPUTS = (
+    [(f"L({n})", partial(lens_complex, n)) for n in range(2, 14)]
+    + [(f"twisted L({n})", partial(twisted_lens, n)) for n in range(3, 7)]
+    + [(name, partial(_bench_nonabelian, name)) for name in ("S3", "Q8", "D4", "D5", "C7xC3")]
+)
+
+
+class TestStage6ReductionsExtendTheInput:
+    """A stage-6 boundary is its input's plus an identity block, and reads
+    its reduction extended from the input's.  A copy through JSON carries
+    no link and reduces every boundary afresh; both must read the same."""
+
+    @staticmethod
+    def readings(C):
+        ends = (complexes.bottom_end_report(C), complexes.top_end_report(C))
+        groups = [homology(C, d, coeff) for coeff in complexes.COEFFS for d in range(C.top_degree + 1)]
+        view = dual_form.DualFormView(C)
+        return groups, ends, view.j_rank, view.form_rank
+
+    @pytest.mark.parametrize("label, make", PIPELINE_INPUTS, ids=[label for label, _ in PIPELINE_INPUTS])
+    def test_linked_and_fresh_complexes_agree(self, label, make):
+        C6 = to_dual_form_stage6(make()).complex
+        iso = solve_chain_isomorphism(tail_segment(C6), dual_head_segment(C6))
+        assert iso is not None
+        assembled = assemble_dual_form(C6, iso).complex
+        for X in (C6, assembled):
+            fresh = complex_from_json(complex_to_json(X))
+            assert fresh == X
+            assert not any(d._summand for d in fresh.differentials)
+            assert self.readings(X) == self.readings(fresh)
+        assert all(d._summand is not None for d in C6.differentials)
+        # every linked reduction is a decomposition of its own matrix
+        for i in range(1, 6):
+            for coeff in complexes.COEFFS:
+                snf, A = C6.reduction(i, coeff), C6.integer_matrix(i, coeff)
+                assert snf.U @ A @ snf.V == snf.D
+
+    def test_the_stage6_complex_reduces_nothing_of_its_own(self, monkeypatch):
+        C = twisted_sym3_presentation()
+        five_complex_report(C)
+        for i in range(1, 6):
+            for coeff in complexes.COEFFS:
+                C.reduction(i, coeff)
+
+        def no_reduction(A):
+            raise AssertionError("a stage-6 boundary was reduced")
+
+        monkeypatch.setattr(complexes, "smith_normal_form", no_reduction)
+        C6 = to_dual_form_stage6(C).complex
+        for coeff in complexes.COEFFS:
+            assert [homology(C6, d, coeff) for d in range(6)] == [homology(C, d, coeff) for d in range(6)]
+
+    @staticmethod
+    def broken(E, change):
+        """E with boundary(1) rebuilt from ``change(rows, ones)``, which
+        returns the new rows and link positions; the link keeps E's summand."""
+        d = E.boundary(1)
+        S, k, ones = d._summand
+        rows, ones = change(list(d.sparse_rows), list(ones))
+        M = GRMatrix._from_sparse_rows(d.group, d.cols, rows)
+        M._summand = (S, k, tuple(ones))
+        return ChainComplex(E.group, E.ranks, (M,) + E.differentials[1:])
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # a leading row equal to the summand's but another object
+            lambda rows, ones: ([dict(rows[0])] + rows[1:], ones),
+            # an appended entry that is not one
+            lambda rows, ones: (rows[:1] + [{1: rows[1][1].scale(2)}] + rows[2:], ones),
+            # a second entry in an appended row
+            lambda rows, ones: (rows[:1] + [{**rows[1], 2: rows[1][1]}] + rows[2:], ones),
+            # an appended one the link does not list
+            lambda rows, ones: (rows, ones[1:]),
+            # an appended one in the summand's columns
+            lambda rows, ones: (rows[:1] + [{0: rows[1][1]}] + rows[2:], [(1, 0)] + ones[1:]),
+            # two appended ones in one column
+            lambda rows, ones: (rows[:2] + [{1: rows[1][1]}] + rows[3:], ones[:1] + [(2, 1)]),
+        ],
+    )
+    def test_a_broken_block_raises(self, change):
+        C = lens_complex(3)
+        E = dual_form._direct_sum(C, [(0, 2)])
+        for coeff, ones in (("integral", 2 * 3), ("trivial", 2)):
+            assert E.reduction(1, coeff).diagonal == (1,) * ones + C.reduction(1, coeff).diagonal
+        bad = self.broken(E, change)
+        for coeff in complexes.COEFFS:
+            with pytest.raises(AssertionError, match="partial"):
+                bad.reduction(1, coeff)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_sym3, reference_parse_poly
-from zgdual.complexes import dualize_complex
+from zgdual.complexes import dualize_complex, homology
 from zgdual.group_core import GroupRingElement, cyclic_group, norm_element
 from zgdual.gr_linalg import GRMatrix
 from zgdual.lens import lens_asd_transform, lens_complex, lens_duality_map
+from zgdual.dual_form import to_dual_form_stage6
 from zgdual.serialize import (
     MAX_CYCLIC_ORDER,
+    MAX_MODULE_ZRANK,
     canonical_dumps,
     complex_from_json,
     complex_to_json,
@@ -290,6 +292,50 @@ class TestComplexJson:
         assert top == A.boundary(5)
         bottom = matrix_from_json(A.group, data["differentials"][-1])
         assert bottom == A.boundary(1)
+
+
+class TestModuleSizeLimit:
+    """A declared rank needs no content behind it, so each module's Z-rank,
+    rank times |G|, is bounded before any matrix is read."""
+
+    @staticmethod
+    def one_boundary(order, rank, differentials=None):
+        zero_rows = [{"rows": 0, "cols": rank, "entries": []}]
+        return {
+            "group": {"type": "cyclic", "order": order},
+            "ranks": [rank, 0],
+            "differentials": zero_rows if differentials is None else differentials,
+        }
+
+    @pytest.mark.parametrize(
+        "order, rank",
+        [(1, 10**9), (1, MAX_MODULE_ZRANK + 1), (MAX_CYCLIC_ORDER, 10**9), (MAX_CYCLIC_ORDER, 66)],
+    )
+    def test_above_the_limit_before_any_matrix(self, order, rank):
+        zrank = order * rank
+        message = f"the degree-1 module has Z-rank {rank} x {order} = {zrank}, above the limit {MAX_MODULE_ZRANK}"
+        # the differentials are never read: a matrix error would name them
+        for differentials in (None, "not a list of matrices"):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=message):
+                    complex_from_json(self.one_boundary(order, rank, differentials))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the cyclic table of order 1000 is the only sizeable allocation
+            assert peak < 10_000_000
+
+    def test_a_zero_row_boundary_at_the_limit(self):
+        C = complex_from_json(self.one_boundary(1, MAX_MODULE_ZRANK))
+        assert C.ranks == (0, MAX_MODULE_ZRANK)
+        assert str(homology(C, 1)) == f"Z^{MAX_MODULE_ZRANK}"
+        assert str(homology(C, 0)) == "0"
+
+    def test_the_limit_admits_every_lens_stage6_file(self):
+        # the stage-6 ranks are the same for every L(n)
+        ranks = to_dual_form_stage6(lens_complex(3)).complex.ranks
+        assert max(ranks) * MAX_CYCLIC_ORDER <= MAX_MODULE_ZRANK
 
 
 class TestDualityMapJson:

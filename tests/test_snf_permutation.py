@@ -18,6 +18,7 @@ on equal lines reaches it with every coefficient the logs hold.
 from __future__ import annotations
 
 import os
+import random
 import sys
 
 import pytest
@@ -26,7 +27,14 @@ from hypothesis import example, given, settings, strategies as st
 from zgdual import int_linalg
 from zgdual.gr_linalg import GRMatrix
 from zgdual.group_core import norm_element
-from zgdual.int_linalg import IntegerMatrix, SmithDecomposition, _add_line, _replay, smith_normal_form
+from zgdual.int_linalg import (
+    IntegerMatrix,
+    SmithDecomposition,
+    _add_line,
+    _replay,
+    back_substitute,
+    smith_normal_form,
+)
 from zgdual.lens import lens_complex
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -189,8 +197,8 @@ def _same(A: IntegerMatrix, got: SmithDecomposition):
 
 # reductions in one pass at seed 1, as the traced benchmark counts them,
 # and how many distinct matrices they reduce
-WORKLOAD_CALLS = {"lens_sweep": 100, "assembly_search": 87, "nonabelian_cli": 194}
-WORKLOAD_DISTINCT = {"lens_sweep": 76, "assembly_search": 75, "nonabelian_cli": 62}
+WORKLOAD_CALLS = {"lens_sweep": 100, "assembly_search": 42, "nonabelian_cli": 170}
+WORKLOAD_DISTINCT = {"lens_sweep": 76, "assembly_search": 38, "nonabelian_cli": 45}
 
 
 @pytest.fixture(scope="module")
@@ -455,3 +463,80 @@ def test_examples_reach_repivots_and_divisibility():
     swapped = smith_normal_form(IntegerMatrix.from_rows([[0, 6, 4], [9, 0, 6], [0, 0, 0]]))
     assert any(q == 0 and a != b for a, b, q in swapped.col_ops)
     assert any(q for _, _, q in swapped.col_ops)
+
+
+# -- a decomposition extended by a partial permutation of 1s -----------------
+
+
+def with_ones(A: IntegerMatrix, rows: int, cols: int, ones) -> IntegerMatrix:
+    """The rows x cols matrix holding A as its leading block and a 1 at each
+    (row, column) of ``ones``."""
+    lines = [dict(line) for line in A.sparse_rows] + [{} for _ in range(rows - A.rows)]
+    for i, j in ones:
+        lines[i][j] = 1
+    return IntegerMatrix._from_sparse_rows(cols, lines)
+
+
+@st.composite
+def extended_blocks(draw):
+    """A random sparse A, up to 6 rows and columns past it, and a random
+    partial permutation of 1s on those: none, some, interleaved with zero
+    rows and columns, or all of them."""
+    A = draw(sparse_matrices())
+    extra_rows, extra_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    count = draw(st.integers(0, min(extra_rows, extra_cols)))
+    rows = draw(st.permutations(range(A.rows, A.rows + extra_rows)))[:count]
+    cols = draw(st.permutations(range(A.cols, A.cols + extra_cols)))[:count]
+    return A, A.rows + extra_rows, A.cols + extra_cols, tuple(zip(rows, cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(extended_blocks(), st.randoms(use_true_random=False))
+@example((IntegerMatrix.from_rows([[2, 0], [0, 6]]), 4, 4, ((2, 3), (3, 2))), random.Random(0))  # non-unit factors, all 1s
+@example((IntegerMatrix.from_rows([[3, 1], [1, 3]]), 4, 5, ((3, 4),)), random.Random(0))  # a unit before a non-unit
+@example((IntegerMatrix.from_rows([[1, 2], [2, 4]]), 5, 5, ((4, 3), (2, 2))), random.Random(0))  # rank-deficient A
+@example((IntegerMatrix.from_rows([[0, 6, 4], [9, 0, 6]]), 4, 6, ()), random.Random(0))  # no 1s, zero rows and columns
+@example((IntegerMatrix(0, 0, ()), 3, 2, ((0, 1), (2, 0))), random.Random(0))  # the 0 x 0 block
+@example((IntegerMatrix(0, 0, ()), 0, 0, ()), random.Random(0))
+def test_extended_decomposition_is_one_of_the_whole(case, rng):
+    A, rows, cols, ones = case
+    M = with_ones(A, rows, cols, ones)
+    got = smith_normal_form(A).extended(rows, cols, ones)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got.U @ M @ got.V == got.D
+    assert got.diagonal == smith_normal_form(M).diagonal
+    T = got.transposed()
+    assert T.U @ M.transpose() @ T.V == T.D
+    kernel = got.kernel_columns()
+    assert len(kernel) == cols - got.rank
+    assert all((M @ IntegerMatrix(cols, 1, tuple((v,) for v in column))).is_zero for column in kernel)
+
+    def grid(height):
+        return IntegerMatrix(height, 2, tuple((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(height)))
+
+    fresh = smith_normal_form(M)
+    for _ in range(3):
+        solvable = M @ grid(cols)
+        X = back_substitute(got, solvable)
+        assert X is not None and M @ X == solvable
+        B = grid(rows)
+        X = back_substitute(got, B)
+        assert (X is None) == (back_substitute(fresh, B) is None)
+        assert X is None or M @ X == B
+
+
+@pytest.mark.parametrize(
+    "rows, cols, ones",
+    [
+        (2, 3, ((0, 2),)),  # a 1 in the block's rows
+        (3, 2, ((2, 1),)),  # a 1 in the block's columns
+        (4, 4, ((2, 2), (2, 3))),  # two 1s in one row
+        (4, 4, ((2, 3), (3, 3))),  # two 1s in one column
+        (3, 3, ((3, 2),)),  # a row out of range
+        (1, 2, ()),  # fewer rows than the block
+    ],
+)
+def test_extension_refuses_a_broken_block(rows, cols, ones):
+    snf = smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 6]]))
+    with pytest.raises(AssertionError, match="partial permutation"):
+        snf.extended(rows, cols, ones)
