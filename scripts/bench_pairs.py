@@ -3,7 +3,8 @@
 
 For each workload, runs ``bench/run.py`` untraced in the parent checkout
 and in the change's checkout, one pair per seed, alternating which side
-goes first.  Before every run both ``src/zgdual/__pycache__`` directories
+goes first; every run is ``run_seconds`` of ``BENCHMARK.json`` long, the
+length the benchmark itself uses.  Before every run both ``src/zgdual/__pycache__`` directories
 are removed, since ``setup_s`` times the import of ``zgdual`` and reads
 lower when a bytecode cache is left over.  Seeds run from ``--first-seed``
 on; pick ones not used while writing the change.
@@ -18,7 +19,8 @@ Usage, from anywhere:
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload assembly_search --pairs 10 --first-seed 501
 
-Only the standard library is used.
+Only the standard library is used; the runs go through
+``bench_snapshot.run_bench``, next to this script.
 """
 
 from __future__ import annotations
@@ -26,35 +28,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
-import statistics
-import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from bench_snapshot import ROOT, pycache, quartiles, run_bench
+
 # the gain rule: wins in at least WIN_SHARE of the pairs
 WIN_SHARE = 0.9
-
-
-def run_bench(checkout: str, workload: str, seed: int, seconds: float, caches) -> dict:
-    """The result object (last stdout line) of one untraced bench/run.py
-    process in ``checkout``, started with every directory of ``caches`` removed."""
-    for cache in caches:
-        shutil.rmtree(cache, ignore_errors=True)
-    cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
-    if done.returncode:
-        raise SystemExit(f"error: {' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
-def quartiles(values) -> tuple[float, float, float]:
-    """(q1, median, q3) as statistics.quantiles(n=4) gives them; one value is all three."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4)
-    return q1, median, q3
 
 
 def summarize(parent, change, better: str) -> dict:
@@ -93,39 +72,28 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", help="a workload (repeatable); default: every one")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True, help="seed of the first pair; one seed per pair")
-    parser.add_argument("--seconds", type=float, help="length of each run; default: run_seconds of BENCHMARK.json")
-    parser.add_argument("--json", help="also write the runs and summaries to this file")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    caches = [os.path.join(d, "src", "zgdual", "__pycache__") for d in sides.values()]
+    caches = [pycache(d) for d in sides.values()]
 
-    out = {}
     for workload in workloads:
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
             seed = args.first_seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                runs[side].append(run_bench(sides[side], workload, seed, seconds, caches))
+                runs[side].append(run_bench(workload, seed, seconds, 0, sides[side], caches))
         failed = {side: [r["failed"] for r in rs] for side, rs in runs.items()}
         print(f"{workload}: {args.pairs} pairs of {seconds:g} s, seeds {args.first_seed}-"
               f"{args.first_seed + args.pairs - 1}, failed items {failed}")
-        summaries = {}
         for metric in spec["end_to_end"]:
-            name = metric["name"]
-            values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
-            summaries[name] = dict(summarize(values["parent"], values["change"], metric["better"]), runs=values)
-            print(_row(name, summaries[name]))
-        out[workload] = {"failed": failed, "metrics": summaries}
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(out, f, indent=1, sort_keys=True)
-            f.write("\n")
+            values = {side: [r["metrics"][metric["name"]]["value"] for r in rs] for side, rs in runs.items()}
+            print(_row(metric["name"], summarize(values["parent"], values["change"], metric["better"])))
     return 0
 
 

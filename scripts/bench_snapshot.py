@@ -37,8 +37,6 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RUN = os.path.join(ROOT, "bench", "run.py")
-PYCACHE = os.path.join(ROOT, "src", "zgdual", "__pycache__")
 
 # the traced pass's metrics that are timings, not counts
 TIMED_UNITS = ("s",)
@@ -49,15 +47,31 @@ TRACE_SEED = 1
 SEEDS = (1, 2, 3)
 
 
-def run_bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The result object (last stdout line) of one bench/run.py process."""
-    cmd = [sys.executable, RUN, "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    shutil.rmtree(PYCACHE, ignore_errors=True)
-    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=False)
+def pycache(checkout: str) -> str:
+    """The bytecode cache of ``checkout``'s zgdual sources."""
+    return os.path.join(checkout, "src", "zgdual", "__pycache__")
+
+
+def run_bench(workload: str, seed: int, seconds: float, trace: int, checkout: str = ROOT, caches=None) -> dict:
+    """The result object (last stdout line) of one bench/run.py process in
+    ``checkout``, started with every directory of ``caches`` removed
+    (by default the checkout's own bytecode cache)."""
+    cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    for cache in caches if caches is not None else [pycache(checkout)]:
+        shutil.rmtree(cache, ignore_errors=True)
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     if done.returncode:
         raise SystemExit(f"error: {' '.join(cmd[1:])} exited {done.returncode}:\n{done.stderr}")
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """(q1, median, q3) as statistics.quantiles(n=4) gives them; one value is all three."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
 
 
 def counts(workload: str) -> dict:
@@ -75,10 +89,10 @@ def end_to_end(workload: str, seconds: float) -> dict:
     summary = {}
     for name, metric in runs[0]["metrics"].items():
         values = [r["metrics"][name]["value"] for r in runs]
-        q1, _, q3 = statistics.quantiles(values, n=4)
+        q1, median, q3 = quartiles(values)
         summary[name] = {
             "unit": metric["unit"],
-            "median": statistics.median(values),
+            "median": median,
             "q1": q1,
             "q3": q3,
             "runs": values,

@@ -1,19 +1,19 @@
 """scripts/bench_pairs.py's summary of paired runs, on canned numbers."""
 
-import importlib.util
+import importlib
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 @pytest.fixture(scope="module")
 def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    # the script imports bench_snapshot from its own directory
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(SCRIPTS))
+        return importlib.import_module("bench_pairs")
 
 
 PARENT = [0.80, 0.82, 0.81, 0.79, 0.83, 0.80, 0.84, 0.81, 0.82, 0.80]
