@@ -13,7 +13,10 @@ For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, how many pairs the change won (by the metric's
 ``better``), and whether the gain rule holds: the change wins at least
 nine pairs in ten, and its median is better than the parent's by more
-than the parent's interquartile range.
+than the parent's interquartile range.  Then, so that a change in a
+tail can name its items, it prints the five items whose per-item median
+moved most (by the ratio of the two sides' medians over the runs of each
+item's median milliseconds).
 
 Usage, from anywhere:
 
@@ -27,7 +30,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import statistics
 import sys
 
 from bench_snapshot import ROOT, pycache, quartiles, run_bench
@@ -55,6 +60,23 @@ def summarize(parent, change, better: str) -> dict:
         "parent_iqr": p3 - p1,
         "rule_holds": wins >= WIN_SHARE * len(parent) and gain > p3 - p1,
     }
+
+
+def item_moves(parent, change, top: int = 5) -> list[tuple[str, float, float, float]]:
+    """The ``top`` items that moved most over paired runs, as (label,
+    parent median, change median, change / parent), largest move first.
+
+    parent[i] and change[i] are the ``per_item_ms`` of pair i's runs
+    (label -> median ms in that run); a side's figure for an item is the
+    median over its runs.  A move is the ratio's distance from 1 on a log
+    scale, so halving and doubling count alike."""
+    moves = []
+    for label in parent[0]:
+        p = statistics.median(run[label] for run in parent)
+        c = statistics.median(run[label] for run in change)
+        moves.append((label, p, c, c / p))
+    moves.sort(key=lambda m: abs(math.log(m[3])), reverse=True)
+    return moves[:top]
 
 
 def _row(name: str, s: dict) -> str:
@@ -94,6 +116,10 @@ def main(argv=None) -> int:
         for metric in spec["end_to_end"]:
             values = {side: [r["metrics"][metric["name"]]["value"] for r in rs] for side, rs in runs.items()}
             print(_row(metric["name"], summarize(values["parent"], values["change"], metric["better"])))
+        items = {side: [r["per_item_ms"] for r in rs] for side, rs in runs.items()}
+        print("  items that moved most (median ms, parent -> change):")
+        for label, p, c, ratio in item_moves(items["parent"], items["change"]):
+            print(f"    {label:<32} {p:.4g} -> {c:.4g}  x{ratio:.3f}")
     return 0
 
 

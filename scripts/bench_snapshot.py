@@ -55,7 +55,8 @@ def pycache(checkout: str) -> str:
 def run_bench(workload: str, seed: int, seconds: float, trace: int, checkout: str = ROOT, caches=None) -> dict:
     """The result object (last stdout line) of one bench/run.py process in
     ``checkout``, started with every directory of ``caches`` removed
-    (by default the checkout's own bytecode cache)."""
+    (by default the checkout's own bytecode cache), with the report line's
+    per-item breakdown (label -> median ms) added as ``per_item_ms``."""
     cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     for cache in caches if caches is not None else [pycache(checkout)]:
@@ -63,7 +64,10 @@ def run_bench(workload: str, seed: int, seconds: float, trace: int, checkout: st
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     if done.returncode:
         raise SystemExit(f"error: {' '.join(cmd[1:])} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    *_, report, last = done.stdout.strip().splitlines()
+    result = json.loads(last)
+    result["per_item_ms"] = json.loads(report)["report"]["per_item_ms"]
+    return result
 
 
 def quartiles(values) -> tuple[float, float, float]:

@@ -18,13 +18,20 @@ Conventions, fixed once so non-abelian groups work unchanged:
   multiplication by c on the Z-basis of Z[G] in table order:
   block[i][j] = coefficient of g_i * g_j^{-1} in c.  With this convention
   expansion is a ring homomorphism, and expand(dual(A)) equals the plain
-  transpose of expand(A) -- no basis reindexing is needed.
+  transpose of expand(A) -- no basis reindexing is needed.  A block row
+  whose entries are all multiples of the norm element Sigma (the sum of
+  all group elements) has |G| equal integer rows, so ``expand()`` builds
+  that row once and the |G| rows share it.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from zgdual.group_core import FiniteGroup, GroupRingElement, _nonzero
 from zgdual.int_linalg import IntegerMatrix, solve_integer
+
+_coefficient = itemgetter(1)  # of a support term (index, coefficient)
 
 
 class GRMatrix:
@@ -210,6 +217,14 @@ class GRMatrix:
         g_a g_b^{-1} == h, so term (h, v) of entry (i, j) puts v at row
         i N + a, column j N + index(h^{-1} g_a); distinct terms of one
         entry land in distinct columns.
+
+        A nonempty block row whose entries are all multiples k_j Sigma of
+        the norm element expands to N equal rows, built once and shared:
+        row a holds at column (j, b) the coefficient of g_a g_b^{-1} in
+        k_j Sigma, which is k_j for every a.  An entry is such a multiple
+        when its support is full and holds one coefficient.  Every other
+        block row gets N distinct rows.  No reader mutates a built
+        IntegerMatrix's rows, so sharing them is safe.
         """
         G = self.group
         N = G.order
@@ -217,6 +232,12 @@ class GRMatrix:
         shift = [G.mul_table[h] for h in G.inv_table]
         lines = []
         for line in self.sparse_rows:
+            if line and all(len(s := e.support) == N and len(set(map(_coefficient, s))) == 1 for e in line.values()):
+                row = {}
+                for j, e in line.items():
+                    row.update(dict.fromkeys(range(j * N, j * N + N), e.support[0][1]))
+                lines += [row] * N
+                continue
             terms = [(j * N, shift[h], v) for j, e in line.items() for h, v in e.support]
             for a in range(N):
                 lines.append({base + s[a]: v for base, s, v in terms})

@@ -3,7 +3,10 @@
 Matrices hold Python ints as sparse rows, a dict column -> nonzero value
 per row; every library builder and reader works on those, and the dense
 ``entries`` grid is built only when something reads it.  Every
-computation is exact.
+computation is exact.  Rows of a built matrix may be one shared object
+(GRMatrix.expand shares the equal rows of a norm-element block row), so
+no reader mutates them: smith_normal_form and back_substitute copy the
+rows they reduce or replay on, and every other reader only reads.
 Empty matrices (zero rows or columns) are first class: rank-0 modules occur
 at the ends of chain complexes, so all conventions below degrade gracefully.
 For the empty cases: the SNF of a matrix with no nonzero entry has an empty
@@ -52,7 +55,8 @@ class IntegerMatrix:
     row-major grid ``entries`` is built from them on its first read.  A
     matrix is built from a checked grid of integers (``IntegerMatrix(rows,
     cols, entries)``, ``from_rows``) or, by the library's builders, from
-    sparse rows.  Equality and hashing read the shape and the nonzeros.
+    sparse rows, which several rows may share.  No reader mutates a built
+    matrix's rows.  Equality and hashing read the shape and the nonzeros.
     """
 
     __slots__ = ("rows", "cols", "sparse_rows", "_entries")

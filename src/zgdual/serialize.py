@@ -28,7 +28,9 @@ hands every other value to ``json.dumps``.  Every number read is a JSON
 integer (no bool, float or string), and ranks, rows and cols are >= 0.
 
 Cyclic groups additionally accept polynomial strings such as "1 - t^4".
-Their order is at most MAX_CYCLIC_ORDER, checked before any table is built.
+Every group's order is at most MAX_CYCLIC_ORDER: a cyclic order is checked
+before any table is built, a table's row count before any row of it is
+read as a group (the JSON decoder has read the whole table by then).
 Each module of a complex file has Z-rank (rank times |G|) at most
 MAX_MODULE_ZRANK, checked once the group and the ranks are read and before
 any matrix is: a declared rank needs no content behind it, and the Smith
@@ -45,7 +47,8 @@ from zgdual.complexes import ChainComplex, ChainMap, dualize_complex
 from zgdual.group_core import FiniteGroup, GroupRingElement, _support, cyclic_group, group_from_table
 from zgdual.gr_linalg import GRMatrix
 
-# the largest cyclic order a file or ``zgdual lens --n`` may ask for: its N x N
+# the largest group order a file or ``zgdual lens --n`` may ask for, cyclic or
+# given by its table (group_to_json writes a cyclic table as an order): its N x N
 # table grows as N^2, to 7.7 MiB (tracemalloc peak) and about 30 ms at N = 1000
 # on a 2-core host under Python 3.11
 MAX_CYCLIC_ORDER = 1000
@@ -142,7 +145,10 @@ def group_from_json(data) -> FiniteGroup:
             raise ValueError(f"cyclic group order {order} exceeds the limit {MAX_CYCLIC_ORDER}")
         return cyclic_group(order)
     if data["type"] == "table":
-        return group_from_table(data["mul"])
+        mul = data["mul"]
+        if len(mul) > MAX_CYCLIC_ORDER:
+            raise ValueError(f"group table of order {len(mul)} exceeds the limit {MAX_CYCLIC_ORDER}")
+        return group_from_table(mul)
     raise ValueError(f"unknown group type {data['type']!r}")
 
 

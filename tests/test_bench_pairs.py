@@ -1,4 +1,4 @@
-"""scripts/bench_pairs.py's summary of paired runs, on canned numbers."""
+"""scripts/bench_pairs.py's summaries of paired runs, on canned numbers."""
 
 import importlib
 from pathlib import Path
@@ -58,3 +58,25 @@ def test_one_pair_and_bad_input(bench_pairs):
         bench_pairs.summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         bench_pairs.summarize([], [], "lower")
+
+
+def test_item_moves_name_the_items_that_moved_most(bench_pairs):
+    # per_item_ms of three runs per side, as bench/run.py reports them
+    parent = [
+        {"L(2)": 0.20, "L(37)": 2.0, "L(101)": 8.0, "L(5)": 0.5},
+        {"L(2)": 0.22, "L(37)": 2.2, "L(101)": 9.0, "L(5)": 0.5},
+        {"L(2)": 0.21, "L(37)": 2.1, "L(101)": 7.0, "L(5)": 0.5},
+    ]
+    change = [
+        {"L(2)": 0.21, "L(37)": 1.9, "L(101)": 6.0, "L(5)": 1.0},
+        {"L(2)": 0.21, "L(37)": 1.8, "L(101)": 6.5, "L(5)": 1.0},
+        {"L(2)": 0.21, "L(37)": 1.7, "L(101)": 6.4, "L(5)": 1.0},
+    ]
+    moves = bench_pairs.item_moves(parent, change, top=3)
+    # L(5) doubled: a larger move than L(101)'s 8 -> 6.4, the largest fall
+    assert [m[0] for m in moves] == ["L(5)", "L(101)", "L(37)"]
+    assert moves[0] == pytest.approx(("L(5)", 0.5, 1.0, 2.0))
+    assert moves[1][1:] == pytest.approx((8.0, 6.4, 0.8))
+    assert moves[2][1:] == pytest.approx((2.1, 1.8, 1.8 / 2.1))
+    # five by default; fewer items give all of them
+    assert [m[0] for m in bench_pairs.item_moves(parent, change)] == ["L(5)", "L(101)", "L(37)", "L(2)"]

@@ -412,7 +412,7 @@ class TestOneReader:
 
 
 class TestBoundedArguments:
-    """A search budget below 1, a cyclic order above MAX_CYCLIC_ORDER and a
+    """A search budget below 1, a group order above MAX_CYCLIC_ORDER and a
     module Z-rank above MAX_MODULE_ZRANK are usage errors, reported before
     any work is done."""
 
@@ -456,6 +456,19 @@ class TestBoundedArguments:
             tracemalloc.stop()
         # a table of order 10**9 would need 10**18 entries; none is started
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_table_order_above_the_limit(self, capsys, tmp_path, as_json):
+        """The standard C_1001 table, which a table of order above the bound
+        would otherwise be read as, and which -o would write as an order."""
+        n = MAX_CYCLIC_ORDER + 1
+        path = tmp_path / "big_table.json"
+        table = [[(i + j) % n for j in range(n)] for i in range(n)]
+        path.write_text(json.dumps(_c2_file(group={"type": "table", "mul": table})))
+        self.assert_usage_error(
+            capsys, ("check", str(path)), as_json,
+            f"{path}: malformed complex file: group table of order {n} exceeds the limit {MAX_CYCLIC_ORDER}",
+        )
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_module_zrank_above_the_limit(self, capsys, tmp_path, as_json):

@@ -1,16 +1,19 @@
+import copy
 import random
 from functools import partial
 
 import pytest
 
 from conftest import integer_identity, make_quaternion8, make_sym3, rational_rank, scalar_matrix
-from zgdual.group_core import GroupRingElement, cyclic_group, gr_mul, norm_element
+from zgdual.group_core import GroupRingElement, cyclic_group, gr_mul, group_from_table, norm_element
 from zgdual.gr_linalg import (
     GRMatrix,
     invert_gr_matrix,
     solve_gr_linear,
 )
-from zgdual.int_linalg import IntegerMatrix, smith_normal_form
+from zgdual.dual_form import _chain_map_constraints, dual_head_segment, tail_segment, to_dual_form_stage6
+from zgdual.int_linalg import IntegerMatrix, _combine_rows, back_substitute, smith_normal_form, solve_integer
+from zgdual.lens import lens_complex
 
 
 def tpow(G, e):
@@ -173,18 +176,58 @@ class TestExpandRegular:
                 assert (A @ B).expand() == A.expand() @ B.expand()
 
     def test_blocks_follow_the_documented_convention(self, groups):
-        # block[a][b] == coefficient of g_a * g_b^{-1}, the trivial group included
+        """block[a][b] == coefficient of g_a * g_b^{-1}, the trivial group
+        included, and on S3 relabelled so that its identity is not index 0.
+
+        Block rows mix multiples k Sigma of the norm element (k of both
+        signs, one k per entry), zeros, a full-support entry that is not
+        constant (Sigma + g) and dense and sparse random entries.  The |G|
+        rows of a block row whose entries are all k Sigma are one object;
+        every other block row, empty ones included, has |G| distinct rows.
+        """
+        S3 = make_sym3()
+        p = [3, 5, 0, 1, 4, 2]  # the new label of each old index
+        table = [[0] * 6 for _ in range(6)]
+        for x in range(6):
+            for y in range(6):
+                table[p[x]][p[y]] = p[S3.mul_table[x][y]]
+        relabelled = group_from_table(table)
+        assert relabelled.identity_index == 3
         rng = random.Random(41)
-        for G in groups:
-            A = rand_gr_matrix(rng, G, 2, 3)
+        for G in [*groups, relabelled]:
+            N = G.order
+            z, sigma = GroupRingElement.zero(G), norm_element(G)
+            g = GroupRingElement.basis(G, N - 1)
+            grid = [
+                [sigma.scale(3), sigma.scale(-2), z],
+                [z, z, sigma.scale(-1)],
+                [sigma + g, sigma.scale(2), z],
+                [z, z, z],
+                [sigma, z, g],
+                list(rand_gr_matrix(rng, G, 1, 3).entries[0]),
+                list(rand_sparse_gr_matrix(rng, G, 1, 3).entries[0]),
+            ]
+            A = GRMatrix.from_rows(G, grid)
             E = A.expand()
-            assert (E.rows, E.cols) == (2 * G.order, 3 * G.order)
-            for i in range(2):
-                for j in range(3):
-                    for a in range(G.order):
-                        for b in range(G.order):
-                            g = G.mul_table[a][G.inv_table[b]]
-                            assert E.entries[i * G.order + a][j * G.order + b] == A.entries[i][j].coeffs[g]
+            assert (E.rows, E.cols) == (len(grid) * N, 3 * N)
+            kinds = []
+            for i, row in enumerate(grid):
+                for j, c in enumerate(row):
+                    for a in range(N):
+                        for b in range(N):
+                            h = G.mul_table[a][G.inv_table[b]]
+                            assert E.entries[i * N + a][j * N + b] == c.coeffs[h]
+                lines = E.sparse_rows[i * N : (i + 1) * N]
+                all_sigma = any(c.support for c in row) and all(
+                    not c.support or len(set(c.coeffs)) == 1 for c in row
+                )
+                if all_sigma:
+                    assert all(line is lines[0] for line in lines)
+                else:
+                    assert len(set(map(id, lines))) == N
+                kinds.append(all_sigma)
+            if N > 1:  # over the trivial group Sigma == 1, so every nonzero entry is a multiple
+                assert kinds[:5] == [True, True, False, False, False]
 
     def test_expand_dual_is_transpose(self):
         # the chosen block convention makes this exact with no reindexing
@@ -204,6 +247,53 @@ class TestExpandRegular:
             u = scalar_matrix(tpow(G, rng.randrange(6)).scale(rng.choice((1, -1))), 2)
             v = scalar_matrix(tpow(G, rng.randrange(6)).scale(rng.choice((1, -1))), 3)
             assert smith_normal_form((u @ A @ v).expand()).rank == r
+
+
+class TestSharedRowsAreNeverMutated:
+    """expand() lets the equal rows of a norm-element block row be one
+    dict, so every library reader of IntegerMatrix.sparse_rows must leave a
+    built matrix's rows as they were: L(7)'s d2 and the stage-6 d2 of L(5)
+    hold such rows."""
+
+    def test_readers_leave_rows_and_sharing_alone(self, monkeypatch):
+        built = []  # every expansion made here, with a deep snapshot of its rows
+        expand = GRMatrix.expand
+
+        def recording(M):
+            E = expand(M)
+            built.append((E, copy.deepcopy(E.sparse_rows), list(map(id, E.sparse_rows))))
+            return E
+
+        monkeypatch.setattr(GRMatrix, "expand", recording)
+        rng = random.Random(7)
+        L7 = lens_complex(7)
+        S6 = to_dual_form_stage6(lens_complex(5)).complex
+        for C in (L7, S6):
+            E = C.boundary(2).expand()
+            assert len(set(map(id, E.sparse_rows))) < E.rows  # some rows are shared
+            snf = smith_normal_form(E)
+            B = E @ IntegerMatrix.from_rows([[rng.randint(-2, 2) for _ in range(2)] for _ in range(E.cols)])
+            assert E @ back_substitute(snf, B) == B
+            assert E @ solve_integer(E, B) == B
+            assert E.transpose().transpose() == E
+            assert [E.column(j) for j in range(E.cols)] == [tuple(col) for col in zip(*E.entries)]
+            coeffs = [rng.randint(-2, 2) for _ in range(E.rows)]
+            assert _combine_rows(coeffs, E) == (IntegerMatrix.from_rows([coeffs]) @ E).entries[0]
+            for degree in range(1, C.top_degree + 1):
+                for coefficients in ("integral", "trivial"):
+                    C.reduction(degree, coefficients)
+        _chain_map_constraints(tail_segment(S6), dual_head_segment(S6))
+        _chain_map_constraints(tail_segment(L7), tail_segment(L7))
+        assert len(built) > 2
+        for E, rows, ids in built:
+            assert E.sparse_rows == rows
+            assert list(map(id, E.sparse_rows)) == ids
+
+    def test_shared_rows_reduce_as_distinct_ones(self):
+        for C in (lens_complex(7), to_dual_form_stage6(lens_complex(5)).complex):
+            E = C.boundary(2).expand()
+            distinct = IntegerMatrix._from_sparse_rows(E.cols, [dict(line) for line in E.sparse_rows])
+            assert smith_normal_form(E) == smith_normal_form(distinct)
 
 
 class TestAugmentMatrix:

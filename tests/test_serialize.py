@@ -95,6 +95,23 @@ class TestGroupJson:
             with pytest.raises(ValueError, match=f"cyclic group order {order} exceeds the limit"):
                 group_from_json({"type": "cyclic", "order": order})
 
+    def test_table_order_is_bounded(self):
+        """A table is held to the cyclic bound too, before any group axiom
+        is checked; else the standard C_1001 table would read as a group
+        that group_to_json writes as a cyclic order the reader refuses."""
+        def standard(n):
+            return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+        big = MAX_CYCLIC_ORDER + 1
+        with pytest.raises(ValueError, match=f"group table of order {big} exceeds the limit {MAX_CYCLIC_ORDER}"):
+            group_from_json({"type": "table", "mul": standard(big)})
+        # the bound comes first, so a table that is not even square names it
+        with pytest.raises(ValueError, match=f"group table of order {big} exceeds the limit {MAX_CYCLIC_ORDER}"):
+            group_from_json({"type": "table", "mul": [[0]] * big})
+        G = group_from_json({"type": "table", "mul": standard(MAX_CYCLIC_ORDER)})
+        assert G.is_cyclic and G.order == MAX_CYCLIC_ORDER
+        assert group_from_json(group_to_json(G)) == G
+
     def test_standard_cyclic_table_serializes_as_cyclic(self):
         table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
         G = group_from_json({"type": "table", "mul": table})
