@@ -39,6 +39,8 @@ from bench_snapshot import ROOT, pycache, quartiles, run_bench
 
 # the gain rule: wins in at least WIN_SHARE of the pairs
 WIN_SHARE = 0.9
+# how many of the items that moved most are printed per workload
+TOP_ITEMS = 5
 
 
 def summarize(parent, change, better: str) -> dict:
@@ -62,8 +64,8 @@ def summarize(parent, change, better: str) -> dict:
     }
 
 
-def item_moves(parent, change, top: int = 5) -> list[tuple[str, float, float, float]]:
-    """The ``top`` items that moved most over paired runs, as (label,
+def item_moves(parent, change) -> list[tuple[str, float, float, float]]:
+    """The TOP_ITEMS items that moved most over paired runs, as (label,
     parent median, change median, change / parent), largest move first.
 
     parent[i] and change[i] are the ``per_item_ms`` of pair i's runs
@@ -76,7 +78,7 @@ def item_moves(parent, change, top: int = 5) -> list[tuple[str, float, float, fl
         c = statistics.median(run[label] for run in change)
         moves.append((label, p, c, c / p))
     moves.sort(key=lambda m: abs(math.log(m[3])), reverse=True)
-    return moves[:top]
+    return moves[:TOP_ITEMS]
 
 
 def _row(name: str, s: dict) -> str:

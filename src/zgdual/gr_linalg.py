@@ -26,12 +26,8 @@ Conventions, fixed once so non-abelian groups work unchanged:
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from zgdual.group_core import FiniteGroup, GroupRingElement, _nonzero
 from zgdual.int_linalg import IntegerMatrix, solve_integer
-
-_coefficient = itemgetter(1)  # of a support term (index, coefficient)
 
 
 class GRMatrix:
@@ -232,13 +228,11 @@ class GRMatrix:
         shift = [G.mul_table[h] for h in G.inv_table]
         lines = []
         for line in self.sparse_rows:
-            if line and all(len(s := e.support) == N and len(set(map(_coefficient, s))) == 1 for e in line.values()):
-                row = {}
-                for j, e in line.items():
-                    row.update(dict.fromkeys(range(j * N, j * N + N), e.support[0][1]))
-                lines += [row] * N
-                continue
             terms = [(j * N, shift[h], v) for j, e in line.items() for h, v in e.support]
+            # N terms per entry: every entry has full support
+            if line and len(terms) == N * len(line) and all(len({v for _, v in e.support}) == 1 for e in line.values()):
+                lines += [{base + s[0]: v for base, s, v in terms}] * N
+                continue
             for a in range(N):
                 lines.append({base + s[a]: v for base, s, v in terms})
         return IntegerMatrix._from_sparse_rows(self.cols * N, lines)

@@ -61,22 +61,25 @@ def test_one_pair_and_bad_input(bench_pairs):
 
 
 def test_item_moves_name_the_items_that_moved_most(bench_pairs):
-    # per_item_ms of three runs per side, as bench/run.py reports them
+    # per_item_ms of three runs per side, as bench/run.py reports them;
+    # seven items, so the cut at TOP_ITEMS (5) drops the two that moved least
     parent = [
-        {"L(2)": 0.20, "L(37)": 2.0, "L(101)": 8.0, "L(5)": 0.5},
-        {"L(2)": 0.22, "L(37)": 2.2, "L(101)": 9.0, "L(5)": 0.5},
-        {"L(2)": 0.21, "L(37)": 2.1, "L(101)": 7.0, "L(5)": 0.5},
+        {"L(2)": 0.20, "L(37)": 2.0, "L(101)": 8.0, "L(5)": 0.5, "L(7)": 0.30, "L(9)": 0.40, "L(11)": 0.60},
+        {"L(2)": 0.22, "L(37)": 2.2, "L(101)": 9.0, "L(5)": 0.5, "L(7)": 0.30, "L(9)": 0.40, "L(11)": 0.60},
+        {"L(2)": 0.21, "L(37)": 2.1, "L(101)": 7.0, "L(5)": 0.5, "L(7)": 0.30, "L(9)": 0.40, "L(11)": 0.60},
     ]
     change = [
-        {"L(2)": 0.21, "L(37)": 1.9, "L(101)": 6.0, "L(5)": 1.0},
-        {"L(2)": 0.21, "L(37)": 1.8, "L(101)": 6.5, "L(5)": 1.0},
-        {"L(2)": 0.21, "L(37)": 1.7, "L(101)": 6.4, "L(5)": 1.0},
+        {"L(2)": 0.21, "L(37)": 1.9, "L(101)": 6.0, "L(5)": 1.0, "L(7)": 0.33, "L(9)": 0.40, "L(11)": 0.57},
+        {"L(2)": 0.21, "L(37)": 1.8, "L(101)": 6.5, "L(5)": 1.0, "L(7)": 0.33, "L(9)": 0.40, "L(11)": 0.57},
+        {"L(2)": 0.21, "L(37)": 1.7, "L(101)": 6.4, "L(5)": 1.0, "L(7)": 0.33, "L(9)": 0.40, "L(11)": 0.57},
     ]
-    moves = bench_pairs.item_moves(parent, change, top=3)
-    # L(5) doubled: a larger move than L(101)'s 8 -> 6.4, the largest fall
-    assert [m[0] for m in moves] == ["L(5)", "L(101)", "L(37)"]
+    assert bench_pairs.TOP_ITEMS == 5
+    moves = bench_pairs.item_moves(parent, change)
+    # L(5) doubled: a larger move than L(101)'s 8 -> 6.4, the largest fall;
+    # L(2) (0.21 -> 0.21) and L(9) (unchanged) are cut
+    assert [m[0] for m in moves] == ["L(5)", "L(101)", "L(37)", "L(7)", "L(11)"]
     assert moves[0] == pytest.approx(("L(5)", 0.5, 1.0, 2.0))
     assert moves[1][1:] == pytest.approx((8.0, 6.4, 0.8))
     assert moves[2][1:] == pytest.approx((2.1, 1.8, 1.8 / 2.1))
-    # five by default; fewer items give all of them
-    assert [m[0] for m in bench_pairs.item_moves(parent, change)] == ["L(5)", "L(101)", "L(37)", "L(2)"]
+    assert moves[3][1:] == pytest.approx((0.30, 0.33, 1.1))
+    assert moves[4][1:] == pytest.approx((0.60, 0.57, 0.95))
