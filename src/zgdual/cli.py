@@ -175,7 +175,10 @@ def _cmd_dualform(args, report):
     if args.assemble:
         tail = dual_form.tail_segment(out)
         head = dual_form.dual_head_segment(out)
-        iso = dual_form.solve_chain_isomorphism(tail, head, budget=args.budget)
+        try:
+            iso = dual_form.solve_chain_isomorphism(tail, head, budget=args.budget)
+        except ValueError as exc:
+            raise UsageError(str(exc))
         if iso is None:
             report["assembled"] = False
             verdicts.append(

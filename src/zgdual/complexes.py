@@ -23,28 +23,23 @@ cover), "trivial" applies the augmentation entrywise (homology of the base).
 Augmented ends are never included: degree 0 is a cokernel, the top degree a
 kernel, exactly as for the raw complex.
 
-Each complex reduces every differential once per coefficient system up to
-duality; matrices are built when read.  The Smith decompositions, the
-d.d == 0 checks and the dual complex are memoized on the instance, and each
-matrix keeps its own dual (GRMatrix.dual); the integer matrices are not, so
-an expansion is dropped once it is reduced.  ChainComplex.reduction is the
-one read path.  A boundary equal to an earlier one shares that
-decomposition, and one equal to the dual of an earlier one reads it
-transposed, since expansion and augmentation turn the dual into the
-transpose.  So a complex in dual form (d5 = d1*, d4 = d2*) reduces neither
-degree 5 nor degree 4.  A boundary that is reduced is reduced once per
-matrix object: its decomposition is kept on the matrix, so a complex that
-holds the very matrix another complex reduced (the assembled dual form
-holds the stage-6 d1 and d2) reads that decomposition.  Complexes that hold
-equal but distinct matrices share nothing.  A simple homotopy expansion
-(_direct_sum, as the stage-6 pipeline makes it) adds an identity block to a
-boundary, d_k + I + 0, and links each boundary it builds to its summand;
-such a boundary is neither expanded nor reduced, but reads the summand's
-reduction of degree k extended by that block
-(SmithDecomposition.extended).  The diagonal is a fresh reduction's, the
-logs are not, so a particular solution read in-process from it may differ
-from a fresh reduction's while solving the same system; a file carries no
-link, so nothing read back from one is affected.
+A boundary's Smith decomposition lives on its matrix (GRMatrix._reductions,
+one per coefficient system); the first complex that needs it fills it from
+a twin, the summand link or a reduction (ChainComplex.reduction, the one
+read path).  A twin is an earlier boundary equal to it, whose decomposition
+is shared, or equal to its dual, whose decomposition is read transposed,
+since expansion and augmentation turn the dual into the transpose; so a
+complex in dual form (d5 = d1*, d4 = d2*) reduces neither degree 5 nor
+degree 4.  The summand link is what a simple homotopy expansion
+(_direct_sum, as the stage-6 pipeline makes it) writes on each boundary
+d_k + I + 0 it builds: such a boundary reads its summand's reduction of
+degree k extended by the identity block (SmithDecomposition.extended).
+Every source gives the diagonal of a fresh reduction, but maybe other
+logs, so a particular solution read in-process may differ from a fresh
+reduction's while solving the same system; a file carries no link or
+decomposition, so nothing read back from one is affected.  The d.d == 0
+checks, the end reports and the dual complex are memoized on the
+instance; integer matrices are built when read and dropped once reduced.
 Every decomposition keeps its operation logs; the readers that need
 vectors (the end generators and the lifts) replay them on just those.  The
 two augmented ends share one path: the top end is read as the bottom end of
@@ -125,57 +120,43 @@ class ChainComplex:
         return d.expand() if coefficients == "integral" else d.augmented()
 
     def reduction(self, i: int, coefficients: str = "integral") -> SmithDecomposition:
-        """A Smith decomposition of integer_matrix(i), memoized per degree
-        and coefficient system; every reader of degree i reads it.
+        """A Smith decomposition of integer_matrix(i), kept on boundary(i)
+        (GRMatrix._reductions) and read by every complex holding it.
 
-        Only the first degree whose boundary equals boundary(i) or its dual
-        (_twin) is reduced.  An equal boundary shares that decomposition; a
-        dual one reads it transposed, since expansion and augmentation turn
-        the dual into the transpose.  A reduced boundary keeps its
-        decomposition (GRMatrix._reductions), which every complex holding
-        that same matrix object reads instead of reducing it again; the
-        reduction is deterministic, so each reads what it would have made.
-        A boundary that _direct_sum built is not expanded or reduced: its
-        summand's reduction is extended by the appended identity block
-        (_summand_reduction).  That decomposition has the diagonal a fresh
-        reduction would give, but other logs, so a particular solution
+        A miss fills it once, from the first of: the twin degree (_twin),
+        shared as is when equal and read transposed when dual, since
+        expansion and augmentation turn the dual into the transpose; the
+        summand link of a boundary that _direct_sum built
+        (_summand_reduction); a fresh reduction.  The diagonal is always a
+        fresh reduction's, the logs may not be, so a particular solution
         read from it (solve_boundary) may differ from a fresh one's while
         solving the same system.
         """
-        key = ("reduction", i, coefficients)
-        snf = self._memo.get(key)
+        d = self.boundary(i)
+        kept = d._reductions
+        if kept is None:
+            kept = d._reductions = {}
+        snf = kept.get(coefficients)
         if snf is None:
             j = self._twin(i)
-            if j == i:
-                d = self.boundary(i)
-                kept = d._reductions
-                if kept is None:
-                    kept = d._reductions = {}
-                snf = kept.get(coefficients)
-                if snf is None:
-                    if d._summand is None:
-                        snf = smith_normal_form(self.integer_matrix(i, coefficients))
-                    else:
-                        snf = _summand_reduction(d, coefficients)
-                    kept[coefficients] = snf
-            elif self.boundary(j) == self.boundary(i):
+            if j < i:
                 snf = self.reduction(j, coefficients)
+                if self.boundary(j) != d:
+                    snf = snf.transposed()
+            elif d._summand is not None:
+                snf = _summand_reduction(d, coefficients)
             else:
-                snf = self.reduction(j, coefficients).transposed()
-            self._memo[key] = snf
+                snf = smith_normal_form(self.integer_matrix(i, coefficients))
+            kept[coefficients] = snf
         return snf
 
     def _twin(self, i: int) -> int:
         """The first degree j <= i whose boundary equals boundary(i) or its dual."""
-        key = ("twin", i)
-        twin = self._memo.get(key)
-        if twin is None:
-            d = self.boundary(i)
-            # the dual is built only when an earlier boundary has its shape
-            earlier_shapes = {(b.rows, b.cols) for b in self.differentials[: i - 1]}
-            same = (d, d.dual()) if (d.cols, d.rows) in earlier_shapes else (d,)
-            twin = self._memo[key] = next(j for j in range(1, i + 1) if self.boundary(j) in same)
-        return twin
+        d = self.boundary(i)
+        # the dual is built only when an earlier boundary has its shape
+        earlier_shapes = {(b.rows, b.cols) for b in self.differentials[: i - 1]}
+        same = (d, d.dual()) if (d.cols, d.rows) in earlier_shapes else (d,)
+        return next(j for j in range(1, i + 1) if self.boundary(j) in same)
 
     def composition_zero(self, i: int, coefficients: str = "integral") -> bool:
         """boundary(i) . boundary(i+1) == 0, for 1 <= i < top_degree.

@@ -107,7 +107,7 @@ class DualFormView:
     The view holds only the complex; readers take d_i as base.boundary(i).
     ``j_rank`` (the Z-rank of J, the dual of ker(d2)) and ``form_rank`` (the
     Z-rank of the form carried by d3) are read when asked for from
-    base.reduction(2) and (3), which the complex memoizes.
+    base.reduction(2) and (3), which d2 and d3 keep.
     """
 
     base: ChainComplex
@@ -316,6 +316,12 @@ def dual_head_segment(C6: ChainComplex) -> ChainComplex:
     )
 
 
+# the most Z-coordinates the iso search's lattice may have, as many as one
+# module of a file may (serialize.MAX_MODULE_ZRANK); every twisted L(n) a
+# file may hold has at most 56,000
+MAX_SEARCH_UNKNOWNS = 2**16
+
+
 @dataclass(frozen=True)
 class ChainIsoPair:
     """Mutually inverse chain isomorphisms between two 3-term complexes."""
@@ -463,7 +469,9 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
        kernel of A, read from the same SNF.
 
     So budget 1 tries the identity only, 2 adds the affine trial, and 3 or
-    more adds Babai; a budget below 1 is a ValueError.  Each trial is
+    more adds Babai; a budget below 1 is a ValueError, and so is a lattice
+    of more than MAX_SEARCH_UNKNOWNS unknowns once the identity trial has
+    failed, checked before anything is built.  Each trial is
     decided by the one fact its construction leaves open.  The affine and
     Babai candidates h lie in ker A, and A vec(h) == vec(D h - h' d), so h
     is a chain map; its square components are inverted over Z[G], and the
@@ -487,6 +495,11 @@ def solve_chain_isomorphism(tail: ChainComplex, head: ChainComplex, budget: int 
         return ChainIsoPair(h=ident, k=ident)
     if budget < 2:
         return None
+    _, unknowns = _lattice_offsets(tail, head)
+    if unknowns > MAX_SEARCH_UNKNOWNS:
+        raise ValueError(
+            f"the chain-map lattice has {unknowns} unknowns, above the search limit {MAX_SEARCH_UNKNOWNS}"
+        )
 
     A = _chain_map_constraints(tail, head)
     snf = smith_normal_form(A)

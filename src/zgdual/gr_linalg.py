@@ -41,9 +41,10 @@ class GRMatrix:
     Equality reads the shape, the group and the nonzeros; hashing reads the
     shape and the nonzero coefficients.  ``dual()`` is built once and kept;
     the dual does not refer back, so no matrix is part of a reference cycle.
-    ``_reductions`` is ChainComplex.reduction's store of the Smith
-    decompositions of this very matrix, so every complex holding it reads
-    one reduction.  ``_summand`` is the link that complexes._direct_sum
+    ``_reductions`` is the one store of this matrix's Smith decompositions,
+    one per coefficient system: the first complex that needs one fills it
+    (ChainComplex.reduction), and every complex holding this matrix reads
+    it.  ``_summand`` is the link that complexes._direct_sum
     writes on each boundary it builds, and that ChainComplex.reduction
     reads: (the summand complex, its degree, the positions of the appended
     ``one`` entries).

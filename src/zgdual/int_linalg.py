@@ -344,11 +344,15 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
 
     The row swaps, column swaps and sign changes are written in place, so
     no helper is called per operation; each logs what a call would have
-    logged.  A pivot row with one entry needs no search: its entry is the
-    row's least, so that entry's position is the leftmost one of least
-    absolute value, and it is read directly.  Row t with one entry has no
-    row clear: the clear walks the row's positions other than t, and
-    there are none, so skipping it adds no operation to either log.
+    logged.  The pivot's sign is fixed in one place, at the top of the
+    clear loop: nothing is logged between a swap that brings in a pivot
+    and that check, and a divisibility step leaves the pivot entry as it
+    is, so each sign change keeps its place in the row log.  A pivot row
+    with one entry needs no search: its entry is the row's least, so that
+    entry's position is the leftmost one of least absolute value, and it
+    is read directly.  Row t with one entry has no row clear: the clear
+    walks the row's positions other than t, and there are none, so
+    skipping it adds no operation to either log.
     """
     m, n = A.rows, A.cols
     rows = list(map(dict, A.sparse_rows))
@@ -391,13 +395,13 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
             perm[t], perm[pj], pos[ca], pos[cb] = cb, ca, pj, t
             log_col((t, pj, 0))
         c = perm[t]
-        if P[c] < 0:
-            P = rows[t] = {j: -x for j, x in P.items()}
-            log_row((t, t, -1))
-
         while True:
-            # clear column t then row t; re-pivot on any nonzero remainder;
-            # P is row t and c the column of A at position t
+            # make the pivot positive, clear column t then row t; re-pivot
+            # on any nonzero remainder; P is row t and c the column of A at
+            # position t
+            if P[c] < 0:
+                P = rows[t] = {j: -x for j, x in P.items()}
+                log_row((t, t, -1))
             p = P[c]
             dirty = emptied = False
             for i in live:
@@ -414,9 +418,6 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
                         rows[t], rows[i] = R, P
                         log_row((t, i, 0))
                         P = R
-                        if P[c] < 0:
-                            P = rows[t] = {j: -x for j, x in P.items()}
-                            log_row((t, t, -1))
                         dirty = True
                         break
             if emptied:
@@ -442,9 +443,6 @@ def smith_normal_form(A: IntegerMatrix) -> SmithDecomposition:
                         perm[t], perm[j], pos[c], pos[k] = k, c, j, t
                         log_col((t, j, 0))
                         c = k
-                        if v < 0:
-                            P = rows[t] = {j: -x for j, x in P.items()}
-                            log_row((t, t, -1))
                         dirty = True
                         break
                 if dirty:

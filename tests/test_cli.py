@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -8,7 +9,8 @@ import pytest
 from conftest import broken_lens, c70_loop_table, twisted_lens
 from zgdual import lens
 from zgdual.cli import main
-from zgdual.complexes import ChainComplex, ChainMap, dualize_complex, is_chain_map, validate_complex
+from zgdual.complexes import ChainComplex, ChainMap, _direct_sum, dualize_complex, is_chain_map, validate_complex
+from zgdual.dual_form import MAX_SEARCH_UNKNOWNS
 from zgdual.group_core import GroupRingElement
 from zgdual.gr_linalg import GRMatrix
 from zgdual.lens import lens_complex, lens_duality_map
@@ -414,7 +416,8 @@ class TestOneReader:
 class TestBoundedArguments:
     """A search budget below 1, a group order above MAX_CYCLIC_ORDER and a
     module Z-rank above MAX_MODULE_ZRANK are usage errors, reported before
-    any work is done."""
+    any work is done; a search lattice above MAX_SEARCH_UNKNOWNS, before
+    the search builds anything."""
 
     def assert_usage_error(self, capsys, argv, as_json, message):
         code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
@@ -493,6 +496,23 @@ class TestBoundedArguments:
             finally:
                 tracemalloc.stop()
             assert peak < 1_000_000
+
+    def test_search_lattice_above_the_limit(self, capsys, tmp_path):
+        """A 17 KiB member whose stage-6 tail has ranks (2, 4, 26): its
+        lattice has 70,296 unknowns.  Budget 1 tries the identity alone."""
+        path = write_complex(tmp_path, _direct_sum(twisted_lens(101), [(2, 10)]), "wide_tail.json")
+        message = f"the chain-map lattice has 70296 unknowns, above the search limit {MAX_SEARCH_UNKNOWNS}"
+        for budget, code, error in ((64, 2, message), (1, 0, None)):
+            tracemalloc.start()
+            started = time.monotonic()
+            try:
+                result = run(capsys, "dualform", path, "--assemble", "--budget", str(budget), "--json")
+                elapsed = time.monotonic() - started
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (result[0], json.loads(result[1]).get("error")) == (code, error)
+            assert elapsed < 1 and peak < 10 * 2**20
 
 
 class TestHomologyCommand:

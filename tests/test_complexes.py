@@ -41,7 +41,7 @@ from zgdual.complexes import (
 from zgdual.dual_form import normalize_duality, obstruction_check, recognize_dual_form
 from zgdual.group_core import GroupRingElement, cyclic_group, norm_element
 from zgdual.gr_linalg import GRMatrix, solve_gr_linear
-from zgdual.int_linalg import AbelianGroupInfo, IntegerMatrix, kernel_basis, smith_normal_form
+from zgdual.int_linalg import AbelianGroupInfo, IntegerMatrix, SmithDecomposition, kernel_basis, smith_normal_form
 from zgdual.lens import lens_asd_transform, lens_complex, lens_duality_map
 
 Z = AbelianGroupInfo.free(1)
@@ -347,7 +347,9 @@ class TestMemoizedReductions:
         monkeypatch.setattr(complexes, "smith_normal_form", counting_snf)
         monkeypatch.setattr(GRMatrix, "expand", counting_expand)
         def degrees_expanded(C):
-            assert not any(isinstance(v, IntegerMatrix) for v in C._memo.values())
+            # decompositions live on the boundaries, and no twin is kept
+            assert not any(isinstance(v, (IntegerMatrix, SmithDecomposition)) for v in C._memo.values())
+            assert not any(k[0] == "twin" for k in C._memo if isinstance(k, tuple))
             return sorted(next(j for j in range(1, 6) if C.boundary(j) == M) for M in expanded)
 
         for n in (6, 7):
@@ -395,6 +397,16 @@ class TestMemoizedReductions:
             # the very matrix objects: every decomposition is read, none made
             same = ChainComplex(C.group, C.ranks, C.differentials)
             assert reduce_all(same) == first and len(calls) == made
+            # a matrix lent a twin's decomposition keeps it: another complex
+            # holding it at degree 1 reads that decomposition
+            for i in range(2, C.top_degree + 1):
+                if C._twin(i) < i:
+                    d = C.boundary(i)
+                    alone = ChainComplex(C.group, (d.rows, d.cols), (d,))
+                    for coeff in COEFFS:
+                        snf = alone.reduction(1, coeff)
+                        assert snf is C.reduction(i, coeff) and len(calls) == made
+                        assert snf.U @ alone.integer_matrix(1, coeff) @ snf.V == snf.D
             # equal matrices that are other objects share nothing
             copies = tuple(GRMatrix.from_rows(d.group, d.entries) for d in C.differentials)
             equal = ChainComplex(C.group, C.ranks, copies)
@@ -466,11 +478,15 @@ class TestMemoizedReductions:
         for C in complexes_:
             # stripped certificates: the generator is derived from the reduction
             shared = replace(C, top_generator=None, bottom_generator=None)
-            alone = replace(C, top_generator=None, bottom_generator=None)
+            # a copy of boundary(T) that holds a fresh reduction of its own
             T = C.top_degree
-            alone._memo[("reduction", T, "integral")] = smith_normal_form(alone.integer_matrix(T))
+            top = GRMatrix.from_rows(C.group, C.boundary(T).entries)
+            fresh = smith_normal_form(top.expand())
+            top._reductions = {"integral": fresh}
+            alone = replace(shared, differentials=C.differentials[:-1] + (top,))
             report = top_end_report(shared)
             assert report == top_end_report(alone)
+            assert alone.reduction(T) is fresh
             assert report.generator == C.top_generator
         # in L(n) the top end reads degree 1's decomposition transposed
         L = lens_complex(13)
